@@ -99,11 +99,7 @@ def causal_loss(a_eff: Node, h: Node, k: int,
     rec = dc.scale(dc.sq_l2(dc.sub(h, dc.matmul_t(a_eff, h))), 1.0 / n)
     dag = dc.acyclicity_term(a_eff)
     direction = dc.l1(dc.slice_cols(dc.slice_rows(a_eff, k, 2 * k), 0, k))
-    col_terms = []
-    for i in range(k, 2 * k):
-        col_mass = dc.l1(dc.slice_cols(a_eff, i, i + 1))
-        col_terms.append(dc.scale(dc.log_scalar(dc.add_scalar(col_mass, LOG_EPS)), -1.0))
-    not_root = dc.add_n(col_terms)
+    not_root = dc.neg_log_col_l1(a_eff, k, LOG_EPS)
     sparsity = dc.l1(a_eff)
 
     terms = CausalLossTerms(
@@ -113,13 +109,9 @@ def causal_loss(a_eff: Node, h: Node, k: int,
         not_root=float(not_root.value),
         sparsity=float(sparsity.value),
     )
-    total = dc.add_n([
-        rec,
-        dc.scale(dag, weights.dag),
-        dc.scale(direction, weights.direction),
-        dc.scale(not_root, weights.not_root),
-        dc.scale(sparsity, weights.sparsity),
-    ])
+    total = dc.weighted_sum(
+        [rec, dag, direction, not_root, sparsity],
+        [1.0, weights.dag, weights.direction, weights.not_root, weights.sparsity])
     return total, terms
 
 

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import causal, data, evaluation, gradcheck, model, training
+from . import causal, data, evaluation, gradcheck, matrixio, model, training
 from .data import TARGET
 
 
@@ -265,7 +265,11 @@ def train_seed(config: ExperimentConfig, dataset, split, seed: int,
 def evaluate_seed(config: ExperimentConfig, dataset, split, seed: int,
                   out: Path) -> dict:
     seed_dir = out / f"seed_{seed}"
-    params = model.ModelParams.load(seed_dir / "checkpoint.nmc")
+    checkpoint = seed_dir / "checkpoint.nmc"
+    if not checkpoint.is_file():
+        raise StageFailure("evaluate", FileNotFoundError(
+            f"no checkpoint {checkpoint}; train seed {seed} first"))
+    params = model.ModelParams.load(checkpoint)
     adjacency = None
     if config.train.ablation != "no_causal":
         adjacency = params.effective_adjacency_matrix()
@@ -484,7 +488,8 @@ def main(argv=None) -> int:
     except StageFailure as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 2
-    except (data.DataError, data.SplitError, training.TrainingError) as exc:
+    except (data.DataError, data.SplitError, training.TrainingError,
+            matrixio.ContainerError) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 2
 

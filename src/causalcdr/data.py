@@ -508,35 +508,54 @@ def sample_train_negatives(dataset: CrossDomainDataset, split: SplitResult,
                            domain: str, n_neg_per_positive: int,
                            seed: int) -> TrainingExamples:
     """Pair every training positive with n uniform negatives the user has
-    never interacted with in that domain."""
+    never interacted with in that domain.
+
+    Positives are taken in (user, item) order and every negative slot is
+    filled by rejection from one uniform stream: a draw the user knows is
+    discarded and the next draw is tried. The stream is read in blocks of
+    rng.integers(n_items, size=unfilled slots). Every slot needs at least
+    one more draw, so a block never runs past the draws that one call per
+    draw would consume, and the examples equal that loop's.
+    """
     if n_neg_per_positive < 1:
         raise ValueError("n_neg_per_positive must be >= 1")
     rng = np.random.default_rng(seed)
     n_items = dataset.n_items(domain)
     user_items = dataset.user_items(domain)
-    users, items, labels = [], [], []
-    skipped = 0
+    by_user: dict[int, list] = {}
     for u, i in sorted(split.train[domain]):
-        users.append(u)
-        items.append(i)
-        labels.append(1.0)
+        by_user.setdefault(u, []).append(i)
+    per_user = [0 if len(user_items.get(u, ())) >= n_items else n_neg_per_positive
+                for u in by_user]
+    unfilled = sum(len(p) * per for p, per in zip(by_user.values(), per_user))
+    skipped = sum(len(p) for p, per in zip(by_user.values(), per_user) if per == 0)
+    negatives: list = []
+    block: list = []
+    at = 0
+    for (u, positives), per in zip(by_user.items(), per_user):
         known = user_items.get(u, set())
-        if len(known) >= n_items:
-            skipped += 1
-            continue
-        drawn = 0
-        while drawn < n_neg_per_positive:
-            j = int(rng.integers(n_items))
-            if j in known:
-                continue
-            users.append(u)
-            items.append(j)
-            labels.append(0.0)
-            drawn += 1
-    return TrainingExamples(np.array(users, dtype=np.intp),
-                            np.array(items, dtype=np.intp),
-                            np.array(labels, dtype=np.float64),
-                            skipped_saturated_users=skipped)
+        need = len(positives) * per
+        while need:
+            if at == len(block):
+                block, at = rng.integers(n_items, size=unfilled).tolist(), 0
+            drawn = block[at:at + need]
+            at += len(drawn)
+            kept = [j for j in drawn if j not in known]
+            negatives += kept
+            need -= len(kept)
+            unfilled -= len(kept)
+
+    # each positive followed by its negatives, in the order drawn
+    n_positives = [len(positives) for positives in by_user.values()]
+    run = 1 + np.repeat(np.array(per_user, dtype=np.intp), n_positives)
+    starts = np.cumsum(run) - run
+    users = np.repeat(np.repeat(np.array(list(by_user), dtype=np.intp), n_positives), run)
+    labels = np.zeros(len(users))
+    labels[starts] = 1.0
+    items = np.empty(len(users), dtype=np.intp)
+    items[starts] = [i for positives in by_user.values() for i in positives]
+    items[labels == 0.0] = negatives
+    return TrainingExamples(users, items, labels, skipped_saturated_users=skipped)
 
 
 def build_eval_candidates(dataset: CrossDomainDataset, test_positives,

@@ -3,10 +3,11 @@
 Supplies exactly the primitives the joint recommendation loss needs:
 matrix/vector products, elementwise arithmetic, concatenation and
 contiguous slicing, ReLU, sigmoid, two-way softmax, binary cross-entropy,
-norms, scalar log, a gradient-reversal node, and the trace-exponential
-acyclicity scalar. A tape records operations in execution order; the
-backward pass replays them in reverse and accumulates exact analytic
-gradients into per-parameter buffers.
+norms, a weighted sum, the summed negative log of column L1 masses, a
+gradient-reversal node, and the trace-exponential acyclicity scalar. A
+tape records operations in execution order; the backward pass replays
+them in reverse and accumulates exact analytic gradients into
+per-parameter buffers.
 
 The engine holds no global state and draws no randomness; a Tape is
 single-use and confined to one thread.
@@ -114,6 +115,10 @@ class Tape:
         for node, backward in reversed(self._records):
             if node.grad is not None:
                 backward(node.grad)
+        # The closures hold their operands and every node holds the tape, so
+        # the records form a cycle; dropping them frees the intermediate
+        # nodes now instead of at the next cyclic collection.
+        self._records = []
 
     def grad(self, name: str) -> np.ndarray:
         node = self._params[name]
@@ -189,21 +194,27 @@ def scale(x: Node, c: float) -> Node:
     return x.tape.record("scale", x.value * c, backward)
 
 
-def add_scalar(x: Node, c: float) -> Node:
-    c = float(c)
+def weighted_sum(nodes: Sequence[Node], weights: Sequence[float]) -> Node:
+    """sum_i weights[i] * nodes[i] as one node, folded left to right.
+
+    The value is bit-for-bit the fold add(...add(w0 x0, w1 x1)..., wn xn);
+    backward hands each input g * w_i.
+    """
+    if len(nodes) != len(weights) or not nodes:
+        raise ShapeError(f"weighted_sum: {len(nodes)} nodes and {len(weights)} weights")
+    for n in nodes[1:]:
+        _require_same_shape("weighted_sum", nodes[0], n)
+    tape = _tape_of(*nodes)
+    weights = [float(w) for w in weights]
+    value = nodes[0].value * weights[0]
+    for n, w in zip(nodes[1:], weights[1:]):
+        value = value + n.value * w
 
     def backward(g):
-        _accum(x, g)
+        for n, w in zip(nodes, weights):
+            _accum(n, g * w)
 
-    return x.tape.record("add_scalar", x.value + c, backward)
-
-
-def add_n(nodes: Sequence[Node]) -> Node:
-    """Left fold of add(); convenient for summing loss terms."""
-    out = nodes[0]
-    for n in nodes[1:]:
-        out = add(out, n)
-    return out
+    return tape.record("weighted_sum", value, backward)
 
 
 # ---------------------------------------------------------------------------
@@ -434,16 +445,32 @@ def l2_norm(*xs: Node) -> Node:
     return tape.record("l2_norm", np.asarray(value), backward)
 
 
-def log_scalar(x: Node) -> Node:
-    if x.value.ndim != 0:
-        raise ShapeError(f"log_scalar: expected a scalar, got shape {x.shape}")
+def neg_log_col_l1(x: Node, lo: int, eps: float) -> Node:
+    """sum over columns j >= lo of -log(||x[:, j]||_1 + eps).
+
+    Each column mass is summed as a contiguous vector and the column terms
+    are folded left to right, so the value equals the per-column chain
+    slice_cols -> l1 -> +eps -> log -> *(-1) summed one add at a time, bit
+    for bit. Subgradient 0 at exact zeros; backward adds into columns lo..
+    only.
+    """
+    if x.value.ndim != 2:
+        raise ShapeError(f"neg_log_col_l1: expected a matrix, got shape {x.shape}")
+    if not (0 <= lo < x.shape[1]):
+        raise ShapeError(f"neg_log_col_l1: start column {lo} invalid for shape {x.shape}")
+    eps = float(eps)
+    cols = np.ascontiguousarray(x.value[:, lo:].T)   # one row per column
+    mass = np.abs(cols).sum(axis=1) + eps
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.log(mass) * -1.0
+    value = np.asarray(np.cumsum(terms)[-1])   # the left fold
 
     def backward(g):
-        _accum(x, g / x.value)
+        if x.grad is None:
+            x.grad = np.zeros_like(x.value)
+        x.grad[:, lo:] += np.sign(cols.T) * ((g * -1.0) / mass)
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        value = np.asarray(np.log(x.value))
-    return x.tape.record("log_scalar", value, backward)
+    return x.tape.record("neg_log_col_l1", value, backward)
 
 
 def grad_reverse(x: Node, scale_factor: float) -> Node:

@@ -48,41 +48,56 @@ def write_container(path, matrices: dict, meta: dict | None = None) -> None:
 
 
 def read_container(path) -> tuple[dict, dict]:
+    """(matrices, metadata) of a container file.
+
+    A file that ends early, or holds bytes after its last matrix, raises
+    ContainerError naming the byte offset.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != MAGIC:
         raise ContainerError(f"{path}: not a named-matrix container")
     offset = 4
 
-    def take(fmt):
+    def claim(size, what):
         nonlocal offset
-        size = struct.calcsize(fmt)
-        values = struct.unpack_from(fmt, blob, offset)
+        if size > len(blob) - offset:
+            raise ContainerError(f"{path}: truncated at byte {len(blob)}: {what} "
+                                 f"needs {size} bytes from offset {offset}")
+        start = offset
         offset += size
-        return values
+        return start
 
-    def take_str(length):
-        nonlocal offset
-        out = blob[offset:offset + length].decode("utf-8")
-        offset += length
-        return out
+    def take(fmt, what):
+        return struct.unpack_from(fmt, blob, claim(struct.calcsize(fmt), what))
+
+    def take_str(length, what):
+        start = claim(length, what)
+        try:
+            return blob[start:start + length].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ContainerError(f"{path}: {what} at offset {start} is not "
+                                 f"utf-8") from exc
 
     meta = {}
-    (n_meta,) = take("<I")
+    (n_meta,) = take("<I", "metadata count")
     for _ in range(n_meta):
-        (klen,) = take("<H")
-        key = take_str(klen)
-        (vlen,) = take("<I")
-        meta[key] = take_str(vlen)
+        (klen,) = take("<H", "metadata key length")
+        key = take_str(klen, "metadata key")
+        (vlen,) = take("<I", "metadata value length")
+        meta[key] = take_str(vlen, f"metadata value {key!r}")
 
     matrices = {}
-    (n_matrices,) = take("<I")
+    (n_matrices,) = take("<I", "matrix count")
     for _ in range(n_matrices):
-        (nlen,) = take("<H")
-        name = take_str(nlen)
-        rows, cols = take("<II")
+        (nlen,) = take("<H", "matrix name length")
+        name = take_str(nlen, "matrix name")
+        rows, cols = take("<II", f"shape of {name!r}")
         count = rows * cols
-        data = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
-        offset += count * 8
+        start = claim(count * 8, f"values of {name!r}")
+        data = np.frombuffer(blob, dtype="<f8", count=count, offset=start)
         matrices[name] = data.reshape(rows, cols).astype(np.float64)
+    if offset != len(blob):
+        raise ContainerError(f"{path}: {len(blob) - offset} trailing bytes after "
+                             f"the last matrix at offset {offset}")
     return matrices, meta

@@ -283,13 +283,10 @@ def total_loss(tape: dc.Tape, params: ModelParams, target_batch: Batch,
 
     reg = dc.l2_norm(*nodes.values())
 
-    total = dc.add_n([
-        loss_target,
-        dc.scale(loss_source, config.lambda_source),
-        dc.scale(loss_domain, config.lambda_domain),
-        dc.scale(loss_causal, config.lambda_causal),
-        dc.scale(reg, config.lambda_reg),
-    ])
+    total = dc.weighted_sum(
+        [loss_target, loss_source, loss_domain, loss_causal, reg],
+        [1.0, config.lambda_source, config.lambda_domain, config.lambda_causal,
+         config.lambda_reg])
     breakdown = LossBreakdown(
         total=float(total.value),
         interaction_target=float(loss_target.value),

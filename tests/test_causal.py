@@ -123,6 +123,99 @@ class TestCausalLoss:
         assert values[0] > values[1] > values[2]
 
 
+# The causal loss as it was composed before the not-a-root penalty and the
+# weighted total became single nodes: per preference column
+# slice_cols -> l1 -> +eps -> log -> *(-1), summed one add() at a time, and
+# a fold of add() over scale() nodes for the total. The fused loss must
+# reproduce its value, terms and gradients bit for bit.
+
+def _accum(node, g):
+    if node.grad is None:
+        node.grad = np.zeros_like(node.value)
+    node.grad += g
+
+
+def _add_scalar(x, c):
+    return x.tape.record("add_scalar", x.value + c, lambda g: _accum(x, g))
+
+
+def _log_scalar(x):
+    return x.tape.record("log_scalar", np.asarray(np.log(x.value)),
+                         lambda g: _accum(x, g / x.value))
+
+
+def _add_n(nodes):
+    out = nodes[0]
+    for n in nodes[1:]:
+        out = dc.add(out, n)
+    return out
+
+
+def reference_causal_loss(a_eff, h, k, weights):
+    rec = dc.scale(dc.sq_l2(dc.sub(h, dc.matmul_t(a_eff, h))), 1.0 / h.shape[1])
+    dag = dc.acyclicity_term(a_eff)
+    direction = dc.l1(dc.slice_cols(dc.slice_rows(a_eff, k, 2 * k), 0, k))
+    col_terms = []
+    for i in range(k, 2 * k):
+        col_mass = dc.l1(dc.slice_cols(a_eff, i, i + 1))
+        col_terms.append(dc.scale(_log_scalar(_add_scalar(col_mass, causal.LOG_EPS)), -1.0))
+    not_root = _add_n(col_terms)
+    sparsity = dc.l1(a_eff)
+    terms = causal.CausalLossTerms(
+        reconstruction=float(rec.value), dag=float(dag.value),
+        direction=float(direction.value), not_root=float(not_root.value),
+        sparsity=float(sparsity.value))
+    total = _add_n([rec, dc.scale(dag, weights.dag),
+                    dc.scale(direction, weights.direction),
+                    dc.scale(not_root, weights.not_root),
+                    dc.scale(sparsity, weights.sparsity)])
+    return total, terms
+
+
+def run_in_graph(loss_fn, a, h, k, weights):
+    """The loss inside a larger graph: a_eff also feeds an earlier node, as
+    in the joint objective, and the total reaches the root scaled."""
+    tape = dc.Tape()
+    a_eff = causal.effective_adjacency(tape.param("a", a), k)
+    h_node = tape.param("h", h)
+    upstream = causal.infer_causal_preference_node(a_eff, dc.slice_rows(h_node, 0, k), k)
+    total, terms = loss_fn(a_eff, h_node, k, weights)
+    tape.backward(dc.add(dc.scale(total, 0.7), dc.sq_l2(upstream)))
+    return total.value, terms, tape.grads()
+
+
+def adjacency_case(kind, k, rng):
+    a = rng.normal(size=(2 * k, 2 * k)) * rng.choice([0.01, 0.3, 3.0])
+    if kind == "sparse":
+        a[rng.random(a.shape) < 0.8] = 0.0
+        a[:, k + rng.integers(k)] = 0.0      # a preference column with no mass
+    elif kind == "zero":
+        a[:] = 0.0
+    return a
+
+
+class TestFusedLossIsExact:
+    @pytest.mark.parametrize("kind", ["random", "sparse", "zero"])
+    @pytest.mark.parametrize("k", [1, 3, 4, 8, 16])
+    def test_matches_unfused_composition_bit_for_bit(self, kind, k):
+        rng = np.random.default_rng(1000 * k + len(kind))
+        weights_list = [causal.PenaltyWeights(),
+                        causal.PenaltyWeights(dag=500.0, direction=1.0,
+                                              not_root=0.1, sparsity=0.05)]
+        for weights in weights_list:
+            for _ in range(3):
+                a = adjacency_case(kind, k, rng)
+                h = rng.normal(size=(2 * k, 7))
+                value, terms, grads = run_in_graph(causal.causal_loss, a, h, k, weights)
+                ref_value, ref_terms, ref_grads = run_in_graph(
+                    reference_causal_loss, a, h, k, weights)
+                assert value == ref_value
+                assert terms == ref_terms
+                assert grads.keys() == ref_grads.keys()
+                for name in ref_grads:
+                    assert np.array_equal(grads[name], ref_grads[name]), name
+
+
 class TestInferCausalPreference:
     def test_zero_adjacency(self):
         assert np.array_equal(causal.infer_causal_preference(np.zeros((8, 8)), np.ones(4)),

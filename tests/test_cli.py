@@ -156,6 +156,22 @@ class TestCommands:
         assert cli.main(["gradcheck", "--corrupt-block", "fusion_t"]) == 3
         assert "fusion_t" in capsys.readouterr().out
 
+    def test_evaluate_without_checkpoint_exits_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, out_dir=str(tmp_path / "noeval"))
+        assert cli.main(["evaluate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "runtime failure" in err and "checkpoint.nmc" in err
+
+    def test_evaluate_truncated_checkpoint_exits_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, out_dir=str(tmp_path / "cut"), seeds="1")
+        assert cli.main(["train", "--config", str(path)]) == 0
+        checkpoint = tmp_path / "cut" / "seed_1" / "checkpoint.nmc"
+        checkpoint.write_bytes(checkpoint.read_bytes()[:-5])
+        capsys.readouterr()
+        assert cli.main(["evaluate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "runtime failure" in err and "truncated" in err
+
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("nonsense.key=1\n")

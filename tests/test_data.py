@@ -224,6 +224,14 @@ class TestSampling:
                      zip(examples.users, examples.items, examples.labels) if y == 0]
         assert all(u == 1 for u, _ in negatives)
 
+    def test_empty_training_part(self, synth_dataset):
+        split = data.split_iid(synth_dataset, seed=9)
+        split.train[TARGET] = set()
+        examples = data.sample_train_negatives(synth_dataset, split, TARGET, 4, seed=0)
+        assert len(examples) == 0
+        assert examples.users.dtype == np.intp and examples.items.dtype == np.intp
+        assert examples.labels.dtype == np.float64
+
     def test_too_few_negatives_rejected(self):
         ds = data.CrossDomainDataset(
             n_users=1, n_source_items=5, n_target_items=120,
@@ -231,6 +239,100 @@ class TestSampling:
             target_positives={(0, i) for i in range(70)})
         with pytest.raises(data.SplitError, match="eligible"):
             data.build_eval_candidates(ds, [(0, 0)], seed=0)
+
+
+def scalar_draw_sampler(dataset, split, domain, n_neg_per_positive, seed):
+    """Reference: one rng.integers call per draw, rejection per positive."""
+    rng = np.random.default_rng(seed)
+    n_items = dataset.n_items(domain)
+    user_items = dataset.user_items(domain)
+    users, items, labels = [], [], []
+    skipped = 0
+    for u, i in sorted(split.train[domain]):
+        users.append(u)
+        items.append(i)
+        labels.append(1.0)
+        known = user_items.get(u, set())
+        if len(known) >= n_items:
+            skipped += 1
+            continue
+        drawn = 0
+        while drawn < n_neg_per_positive:
+            j = int(rng.integers(n_items))
+            if j in known:
+                continue
+            users.append(u)
+            items.append(j)
+            labels.append(0.0)
+            drawn += 1
+    return data.TrainingExamples(np.array(users, dtype=np.intp),
+                                 np.array(items, dtype=np.intp),
+                                 np.array(labels, dtype=np.float64),
+                                 skipped_saturated_users=skipped)
+
+
+def assert_same_examples(got, want):
+    for field in ("users", "items", "labels"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and np.array_equal(a, b), field
+    assert got.skipped_saturated_users == want.skipped_saturated_users
+
+
+class TestBlockSamplerMatchesScalarDraws:
+    """The block sampler must consume the generator's stream exactly as one
+    scalar draw per call does. If a numpy release maps array draws to the
+    stream differently, these fail."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 17, 123])
+    @pytest.mark.parametrize("domain", [SOURCE, TARGET])
+    def test_synthetic_split(self, synth_dataset, seed, domain):
+        split = data.split_iid(synth_dataset, seed=9)
+        for n_neg in (1, 4):
+            assert_same_examples(
+                data.sample_train_negatives(synth_dataset, split, domain, n_neg, seed),
+                scalar_draw_sampler(synth_dataset, split, domain, n_neg, seed))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_saturated_and_nearly_saturated_users(self, seed, monkeypatch):
+        # user 0 knows every target item (skipped), user 1 knows all but two,
+        # so most of its draws are rejected and the stream is read in many
+        # blocks; users 2 and 3 are ordinary
+        n_items = 40
+        target = ({(0, i) for i in range(n_items)} | {(1, i) for i in range(2, n_items)}
+                  | {(2, 5), (2, 9), (3, 1)})
+        ds = data.CrossDomainDataset(
+            n_users=4, n_source_items=5, n_target_items=n_items,
+            source_positives={(u, 0) for u in range(4)}, target_positives=target)
+        split = data.SplitResult(
+            train={data.SOURCE: set(ds.source_positives), data.TARGET: set(target)},
+            validation={data.SOURCE: set(), data.TARGET: set()},
+            test={data.SOURCE: set(), data.TARGET: set()},
+            eval_candidates=[], val_candidates=[], seed=0, tiebreak_seed=0)
+        real_default_rng = np.random.default_rng
+        generators = []
+
+        class CountingGenerator:
+            """Records the size of every integers() call."""
+
+            def __init__(self, seed):
+                self.rng = real_default_rng(seed)
+                self.sizes = []
+                generators.append(self)
+
+            def integers(self, *args, **kwargs):
+                out = self.rng.integers(*args, **kwargs)
+                self.sizes.append(np.size(out))
+                return out
+
+        monkeypatch.setattr(data.np.random, "default_rng", CountingGenerator)
+        want = scalar_draw_sampler(ds, split, TARGET, 3, seed)
+        got = data.sample_train_negatives(ds, split, TARGET, 3, seed)
+        monkeypatch.undo()
+        assert_same_examples(got, want)
+        assert got.skipped_saturated_users == n_items
+        scalar, block = generators
+        assert len(block.sizes) > 2                 # refilled more than once
+        assert sum(block.sizes) == len(scalar.sizes)  # no draw past the loop's
 
 
 class TestSynth:

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -83,10 +85,11 @@ class TestPrimitives:
             dc.add(a, b)
 
     def test_non_finite_identifies_operation(self):
+        # without a guard, the log of an all-zero column mass is -inf
         tape = dc.Tape()
-        x = tape.param("x", np.array(0.0))
-        with pytest.raises(dc.NonFiniteError, match="log_scalar"):
-            dc.log_scalar(x)
+        x = tape.param("x", np.array([[1.0, 0.0], [2.0, 0.0]]))
+        with pytest.raises(dc.NonFiniteError, match="neg_log_col_l1"):
+            dc.neg_log_col_l1(x, 1, 0.0)
 
     def test_duplicate_parameter_name_rejected(self):
         tape = dc.Tape()
@@ -159,14 +162,15 @@ def test_primitive_gradients_match_finite_differences(seed):
             dc.bce_sum(probs, labels),
             dc.scale(dc.sq_l2(dc.sub(h, s)), 0.5),
             dc.scale(dc.l1(dc.slice_cols(n["a"], 1, 3)), 0.3),
-            dc.scale(dc.log_scalar(dc.add_scalar(dc.l1(dc.matvec(n["a"], n["x"])), 1e-8)), -0.1),
+            dc.neg_log_col_l1(dc.matmul(n["a"], n["v"]), 1, 1e-8),
             dc.acyclicity_term(n["a"]),
             dc.scale(dc.l2_norm(n["w"], n["m"]), 0.01),
             dc.sq_l2(dc.mul(n["x"], dc.matvec_t(n["w"], n["x"]))),
             dc.sq_l2(dc.vconcat(n["x"], dc.slice_rows(n["x"], 0, k))),
             dc.sq_l2(dc.hconcat(dc.gather_cols(n["v"], [0, 2, 0]), h)),
+            dc.sq_l2(dc.matvec(n["a"], n["x"])),
         ]
-        return dc.add_n(terms)
+        return dc.weighted_sum(terms, [1.0, 1.0, 1.0, 0.1, 1.0, 1.0, 1.0, 1.0, 1.0, 0.2])
 
     assert fd_check(build, params) < 1e-5
 
@@ -181,6 +185,132 @@ def test_gather_and_scale_gradients(seed):
         return dc.scale(dc.sq_l2(picked), 0.7)
 
     assert fd_check(build, params) < 1e-6
+
+
+class TestWeightedSum:
+    def test_equals_fold_of_add_and_scale_bit_for_bit(self):
+        rng = np.random.default_rng(17)
+        values = rng.normal(size=(5, 3, 2)) * 10.0 ** rng.integers(-8, 8, size=(5, 1, 1))
+        weights = [1.0, 0.3, 500.0, 1e-3, 0.1]
+
+        def run(fused):
+            tape = dc.Tape()
+            xs = [tape.param(f"x{i}", v) for i, v in enumerate(values)]
+            if fused:
+                out = dc.weighted_sum(xs, weights)
+            else:
+                out = xs[0]
+                for x, w in zip(xs[1:], weights[1:]):
+                    out = dc.add(out, dc.scale(x, w))
+            loss = dc.sq_l2(out)
+            tape.backward(loss)
+            return out.value, tape.grads()
+
+        value, grads = run(fused=True)
+        ref_value, ref_grads = run(fused=False)
+        assert np.array_equal(value, ref_value)
+        for name in ref_grads:
+            assert np.array_equal(grads[name], ref_grads[name])
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_gradient_matches_finite_differences(self, seed):
+        rng = np.random.default_rng(400 + seed)
+        params = {"a": rng.normal(size=(3, 4)), "b": rng.normal(size=(3, 4))}
+
+        def build(tape, n):
+            return dc.weighted_sum([dc.sq_l2(n["a"]), dc.l1(dc.mul(n["a"], n["b"])),
+                                    dc.sq_l2(n["b"])], [1.0, -0.7, 2.5])
+
+        assert fd_check(build, params) < 1e-4
+
+    def test_each_input_gets_its_weight(self):
+        tape = dc.Tape()
+        x = tape.param("x", np.array([1.0, -2.0]))
+        y = tape.param("y", np.array([3.0, 4.0]))
+        out = dc.weighted_sum([x, y], [2.0, -0.5])
+        assert np.array_equal(out.value, np.array([0.5, -6.0]))
+        tape.backward(dc.l1(out))
+        assert np.array_equal(tape.grad("x"), np.array([2.0, -2.0]))
+        assert np.array_equal(tape.grad("y"), np.array([-0.5, 0.5]))
+
+    def test_mismatched_inputs_rejected(self):
+        tape = dc.Tape()
+        x = tape.param("x", np.ones(2))
+        with pytest.raises(dc.ShapeError):
+            dc.weighted_sum([x, x], [1.0])
+        with pytest.raises(dc.ShapeError):
+            dc.weighted_sum([x, tape.param("y", np.ones(3))], [1.0, 1.0])
+        with pytest.raises(dc.ShapeError):
+            dc.weighted_sum([], [])
+
+
+class TestNegLogColL1:
+    def test_value_matches_scalar_oracle(self):
+        rng = np.random.default_rng(21)
+        x = rng.normal(size=(6, 5))
+        tape = dc.Tape()
+        out = dc.neg_log_col_l1(tape.param("x", x), 2, 1e-8)
+        oracle = -sum(math.log(sum(abs(x[r, j]) for r in range(6)) + 1e-8)
+                      for j in range(2, 5))
+        assert float(out.value) == pytest.approx(oracle, rel=1e-12)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_gradient_matches_finite_differences(self, seed):
+        rng = np.random.default_rng(500 + seed)
+        x = rng.normal(size=(6, 6))
+        x[:, 4] = 0.0              # an all-zero column: only eps keeps its log finite
+        x[[0, 3], 5] = 0.0         # exact zeros inside a live column, sign() is 0
+        x[2, 3] = 0.0
+
+        def build(tape, n):
+            return dc.neg_log_col_l1(n["x"], 3, 1e-8)
+
+        assert fd_check(build, {"x": x}) < 1e-4
+
+    def test_gradient_stays_in_the_penalised_columns(self):
+        rng = np.random.default_rng(23)
+        x = rng.normal(size=(4, 6))
+        x[1, 4] = 0.0
+        tape = dc.Tape()
+        tape.backward(dc.neg_log_col_l1(tape.param("x", x), 3, 1e-8))
+        grad = tape.grad("x")
+        assert np.array_equal(grad[:, :3], np.zeros((4, 3)))
+        mass = np.abs(x[:, 3:]).sum(axis=0) + 1e-8
+        assert np.allclose(grad[:, 3:], -np.sign(x[:, 3:]) / mass, rtol=1e-14)
+        assert grad[1, 4] == 0.0
+
+    def test_bad_start_column_rejected(self):
+        tape = dc.Tape()
+        x = tape.param("x", np.ones((2, 3)))
+        with pytest.raises(dc.ShapeError):
+            dc.neg_log_col_l1(x, 3, 1e-8)
+        with pytest.raises(dc.ShapeError):
+            dc.neg_log_col_l1(tape.param("v", np.ones(3)), 0, 1e-8)
+
+
+class TestTapeLifetime:
+    def test_backward_frees_intermediate_nodes_without_gc(self):
+        gc_was_on = gc.isenabled()
+        gc.disable()
+        try:
+            tape = dc.Tape()
+            x = tape.param("x", np.array([[1.0, -2.0], [0.5, 3.0]]))
+            hidden = dc.relu(dc.matmul(x, x))
+            # Node has __slots__ and no weakref slot; its value array lives
+            # exactly as long as the node does
+            probe = weakref.ref(hidden.value)
+            loss = dc.sq_l2(hidden)
+            del hidden
+            assert probe() is not None      # the tape's records hold the node
+            tape.backward(loss)
+            assert probe() is None          # freed by reference counting alone
+            relu_xx = np.maximum(x.value @ x.value, 0.0)
+            g = 2.0 * relu_xx
+            expected = g @ x.value.T + x.value.T @ g
+            assert np.allclose(tape.grads()["x"], expected)
+        finally:
+            if gc_was_on:
+                gc.enable()
 
 
 class TestGradReverse:

@@ -1,0 +1,59 @@
+import numpy as np
+import pytest
+
+from causalcdr import matrixio
+
+
+@pytest.fixture
+def container(tmp_path):
+    path = tmp_path / "small.nmc"
+    matrices = {"a": np.arange(6, dtype=float).reshape(2, 3),
+                "b": np.array([[-1.5]]), "empty": np.zeros((0, 4))}
+    matrixio.write_container(path, matrices, meta={"seed": "7", "note": "x"})
+    return path, matrices
+
+
+def test_round_trip(container):
+    path, matrices = container
+    loaded, meta = matrixio.read_container(path)
+    assert meta == {"seed": "7", "note": "x"}
+    assert loaded.keys() == matrices.keys()
+    for name, matrix in matrices.items():
+        assert loaded[name].shape == matrix.shape
+        assert np.array_equal(loaded[name], matrix)
+
+
+def test_every_truncation_raises_container_error(container, tmp_path):
+    path, _ = container
+    blob = path.read_bytes()
+    cut = tmp_path / "cut.nmc"
+    for length in range(len(blob)):
+        cut.write_bytes(blob[:length])
+        with pytest.raises(matrixio.ContainerError):
+            matrixio.read_container(cut)
+
+
+def test_truncation_names_the_offset(container, tmp_path):
+    path, _ = container
+    cut = tmp_path / "cut.nmc"
+    cut.write_bytes(path.read_bytes()[:-3])
+    with pytest.raises(matrixio.ContainerError, match="truncated"):
+        matrixio.read_container(cut)
+
+
+@pytest.mark.parametrize("extra", [b"\0", b"NMC1", b"\xff" * 9])
+def test_trailing_bytes_rejected(container, tmp_path, extra):
+    path, _ = container
+    padded = tmp_path / "padded.nmc"
+    padded.write_bytes(path.read_bytes() + extra)
+    with pytest.raises(matrixio.ContainerError, match="trailing"):
+        matrixio.read_container(padded)
+
+
+def test_name_that_is_not_utf8_rejected(tmp_path):
+    path = tmp_path / "m.nmc"
+    matrixio.write_container(path, {"ab": np.ones((1, 1))})
+    blob = path.read_bytes().replace(b"ab", b"\xff\xfe")
+    path.write_bytes(blob)
+    with pytest.raises(matrixio.ContainerError, match="utf-8"):
+        matrixio.read_container(path)
