@@ -74,15 +74,6 @@ def effective_adjacency(a: Node, k: int, strict: bool = False) -> Node:
     return dc.mul(a, mask)
 
 
-def scm_reconstruct(a: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """A^T H: every node rebuilt from its parents (pure numpy path)."""
-    a = np.asarray(a, dtype=np.float64)
-    h = np.asarray(h, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] != h.shape[0]:
-        raise dc.ShapeError(f"scm_reconstruct: shapes {a.shape} and {h.shape} incompatible")
-    return a.T @ h
-
-
 def causal_loss(a_eff: Node, h: Node, k: int,
                 weights: PenaltyWeights) -> tuple[Node, CausalLossTerms]:
     """Total causal loss over a column batch of samples h (2k x N).
@@ -118,30 +109,13 @@ def causal_loss(a_eff: Node, h: Node, k: int,
 def infer_causal_preference_node(a_eff: Node, u_att: Node, k: int) -> Node:
     """Preference block of A^T (u_att || 0): run only the attributes through
     the learned structure, zeroing the shared input, and keep the posterior
-    k rows. Accepts a single k-vector or a k x B column batch.
+    k rows of a k x B column batch.
     """
-    if u_att.shape[0] != k:
-        raise dc.ShapeError(f"attribute input must have {k} rows, got {u_att.shape}")
-    tape = u_att.tape
-    if u_att.value.ndim == 1:
-        h0 = dc.vconcat(u_att, tape.constant(np.zeros(k)))
-        return dc.slice_rows(dc.matvec_t(a_eff, h0), k, 2 * k)
-    zeros = tape.constant(np.zeros((k, u_att.shape[1])))
+    if u_att.value.ndim != 2 or u_att.shape[0] != k:
+        raise dc.ShapeError(f"attribute input must be {k} x B, got {u_att.shape}")
+    zeros = u_att.tape.constant(np.zeros((k, u_att.shape[1])))
     h0 = dc.vconcat(u_att, zeros)
     return dc.slice_rows(dc.matmul_t(a_eff, h0), k, 2 * k)
-
-
-def infer_causal_preference(a: np.ndarray, u_att: np.ndarray) -> np.ndarray:
-    """Numpy twin of infer_causal_preference_node for scoring paths.
-
-    Equivalent to the attribute->preference block applied to u_att.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    u_att = np.asarray(u_att, dtype=np.float64)
-    k = u_att.shape[0]
-    if a.shape != (2 * k, 2 * k):
-        raise dc.ShapeError(f"adjacency {a.shape} incompatible with attributes of dim {k}")
-    return a[:k, k:].T @ u_att
 
 
 @dataclass

@@ -30,21 +30,6 @@ class SplitError(ValueError):
 
 
 @dataclass
-class RawInteraction:
-    """One positive row as read from a domain's export file."""
-
-    user_key: str
-    item_key: str
-    domain: str
-    rating: float | None = None
-    attribute: str | None = None
-
-    def __post_init__(self):
-        if self.domain not in DOMAINS:
-            raise DataError(f"unknown domain tag {self.domain!r}")
-
-
-@dataclass
 class IngestStats:
     source_users_dropped: int = 0
     target_users_dropped: int = 0
@@ -150,8 +135,9 @@ def _sort_key(key: str):
         return (1, 0, key)
 
 
-def _read_rows(path, domain: str, schema: dict, threshold: float):
-    """Yield a RawInteraction per positive row of one domain's file."""
+def _read_rows(path, schema: dict, threshold: float):
+    """Yield (user key, item key, attribute or None) per positive row of
+    one domain's file."""
     user_col = schema.get("user", "user")
     item_col = schema.get("item", "item")
     rating_col = schema.get("rating")
@@ -181,8 +167,7 @@ def _read_rows(path, domain: str, schema: dict, threshold: float):
                 if rating < threshold:
                     continue
             attr = row.get(attr_col) if attr_col else None
-            yield RawInteraction(user_key=user, item_key=item, domain=domain,
-                                 rating=rating, attribute=attr or None)
+            yield user, item, attr or None
 
 
 def ingest_csv(source_path, target_path, schema: dict | None = None,
@@ -200,13 +185,13 @@ def ingest_csv(source_path, target_path, schema: dict | None = None,
     attrs: dict[str, str] = {}
     for domain, path in ((SOURCE, source_path), (TARGET, target_path)):
         rows = []
-        for record in _read_rows(path, domain, schema, positive_threshold):
-            rows.append((record.user_key, record.item_key))
-            if record.attribute is not None:
-                if attrs.get(record.user_key, record.attribute) != record.attribute:
-                    raise DataError(f"user {record.user_key!r} has conflicting "
+        for user, item, attribute in _read_rows(path, schema, positive_threshold):
+            rows.append((user, item))
+            if attribute is not None:
+                if attrs.get(user, attribute) != attribute:
+                    raise DataError(f"user {user!r} has conflicting "
                                     f"attribute labels")
-                attrs[record.user_key] = record.attribute
+                attrs[user] = attribute
         raw[domain] = rows
 
     source_users = {u for u, _ in raw[SOURCE]}
@@ -779,13 +764,17 @@ def load_split(directory) -> SplitResult:
     candidates = {}
     for name in ("candidates_test", "candidates_validation"):
         lists = []
-        with open(directory / f"{name}.csv", "r", encoding="utf-8") as fh:
-            for line in fh:
+        path = directory / f"{name}.csv"
+        with open(path, "r", encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
                 values = [int(x) for x in line.split(",")]
                 user, pos, negatives = values[0], values[1], values[2:]
+                if len(negatives) != N_EVAL_NEGATIVES:
+                    raise DataError(f"{path}: line {line_no} has {len(negatives)} "
+                                    f"negatives, expected {N_EVAL_NEGATIVES}")
                 pos_key = (_stable_key(tiebreak_seed, user, pos), pos)
                 position = sum(
                     1 for j in negatives

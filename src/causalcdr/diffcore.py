@@ -1,7 +1,7 @@
 """Reverse-mode gradient engine over dense float64 matrices.
 
 Supplies exactly the primitives the joint recommendation loss needs:
-matrix/vector products, elementwise arithmetic, concatenation and
+matrix products, elementwise arithmetic, concatenation and
 contiguous slicing, ReLU, sigmoid, two-way softmax, binary cross-entropy,
 norms, a weighted sum, the summed negative log of column L1 masses, a
 gradient-reversal node, and the trace-exponential acyclicity scalar. A
@@ -72,11 +72,18 @@ class Tape:
     Single-use: once backward() has run, recording further operations or
     running backward again raises. Registered parameter values are treated
     as read-only snapshots; gradients accumulate in tape-local buffers.
+
+    Tape(grad=False) is a value-only tape for forward passes that need no
+    gradient (scoring, probes): it keeps no record and no parameter node,
+    so its nodes are freed as soon as the caller drops them, and its
+    backward() raises.
     """
 
-    def __init__(self):
-        self._records: list[tuple[Node, Callable[[np.ndarray], None]]] = []
-        self._params: dict[str, Node] = {}
+    def __init__(self, grad: bool = True):
+        self._records: list[tuple[Node, Callable[[np.ndarray], None]]] | None = (
+            [] if grad else None)
+        self._params: dict[str, Node | None] = {}
+        self._grads: dict[str, np.ndarray] | None = None
         self._done = False
 
     def param(self, name: str, value) -> Node:
@@ -86,7 +93,7 @@ class Tape:
             raise TapeStateError(f"duplicate parameter name {name!r}")
         node = Node(self, _as_array(value), "param")
         _check_finite(f"param {name!r}", node.value)
-        self._params[name] = node
+        self._params[name] = node if self._records is not None else None
         return node
 
     def constant(self, value) -> Node:
@@ -100,10 +107,13 @@ class Tape:
             raise TapeStateError("tape already consumed by backward()")
         _check_finite(op, value)
         node = Node(self, value, op)
-        self._records.append((node, backward))
+        if self._records is not None:
+            self._records.append((node, backward))
         return node
 
     def backward(self, loss: Node) -> None:
+        if self._records is None:
+            raise TapeStateError("a value-only tape has no backward()")
         if self._done:
             raise TapeStateError("backward() already ran on this tape")
         if loss.tape is not self:
@@ -115,19 +125,22 @@ class Tape:
         for node, backward in reversed(self._records):
             if node.grad is not None:
                 backward(node.grad)
-        # The closures hold their operands and every node holds the tape, so
-        # the records form a cycle; dropping them frees the intermediate
-        # nodes now instead of at the next cyclic collection.
+        # Every node holds the tape, so the records and the parameter nodes
+        # form cycles with it; keeping only the gradients frees the nodes
+        # and their buffers now instead of at the next cyclic collection.
         self._records = []
+        self._grads = {name: node.grad if node.grad is not None
+                       else np.zeros_like(node.value)
+                       for name, node in self._params.items()}
+        self._params = {}
 
     def grad(self, name: str) -> np.ndarray:
-        node = self._params[name]
-        if node.grad is None:
-            return np.zeros_like(node.value)
-        return node.grad
+        return self.grads()[name]
 
     def grads(self) -> dict[str, np.ndarray]:
-        return {name: self.grad(name) for name in self._params}
+        if self._grads is None:
+            raise TapeStateError("gradients exist only after backward()")
+        return dict(self._grads)
 
 
 def _accum(node: Node, g: np.ndarray) -> None:
@@ -243,31 +256,6 @@ def matmul_t(a: Node, b: Node) -> Node:
         _accum(b, a.value @ g)
 
     return tape.record("matmul_t", a.value.T @ b.value, backward)
-
-
-def matvec(w: Node, x: Node) -> Node:
-    if w.value.ndim != 2 or x.value.ndim != 1 or w.shape[1] != x.shape[0]:
-        raise ShapeError(f"matvec: shapes {w.shape} and {x.shape} incompatible")
-    tape = _tape_of(w, x)
-
-    def backward(g):
-        _accum(w, np.outer(g, x.value))
-        _accum(x, w.value.T @ g)
-
-    return tape.record("matvec", w.value @ x.value, backward)
-
-
-def matvec_t(w: Node, x: Node) -> Node:
-    """w.T @ x for a matrix w and vector x."""
-    if w.value.ndim != 2 or x.value.ndim != 1 or w.shape[0] != x.shape[0]:
-        raise ShapeError(f"matvec_t: shapes {w.shape} and {x.shape} incompatible")
-    tape = _tape_of(w, x)
-
-    def backward(g):
-        _accum(w, np.outer(x.value, g))
-        _accum(x, w.value @ g)
-
-    return tape.record("matvec_t", w.value.T @ x.value, backward)
 
 
 def gather_cols(w: Node, indices) -> Node:
@@ -531,17 +519,6 @@ def acyclicity(a: np.ndarray) -> float:
     value = float(np.trace(e)) - a.shape[0]
     _check_finite("acyclicity", np.asarray(value))
     return value
-
-
-def acyclicity_gradient(a: np.ndarray) -> np.ndarray:
-    """Closed-form gradient of acyclicity(): exp(a*a)^T elementwise 2a."""
-    a = _as_array(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ShapeError(f"acyclicity_gradient: expected a square matrix, got shape {a.shape}")
-    e = matrix_exp(a * a)
-    grad = e.T * (2.0 * a)
-    _check_finite("acyclicity_gradient", grad)
-    return grad
 
 
 def acyclicity_term(a: Node) -> Node:

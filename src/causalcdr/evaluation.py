@@ -13,14 +13,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import model
+from . import diffcore as dc, model
 
 CANDIDATES_PER_POSITIVE = 100
 DEFAULT_KS = (5, 10)
+EVAL_BLOCK_LISTS = 16  # candidate lists scored per forward pass
 
 
 def metric_key(metric: str, k: int) -> str:
     return f"{metric.upper()}@{k}"
+
+
+def _ranks(scores: np.ndarray, positive_positions: np.ndarray) -> np.ndarray:
+    """1-based rank of the positive in each row of an (L, 100) score block:
+    candidates scoring strictly higher, plus tied candidates earlier in
+    the list, plus one."""
+    positive = scores[np.arange(len(scores)), positive_positions][:, None]
+    before = np.arange(scores.shape[1]) < positive_positions[:, None]
+    return (1 + np.sum(scores > positive, axis=1)
+            + np.sum((scores == positive) & before, axis=1))
+
+
+def _hit_ndcg(rank: int, k: int) -> tuple:
+    if rank > k:
+        return 0, 0.0
+    return 1, 1.0 / math.log2(rank + 1)
 
 
 def rank_metrics(scores, positive_position: int, k: int) -> tuple:
@@ -33,40 +50,53 @@ def rank_metrics(scores, positive_position: int, k: int) -> tuple:
     if scores.shape != (CANDIDATES_PER_POSITIVE,):
         raise ValueError(f"expected {CANDIDATES_PER_POSITIVE} scores, "
                          f"got shape {scores.shape}")
-    positive = scores[positive_position]
-    higher = int(np.sum(scores > positive))
-    tied_before = int(np.sum(scores[:positive_position] == positive))
-    rank = 1 + higher + tied_before
-    if rank > k:
-        return 0, 0.0
-    return 1, 1.0 / math.log2(rank + 1)
+    rank = int(_ranks(scores[None], np.array([positive_position]))[0])
+    return _hit_ndcg(rank, k)
 
 
 def evaluate_candidates(candidates, scorer, ks=DEFAULT_KS) -> dict:
-    """Average hit and ndcg over candidate lists; scorer maps
-    (user, items array) -> score array."""
+    """Average hit and ndcg over candidate lists. scorer maps a block of
+    users (L,) and their candidate items (L, 100) to scores (L, 100); it
+    sees EVAL_BLOCK_LISTS lists at a time, in list order."""
     if not candidates:
         raise ValueError("no candidate lists to evaluate")
-    totals = {metric_key(m, k): 0.0 for m in ("hr", "ndcg") for k in ks}
     for cand in candidates:
-        scores = np.asarray(scorer(cand.user, cand.items), dtype=np.float64)
-        for k in ks:
-            hit, ndcg = rank_metrics(scores, cand.positive_position, k)
-            totals[metric_key("hr", k)] += hit
-            totals[metric_key("ndcg", k)] += ndcg
+        if len(cand.items) != CANDIDATES_PER_POSITIVE:
+            raise ValueError(f"candidate list of user {cand.user} has "
+                             f"{len(cand.items)} items, expected "
+                             f"{CANDIDATES_PER_POSITIVE}")
+    totals = {metric_key(m, k): 0.0 for m in ("hr", "ndcg") for k in ks}
+    for start in range(0, len(candidates), EVAL_BLOCK_LISTS):
+        block = candidates[start:start + EVAL_BLOCK_LISTS]
+        items = np.stack([cand.items for cand in block])
+        scores = np.asarray(scorer(np.array([cand.user for cand in block]), items),
+                            dtype=np.float64)
+        if scores.shape != items.shape:
+            raise ValueError(f"scorer returned shape {scores.shape} for "
+                             f"candidates of shape {items.shape}")
+        ranks = _ranks(scores, np.array([cand.positive_position for cand in block]))
+        for rank in ranks.tolist():
+            for k in ks:
+                hit, ndcg = _hit_ndcg(rank, k)
+                totals[metric_key("hr", k)] += hit
+                totals[metric_key("ndcg", k)] += ndcg
     return {key: value / len(candidates) for key, value in totals.items()}
 
 
 def evaluate(params: model.ModelParams, adjacency: np.ndarray | None,
              split, ks=DEFAULT_KS, part: str = "test") -> dict:
-    """Score every stored candidate list with the model and average the
-    ranking metrics; adjacency None evaluates the no-causal variant."""
+    """Score every stored candidate list with the model's training forward
+    pass on a value-only tape and average the ranking metrics; adjacency
+    None evaluates the no-causal variant."""
     candidates = split.eval_candidates if part == "test" else split.val_candidates
     if not candidates:
         raise ValueError(f"split has no {part} candidates")
+    tape = dc.Tape(grad=False)
+    nodes = params.register(tape)
+    a_eff = tape.constant(adjacency) if adjacency is not None else None
 
-    def scorer(user, items):
-        return model.score_candidates(params, user, items, adjacency)
+    def scorer(users, items):
+        return model.score_candidates(nodes, users, items, a_eff)
 
     return evaluate_candidates(candidates, scorer, ks)
 

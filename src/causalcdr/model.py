@@ -10,7 +10,9 @@ item embedding, and reads an interaction probability off a two-way
 softmax head.
 
 Forward paths run on column batches: a batch of n examples is a k x n
-matrix, one column per example.
+matrix, one column per example. Training, candidate scoring and the
+discriminator probe all run these same functions; scoring and probes use
+a value-only tape.
 """
 
 from __future__ import annotations
@@ -92,12 +94,24 @@ class ModelParams:
 
     @classmethod
     def load(cls, path) -> "ModelParams":
+        """Read a checkpoint; ContainerError names every missing matrix and
+        every matrix whose shape does not fit the dims the file implies."""
         matrices, meta = matrixio.read_container(path)
+        missing = [name for name in PARAM_SHAPES if name not in matrices]
+        if missing:
+            raise matrixio.ContainerError(
+                f"{path}: missing matrices {', '.join(missing)}")
         k = matrices["user_map_t"].shape[0]
         dims = ModelDims(k=k,
                          n_users=matrices["user_att_t"].shape[1],
                          n_source_items=matrices["item_emb_s"].shape[1],
                          n_target_items=matrices["item_emb_t"].shape[1])
+        wrong = [f"{name} {matrices[name].shape} (expected {shape_fn(dims)})"
+                 for name, shape_fn in PARAM_SHAPES.items()
+                 if matrices[name].shape != shape_fn(dims)]
+        if wrong:
+            raise matrixio.ContainerError(
+                f"{path}: matrices of the wrong shape for k={k}: {', '.join(wrong)}")
         return cls(dims=dims, matrices=matrices,
                    strict_causal_mask=bool(int(meta.get("strict_causal_mask", "0"))))
 
@@ -132,11 +146,7 @@ class Batch:
 @dataclass
 class ForwardArtifacts:
     u_att: Node
-    u_specific: Node
     u_shared: Node
-    u_causal: Node
-    fused: Node
-    item_emb: Node
     probs: Node  # 1 x n interaction probabilities
 
 
@@ -187,14 +197,32 @@ def discriminate(nodes: dict, u_shared: Node, grl_scale: float) -> Node:
     return dc.sigmoid(dc.matmul(nodes["disc_out"], hidden2))
 
 
+def fuse(nodes: dict, domain: str, u_specific: Node, u_causal: Node) -> Node:
+    """Fused user preference from the domain-specific and causal-invariant
+    preferences."""
+    return dc.matmul(nodes["fusion" + _suffix(domain)],
+                     dc.vconcat(u_specific, u_causal))
+
+
+def gate(nodes: dict, domain: str, fused: Node, item_emb: Node) -> Node:
+    """Interaction probability: gate the fused preference by the item
+    embedding, softmax the two logits, keep the interacted unit."""
+    logits = dc.matmul(nodes["predictor" + _suffix(domain)], dc.mul(fused, item_emb))
+    return dc.slice_rows(dc.softmax_pair(logits), 1, 2)
+
+
 def predict(nodes: dict, domain: str, u_specific: Node, u_causal: Node,
             item_emb: Node) -> Node:
-    """Interaction probability: fuse the two preferences, gate by the item
-    embedding, softmax the two logits, keep the interacted unit."""
-    suffix = _suffix(domain)
-    fused = dc.matmul(nodes["fusion" + suffix], dc.vconcat(u_specific, u_causal))
-    logits = dc.matmul(nodes["predictor" + suffix], dc.mul(fused, item_emb))
-    return dc.slice_rows(dc.softmax_pair(logits), 1, 2)
+    """Interaction probability of each (user preference, item) column."""
+    return gate(nodes, domain, fuse(nodes, domain, u_specific, u_causal), item_emb)
+
+
+def _causal_preference(a_eff: Node | None, u_att: Node, k: int) -> Node:
+    """Causal-invariant preference; a_eff None replaces it with zeros (the
+    no-causal ablation)."""
+    if a_eff is None:
+        return u_att.tape.constant(np.zeros((k, u_att.shape[1])))
+    return causal.infer_causal_preference_node(a_eff, u_att, k)
 
 
 def domain_loss(lhat: Node, domains) -> Node:
@@ -214,23 +242,30 @@ def forward_batch(nodes: dict, domain: str, batch: Batch, k: int,
                   a_eff: Node | None) -> ForwardArtifacts:
     """Full prediction path for one domain; a_eff None replaces the
     causal-invariant preference with zeros (the no-causal ablation)."""
-    tape = nodes["shared_encoder"].tape
     u_att = embed_user_attributes(nodes, domain, batch.users)
     u_specific = encode_domain_specific(nodes, domain, u_att)
     u_shared = encode_domain_shared(nodes, u_att)
-    if a_eff is not None:
-        u_causal = causal.infer_causal_preference_node(a_eff, u_att, k)
-    else:
-        u_causal = tape.constant(np.zeros((k, len(batch))))
+    u_causal = _causal_preference(a_eff, u_att, k)
     item_emb = embed_item(nodes, domain, batch.items)
-    suffix = _suffix(domain)
-    fused = dc.matmul(nodes["fusion" + suffix], dc.vconcat(u_specific, u_causal))
-    logits = dc.matmul(nodes["predictor" + suffix], dc.mul(fused, item_emb))
-    probs = dc.slice_rows(dc.softmax_pair(logits), 1, 2)
-    return ForwardArtifacts(u_att=u_att, u_specific=u_specific, u_shared=u_shared,
-                            u_causal=u_causal, fused=fused, item_emb=item_emb,
-                            probs=probs)
+    probs = predict(nodes, domain, u_specific, u_causal, item_emb)
+    return ForwardArtifacts(u_att=u_att, u_shared=u_shared, probs=probs)
 
+
+def score_candidates(nodes: dict, users, items, a_eff: Node | None) -> np.ndarray:
+    """Target-domain interaction probabilities for a block of candidate
+    lists: users (L,) and items (L, n) give scores (L, n). The user side
+    runs once per list; gather_cols then repeats each fused preference
+    across the list's n items. Meant for a value-only tape; a_eff None
+    scores the no-causal variant."""
+    items = np.asarray(items)
+    n_lists, per_list = items.shape
+    k = nodes["user_map_t"].shape[0]
+    u_att = embed_user_attributes(nodes, "target", users)
+    u_specific = encode_domain_specific(nodes, "target", u_att)
+    fused = fuse(nodes, "target", u_specific, _causal_preference(a_eff, u_att, k))
+    fused = dc.gather_cols(fused, np.repeat(np.arange(n_lists), per_list))
+    probs = gate(nodes, "target", fused, embed_item(nodes, "target", items.ravel()))
+    return probs.value.reshape(n_lists, per_list)
 
 
 def total_loss(tape: dc.Tape, params: ModelParams, target_batch: Batch,
@@ -304,45 +339,3 @@ def total_loss(tape: dc.Tape, params: ModelParams, target_batch: Batch,
         if not np.isfinite(value):
             raise dc.NonFiniteError(f"loss term {term!r} is non-finite")
     return total, breakdown
-
-
-# ---------------------------------------------------------------------------
-# inference without a tape (scoring and probes)
-
-def _relu(x):
-    return np.maximum(x, 0.0)
-
-
-def score_candidates(params: ModelParams, user: int, item_indices,
-                     adjacency: np.ndarray | None) -> np.ndarray:
-    """Interaction probabilities for one target user against a candidate
-    item array; adjacency None scores the no-causal variant."""
-    m = params.matrices
-    k = params.dims.k
-    u_att = m["user_att_t"][:, user]
-    u_specific = m["user_map_t"] @ u_att
-    if adjacency is not None:
-        u_causal = causal.infer_causal_preference(adjacency, u_att)
-    else:
-        u_causal = np.zeros(k)
-    fused = m["fusion_t"] @ np.concatenate([u_specific, u_causal])
-    items = m["item_emb_t"][:, np.asarray(item_indices, dtype=np.intp)]
-    logits = m["predictor_t"] @ (fused[:, None] * items)
-    shifted = logits - logits.max(axis=0, keepdims=True)
-    e = np.exp(shifted)
-    return e[1] / e.sum(axis=0)
-
-
-def shared_preferences(params: ModelParams, domain: str,
-                       users) -> np.ndarray:
-    """k x n matrix of domain-shared preferences for the given users."""
-    m = params.matrices
-    u_att = m["user_att" + _suffix(domain)][:, np.asarray(users, dtype=np.intp)]
-    return _relu(m["shared_encoder"] @ u_att)
-
-
-def discriminator_output(params: ModelParams, shared: np.ndarray) -> np.ndarray:
-    m = params.matrices
-    hidden1 = _relu(m["disc_h1"] @ shared)
-    hidden2 = _relu(m["disc_h2"] @ hidden1)
-    return 1.0 / (1.0 + np.exp(-(m["disc_out"] @ hidden2)))

@@ -167,10 +167,13 @@ def discriminator_probe(params: model.ModelParams,
     the true domain labels; the set is balanced by construction."""
     if users is None:
         users = np.arange(params.dims.n_users)
-    shared = np.concatenate([model.shared_preferences(params, SOURCE, users),
-                             model.shared_preferences(params, TARGET, users)],
-                            axis=1)
-    lhat = model.discriminator_output(params, shared)
+    nodes = params.register(dc.Tape(grad=False))
+    shared = dc.hconcat(
+        model.encode_domain_shared(
+            nodes, model.embed_user_attributes(nodes, SOURCE, users)),
+        model.encode_domain_shared(
+            nodes, model.embed_user_attributes(nodes, TARGET, users)))
+    lhat = model.discriminate(nodes, shared, grl_scale=0.0).value
     predicted = (lhat[1] > lhat[0]).astype(int)
     truth = np.concatenate([np.zeros(len(users), dtype=int),
                             np.ones(len(users), dtype=int)])

@@ -16,32 +16,49 @@ def loss_value(a, h, k, weights=None):
     return float(total.value), terms, tape.grad("a")
 
 
+def reconstruct(a, h):
+    """A^T H as the causal loss computes it: every node from its parents."""
+    tape = dc.Tape(grad=False)
+    return dc.matmul_t(tape.constant(a), tape.constant(h)).value
+
+
 class TestScmReconstruct:
     def test_zero_adjacency(self):
-        assert np.array_equal(causal.scm_reconstruct(np.zeros((8, 8)), np.ones(8)),
-                              np.zeros(8))
+        assert np.array_equal(reconstruct(np.zeros((8, 8)), np.ones((8, 1))),
+                              np.zeros((8, 1)))
 
     def test_single_edge_copies_attribute_into_preference(self):
         k = 4
         a = np.zeros((2 * k, 2 * k))
         a[0, k] = 1.0
-        h = np.zeros(2 * k)
+        h = np.zeros((2 * k, 1))
         h[0] = 1.0
-        out = causal.scm_reconstruct(a, h)
-        expected = np.zeros(2 * k)
+        expected = np.zeros((2 * k, 1))
         expected[k] = 1.0
-        assert np.array_equal(out, expected)
+        assert np.array_equal(reconstruct(a, h), expected)
+        # a sample that agrees with the edge leaves only the root unexplained
+        _, terms, _ = loss_value(a, h + expected, k)
+        assert terms.reconstruction == 1.0
 
     def test_random_case_matches_oracle(self):
         rng = np.random.default_rng(4)
         a = rng.normal(size=(8, 8))
-        h = rng.normal(size=8)
-        oracle = np.array([sum(a[i, j] * h[i] for i in range(8)) for j in range(8)])
-        assert np.allclose(causal.scm_reconstruct(a, h), oracle)
+        h = rng.normal(size=(8, 3))
+        oracle = np.array([[sum(a[i, j] * h[i, n] for i in range(8)) for n in range(3)]
+                           for j in range(8)])
+        assert np.allclose(reconstruct(a, h), oracle)
+        np.fill_diagonal(a, 0.0)
+        oracle = np.array([[sum(a[i, j] * h[i, n] for i in range(8)) for n in range(3)]
+                           for j in range(8)])
+        _, terms, _ = loss_value(a, h, 4)
+        assert terms.reconstruction == pytest.approx(np.sum((h - oracle) ** 2) / 3,
+                                                     rel=1e-12)
 
     def test_shape_mismatch(self):
         with pytest.raises(dc.ShapeError):
-            causal.scm_reconstruct(np.zeros((4, 4)), np.zeros(6))
+            reconstruct(np.zeros((4, 4)), np.zeros((6, 1)))
+        with pytest.raises(dc.ShapeError):
+            loss_value(np.zeros((4, 4)), np.zeros((6, 1)), 2)
 
 
 class TestCausalLoss:
@@ -216,37 +233,41 @@ class TestFusedLossIsExact:
                     assert np.array_equal(grads[name], ref_grads[name]), name
 
 
+def infer(a, u, k):
+    """The causal-invariant preference of attribute columns u on a value tape."""
+    tape = dc.Tape(grad=False)
+    return causal.infer_causal_preference_node(tape.constant(a), tape.constant(u), k).value
+
+
 class TestInferCausalPreference:
     def test_zero_adjacency(self):
-        assert np.array_equal(causal.infer_causal_preference(np.zeros((8, 8)), np.ones(4)),
-                              np.zeros(4))
+        assert np.array_equal(infer(np.zeros((8, 8)), np.ones((4, 1)), 4),
+                              np.zeros((4, 1)))
 
     def test_single_edge(self):
         k = 4
         a = np.zeros((2 * k, 2 * k))
         a[0, k] = 2.0
-        u = np.zeros(k)
+        u = np.zeros((k, 1))
         u[0] = 1.0
-        out = causal.infer_causal_preference(a, u)
-        expected = np.zeros(k)
+        expected = np.zeros((k, 1))
         expected[0] = 2.0
-        assert np.array_equal(out, expected)
+        assert np.array_equal(infer(a, u, k), expected)
 
     def test_matches_block_product(self):
         rng = np.random.default_rng(5)
         k = 4
         a = rng.normal(size=(2 * k, 2 * k))
-        u = rng.normal(size=k)
-        assert np.allclose(causal.infer_causal_preference(a, u), a[:k, k:].T @ u)
+        u = rng.normal(size=(k, 1))
+        assert np.allclose(infer(a, u, k), a[:k, k:].T @ u)
 
     def test_linear_in_input(self):
         rng = np.random.default_rng(6)
         k = 4
         a = rng.normal(size=(2 * k, 2 * k))
-        x, y = rng.normal(size=k), rng.normal(size=k)
-        lhs = causal.infer_causal_preference(a, 2.0 * x + 3.0 * y)
-        rhs = (2.0 * causal.infer_causal_preference(a, x)
-               + 3.0 * causal.infer_causal_preference(a, y))
+        x, y = rng.normal(size=(k, 1)), rng.normal(size=(k, 1))
+        lhs = infer(a, 2.0 * x + 3.0 * y, k)
+        rhs = 2.0 * infer(a, x, k) + 3.0 * infer(a, y, k)
         assert np.allclose(lhs, rhs)
 
     def test_node_version_matches_numpy(self):
@@ -258,7 +279,10 @@ class TestInferCausalPreference:
         tape = dc.Tape()
         a_eff = causal.effective_adjacency(tape.param("a", a), k)
         out = causal.infer_causal_preference_node(a_eff, tape.constant(u), k)
-        assert np.allclose(out.value, causal.infer_causal_preference(a, u))
+        assert np.allclose(out.value, a[:k, k:].T @ u)
+        assert np.array_equal(out.value, infer(a_eff.value, u, k))
+        with pytest.raises(dc.ShapeError):
+            causal.infer_causal_preference_node(a_eff, tape.constant(u[:, 0]), k)
 
 
 class TestExtractGraph:

@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from causalcdr import cli, data, evaluation
+from causalcdr import cli, data, evaluation, matrixio
 
 BASE_CONFIG = """
 dataset.kind=synthetic
@@ -171,6 +171,18 @@ class TestCommands:
         assert cli.main(["evaluate", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert "runtime failure" in err and "truncated" in err
+
+    def test_evaluate_checkpoint_missing_matrices_exits_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, out_dir=str(tmp_path / "partial"), seeds="1")
+        assert cli.main(["train", "--config", str(path)]) == 0
+        checkpoint = tmp_path / "partial" / "seed_1" / "checkpoint.nmc"
+        matrices, meta = matrixio.read_container(checkpoint)
+        matrixio.write_container(checkpoint, {"adjacency": matrices["adjacency"]}, meta)
+        capsys.readouterr()
+        assert cli.main(["evaluate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "runtime failure" in err and "missing matrices" in err
+        assert "user_map_t" in err
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.cfg"

@@ -392,3 +392,19 @@ class TestSplitSerialization:
             assert a.positive_item == b.positive_item
             assert a.positive_position == b.positive_position
             assert np.array_equal(a.items, b.items)
+
+    @pytest.mark.parametrize("drop", [1, -1])
+    def test_candidate_row_with_wrong_negative_count_rejected(self, tmp_path,
+                                                              synth_dataset, drop):
+        split = data.split_iid(synth_dataset, seed=14)
+        data.save_split(split, tmp_path / "split")
+        path = tmp_path / "split" / "candidates_validation.csv"
+        lines = path.read_text().splitlines()
+        row = lines[2].split(",")
+        lines[2] = ",".join(row[:-1] if drop == 1 else row + [row[-1]])
+        path.write_text("\n".join(lines) + "\n")
+        negatives = data.N_EVAL_NEGATIVES - drop
+        with pytest.raises(data.DataError,
+                           match=f"candidates_validation.csv: line 3 has {negatives} "
+                                 f"negatives, expected 99"):
+            data.load_split(tmp_path / "split")

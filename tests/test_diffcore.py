@@ -8,6 +8,17 @@ import pytest
 from causalcdr import diffcore as dc
 
 
+@pytest.fixture
+def no_cyclic_gc():
+    """Run the test with the cyclic collector off, so only reference
+    counting frees objects."""
+    was_on = gc.isenabled()
+    gc.disable()
+    yield
+    if was_on:
+        gc.enable()
+
+
 def taylor_expm(x, terms=30):
     # independent oracle: plain truncated series, no scaling
     n = x.shape[0]
@@ -26,6 +37,13 @@ def tape_grad_of(build, params, seed=0):
     loss = build(tape, nodes)
     tape.backward(loss)
     return float(loss.value), tape.grads()
+
+
+def acyclicity_gradient(a):
+    """Gradient of acyclicity(a) from the backward of its tape node."""
+    tape = dc.Tape()
+    tape.backward(dc.acyclicity_term(tape.param("a", a)))
+    return tape.grad("a")
 
 
 def fd_check(build, params, step=1e-5):
@@ -147,7 +165,7 @@ def test_primitive_gradients_match_finite_differences(seed):
     params = {
         "w": rng.normal(size=(k, k)),
         "v": rng.normal(size=(k, b)),
-        "x": rng.normal(size=k),
+        "x": rng.normal(size=(k, 1)),
         "m": rng.normal(size=(2, k)),
         "a": rng.normal(size=(k, k)) * 0.4,
     }
@@ -165,10 +183,10 @@ def test_primitive_gradients_match_finite_differences(seed):
             dc.neg_log_col_l1(dc.matmul(n["a"], n["v"]), 1, 1e-8),
             dc.acyclicity_term(n["a"]),
             dc.scale(dc.l2_norm(n["w"], n["m"]), 0.01),
-            dc.sq_l2(dc.mul(n["x"], dc.matvec_t(n["w"], n["x"]))),
+            dc.sq_l2(dc.mul(n["x"], dc.matmul_t(n["w"], n["x"]))),
             dc.sq_l2(dc.vconcat(n["x"], dc.slice_rows(n["x"], 0, k))),
             dc.sq_l2(dc.hconcat(dc.gather_cols(n["v"], [0, 2, 0]), h)),
-            dc.sq_l2(dc.matvec(n["a"], n["x"])),
+            dc.sq_l2(dc.matmul(n["a"], n["x"])),
         ]
         return dc.weighted_sum(terms, [1.0, 1.0, 1.0, 0.1, 1.0, 1.0, 1.0, 1.0, 1.0, 0.2])
 
@@ -313,6 +331,71 @@ class TestTapeLifetime:
                 gc.enable()
 
 
+    def test_spent_tape_frees_gradients_without_gc(self, no_cyclic_gc):
+        tape = dc.Tape()
+        x = tape.param("x", np.array([[1.0, -2.0], [0.5, 3.0]]))
+        loss = dc.sq_l2(dc.matmul(x, x))
+        tape.backward(loss)
+        probe = weakref.ref(tape.grads()["x"])
+        del tape, x, loss
+        assert probe() is None
+
+    def test_value_tape_frees_its_nodes_without_gc(self, no_cyclic_gc):
+        tape = dc.Tape(grad=False)
+        x = tape.param("x", np.array([[1.0, -2.0], [0.5, 3.0]]))
+        hidden = dc.relu(dc.matmul(x, x))
+        param_probe = weakref.ref(x.value)
+        hidden_probe = weakref.ref(hidden.value)
+        loss = dc.sq_l2(hidden)
+        del hidden
+        assert hidden_probe() is None   # nothing recorded holds the node
+        del tape, x, loss
+        assert param_probe() is None
+
+
+class TestValueTape:
+    @staticmethod
+    def forward(tape):
+        """Values of most primitives, chained the way the model chains them."""
+        rng = np.random.default_rng(23)
+        w = tape.param("w", rng.normal(size=(4, 4)))
+        v = tape.param("v", rng.normal(size=(4, 6)))
+        a = tape.param("a", rng.normal(size=(4, 4)) * 0.3)
+        h = dc.relu(dc.matmul(w, dc.gather_cols(v, [0, 5, 5, 2])))
+        s = dc.sigmoid(dc.matmul_t(a, dc.grad_reverse(h, 1.0)))
+        p = dc.slice_rows(dc.softmax_pair(dc.slice_rows(s, 0, 2)), 1, 2)
+        both = dc.hconcat(dc.vconcat(h, s), dc.vconcat(dc.mul(dc.sub(h, s), h), h))
+        terms = [dc.bce_sum(p, np.ones(p.shape)), dc.sq_l2(both), dc.l1(both),
+                 dc.l2_norm(w, v), dc.acyclicity_term(a),
+                 dc.neg_log_col_l1(both, 2, 1e-8), dc.scale(dc.l1(s), 0.5)]
+        return [h, s, p, both] + terms + [dc.weighted_sum(terms, range(1, 8))]
+
+    def test_values_equal_a_recording_tape(self):
+        recorded = self.forward(dc.Tape())
+        value_only = self.forward(dc.Tape(grad=False))
+        for r, v in zip(recorded, value_only, strict=True):
+            assert np.array_equal(r.value, v.value), r.op
+
+    def test_has_no_backward_or_gradients(self):
+        tape = dc.Tape(grad=False)
+        x = tape.param("x", np.ones(2))
+        loss = dc.sq_l2(x)
+        with pytest.raises(dc.TapeStateError):
+            tape.backward(loss)
+        with pytest.raises(dc.TapeStateError):
+            tape.grads()
+        with pytest.raises(dc.TapeStateError):
+            tape.param("x", np.ones(2))
+
+    def test_non_finite_values_still_raise(self):
+        tape = dc.Tape(grad=False)
+        x = tape.param("x", np.array([[1.0, 0.0], [2.0, 0.0]]))
+        with pytest.raises(dc.NonFiniteError, match="neg_log_col_l1"):
+            dc.neg_log_col_l1(x, 1, 0.0)
+        with pytest.raises(dc.NonFiniteError, match="param"):
+            tape.param("y", np.array([np.nan]))
+
+
 class TestGradReverse:
     def test_forward_is_identity(self):
         tape = dc.Tape()
@@ -358,15 +441,15 @@ class TestGradReverse:
         # two-parameter hand computation: loss = sigmoid(w * grl(e * x))
         rng = np.random.default_rng(11)
         params = {"e": rng.normal(size=(2, 2)), "w": rng.normal(size=(1, 2))}
-        x = rng.normal(size=2)
+        x = rng.normal(size=(2, 1))
 
         def with_grl(p):
             tape = dc.Tape()
             e = tape.param("e", p["e"])
             w = tape.param("w", p["w"])
-            hidden = dc.grad_reverse(dc.matvec(e, tape.constant(x)), 1.0)
-            out = dc.sigmoid(dc.matvec(w, hidden))
-            loss = dc.bce_sum(out, np.array([1.0]))
+            hidden = dc.grad_reverse(dc.matmul(e, tape.constant(x)), 1.0)
+            out = dc.sigmoid(dc.matmul(w, hidden))
+            loss = dc.bce_sum(out, np.array([[1.0]]))
             tape.backward(loss)
             return float(loss.value), tape.grads()
 
@@ -374,9 +457,9 @@ class TestGradReverse:
             tape = dc.Tape()
             e = tape.param("e", p["e"])
             w = tape.param("w", p["w"])
-            hidden = dc.matvec(e, tape.constant(x))
-            out = dc.sigmoid(dc.matvec(w, hidden))
-            loss = dc.bce_sum(out, np.array([1.0]))
+            hidden = dc.matmul(e, tape.constant(x))
+            out = dc.sigmoid(dc.matmul(w, hidden))
+            loss = dc.bce_sum(out, np.array([[1.0]]))
             tape.backward(loss)
             return float(loss.value), tape.grads()
 
@@ -431,18 +514,18 @@ class TestAcyclicity:
             assert np.allclose(dc.matrix_exp(x), taylor_expm(x, terms=60), atol=1e-10)
 
     def test_gradient_zero_matrix(self):
-        assert np.array_equal(dc.acyclicity_gradient(np.zeros((3, 3))), np.zeros((3, 3)))
+        assert np.array_equal(acyclicity_gradient(np.zeros((3, 3))), np.zeros((3, 3)))
 
     def test_gradient_two_cycle_entry(self):
         a = np.array([[0.0, 1.0], [1.0, 0.0]])
-        grad = dc.acyclicity_gradient(a)
+        grad = acyclicity_gradient(a)
         assert grad[0, 1] == pytest.approx(2 * math.sinh(1.0), abs=1e-10)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_gradient_matches_finite_differences(self, seed):
         rng = np.random.default_rng(300 + seed)
         a = rng.normal(size=(4, 4)) * 0.6
-        grad = dc.acyclicity_gradient(a)
+        grad = acyclicity_gradient(a)
         step = 1e-5
         for i in range(4):
             for j in range(4):

@@ -1,9 +1,10 @@
+import gc
 import math
 
 import numpy as np
 import pytest
 
-from causalcdr import data, evaluation, model
+from causalcdr import data, diffcore as dc, evaluation, model
 from causalcdr.data import CandidateList
 
 
@@ -23,6 +24,26 @@ def make_candidates(n_lists, seed):
                                  items=items.astype(np.intp),
                                  positive_position=pos))
     return out
+
+
+def score_alone(params, adjacency, cand):
+    """The model's scores for one candidate list, scored as a block of one."""
+    tape = dc.Tape(grad=False)
+    a_eff = tape.constant(adjacency) if adjacency is not None else None
+    return model.score_candidates(params.register(tape), [cand.user],
+                                  cand.items[None], a_eff)[0]
+
+
+def small_split_and_params(seed):
+    dataset, _ = data.synth_generate(data.SynthConfig(
+        n_users=40, n_source_items=130, n_target_items=120,
+        target_density=0.05, source_density=0.04, seed=seed))
+    dims = model.ModelDims(k=4, n_users=40, n_source_items=130,
+                           n_target_items=120)
+    params = model.ModelParams.init(dims, seed=seed + 1)
+    params.matrices["adjacency"] = np.random.default_rng(seed + 2).normal(
+        size=(8, 8)) * 0.3
+    return data.split_iid(dataset, seed=seed + 3), params
 
 
 class TestRankMetrics:
@@ -95,7 +116,7 @@ class TestEvaluate:
         candidates = make_candidates(20, seed=1)
         results = []
         for cand in candidates:
-            def scorer(user, items, pos=cand.positive_item):
+            def scorer(users, items, pos=cand.positive_item):
                 return (items == pos).astype(float)
             results.append(evaluation.evaluate_candidates([cand], scorer))
         merged = evaluation.aggregate_runs(results)
@@ -105,8 +126,8 @@ class TestEvaluate:
     def test_constant_scorer_near_uniform(self):
         candidates = make_candidates(1200, seed=2)
 
-        def scorer(user, items):
-            return np.zeros(len(items))
+        def scorer(users, items):
+            return np.zeros(items.shape)
 
         metrics = evaluation.evaluate_candidates(candidates, scorer)
         assert metrics["HR@10"] == pytest.approx(0.1, abs=0.03)
@@ -126,8 +147,8 @@ class TestEvaluate:
                                             items=items, positive_position=pos))
             scores_by_user[u] = scores
 
-        def scorer(user, items):
-            return scores_by_user[user]
+        def scorer(users, items):
+            return np.stack([scores_by_user[user] for user in users])
 
         metrics = evaluation.evaluate_candidates(candidates, scorer)
         ranks = [1, 2, 3, 4, 5]
@@ -162,8 +183,7 @@ class TestEvaluate:
 
         totals = {k: 0.0 for k in got}
         for cand in split.eval_candidates:
-            scores = model.score_candidates(params, cand.user, cand.items,
-                                            adjacency)
+            scores = score_alone(params, adjacency, cand)
             order = sorted(range(100), key=lambda i: (-scores[i], i))
             rank = order.index(cand.positive_position) + 1
             for k in (5, 10):
@@ -173,6 +193,53 @@ class TestEvaluate:
         n = len(split.eval_candidates)
         for key in got:
             assert got[key] == pytest.approx(totals[key] / n, abs=1e-12)
+
+    def test_block_scores_rank_like_lists_scored_alone(self):
+        split, params = small_split_and_params(seed=30)
+        adjacency = params.effective_adjacency_matrix()
+        candidates = split.eval_candidates
+        assert len(candidates) > evaluation.EVAL_BLOCK_LISTS
+        blocks = []
+
+        def scorer(users, items):
+            tape = dc.Tape(grad=False)
+            scores = model.score_candidates(params.register(tape), users, items,
+                                            tape.constant(adjacency))
+            blocks.append(scores)
+            return scores
+
+        evaluation.evaluate_candidates(candidates, scorer)
+        assert [len(b) for b in blocks[:-1]] == [evaluation.EVAL_BLOCK_LISTS] * (
+            len(blocks) - 1)
+        block_rows = np.concatenate(blocks)
+        for cand, row in zip(candidates, block_rows, strict=True):
+            alone = score_alone(params, adjacency, cand)
+            assert brute_force_rank(row, cand.positive_position) == \
+                brute_force_rank(alone, cand.positive_position)
+
+    def test_list_of_wrong_length_names_the_user(self):
+        candidates = make_candidates(3, seed=31)
+        candidates[1] = CandidateList(user=17, positive_item=0,
+                                      items=candidates[1].items[:99],
+                                      positive_position=0)
+
+        def scorer(users, items):
+            raise AssertionError("malformed lists must be rejected before scoring")
+
+        with pytest.raises(ValueError, match="user 17 has 99 items"):
+            evaluation.evaluate_candidates(candidates, scorer)
+
+    def test_evaluate_leaves_no_reference_cycles(self):
+        split, params = small_split_and_params(seed=32)
+        was_on = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            evaluation.evaluate(params, params.effective_adjacency_matrix(), split)
+            assert gc.collect() == 0
+        finally:
+            if was_on:
+                gc.enable()
 
 
 class TestAggregation:

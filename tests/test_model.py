@@ -1,7 +1,9 @@
+import gc
+
 import numpy as np
 import pytest
 
-from causalcdr import causal, diffcore as dc, model
+from causalcdr import causal, diffcore as dc, matrixio, model
 
 
 DIMS = model.ModelDims(k=4, n_users=6, n_source_items=8, n_target_items=8)
@@ -20,6 +22,12 @@ def make_batches(seed=0, n=8):
                          items=rng.integers(0, DIMS.n_source_items, n),
                          labels=rng.integers(0, 2, n).astype(float))
     return target, source
+
+
+def score_block(params, adjacency, users, items):
+    tape = dc.Tape(grad=False)
+    a_eff = tape.constant(adjacency) if adjacency is not None else None
+    return model.score_candidates(params.register(tape), users, items, a_eff)
 
 
 class TestEncoders:
@@ -217,8 +225,10 @@ class TestPredict:
             size=(8, 8)) * 0.3
         adjacency = params.effective_adjacency_matrix()
         items = np.arange(DIMS.n_target_items)
+        block = score_block(params, adjacency, np.arange(DIMS.n_users),
+                            np.tile(items, (DIMS.n_users, 1)))
         for user in range(DIMS.n_users):
-            fast = model.score_candidates(params, user, items, adjacency)
+            fast = block[user]
             tape = dc.Tape()
             nodes = params.register(tape)
             a_eff = causal.effective_adjacency(nodes["adjacency"], DIMS.k)
@@ -251,11 +261,20 @@ class TestPredict:
         mats["adjacency"] = block @ mats["adjacency"] @ block.T
         adjacency_perm = permuted.effective_adjacency_matrix()
 
-        items = np.arange(DIMS.n_target_items)
-        for user in range(DIMS.n_users):
-            base = model.score_candidates(params, user, items, adjacency)
-            twisted = model.score_candidates(permuted, user, items, adjacency_perm)
-            assert np.allclose(base, twisted, atol=1e-10)
+        users = np.arange(DIMS.n_users)
+        items = np.tile(np.arange(DIMS.n_target_items), (DIMS.n_users, 1))
+        base = score_block(params, adjacency, users, items)
+        twisted = score_block(permuted, adjacency_perm, users, items)
+        assert np.allclose(base, twisted, atol=1e-10)
+
+    def test_no_causal_scores_ignore_the_adjacency(self):
+        params = make_params(seed=37)
+        users = np.array([0, 3, 3])
+        items = np.random.default_rng(38).integers(0, DIMS.n_target_items, (3, 5))
+        base = score_block(params, None, users, items)
+        params.matrices["adjacency"] = np.ones((8, 8))
+        assert np.array_equal(score_block(params, None, users, items), base)
+        assert base.shape == (3, 5)
 
 
 class TestTotalLoss:
@@ -344,6 +363,35 @@ class TestTotalLoss:
         assert domain_term(stepped_disc) < domain_term(params)
 
 
+    def test_spent_step_leaves_no_reference_cycles(self):
+        target, source = make_batches(seed=44)
+        params = make_params(seed=45)
+        was_on = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            tape = dc.Tape()
+            total, _ = model.total_loss(tape, params, target, source, model.LossConfig())
+            tape.backward(total)
+            grads = tape.grads()
+            del tape, total
+            assert gc.collect() == 0
+            assert set(grads) == set(model.PARAM_SHAPES)
+        finally:
+            if was_on:
+                gc.enable()
+
+    def test_value_tape_gives_the_recorded_values(self):
+        target, source = make_batches(seed=39)
+        params = make_params(seed=40)
+        params.matrices["adjacency"] = np.random.default_rng(41).normal(size=(8, 8)) * 0.1
+        recorded = model.total_loss(dc.Tape(), params, target, source, model.LossConfig())
+        value_only = model.total_loss(dc.Tape(grad=False), params, target, source,
+                                      model.LossConfig())
+        assert recorded[0].value == value_only[0].value
+        assert recorded[1] == value_only[1]
+
+
 class TestEndToEndGradient:
     def test_full_loss_passes_finite_difference_check(self):
         from causalcdr import gradcheck
@@ -377,6 +425,27 @@ class TestCheckpoint:
         assert loaded.dims == params.dims
         for name, matrix in params.matrices.items():
             assert np.array_equal(loaded.matrices[name], matrix)
+
+    def test_missing_matrices_named(self, tmp_path):
+        params = make_params(seed=42)
+        path = tmp_path / "model.nmc"
+        matrixio.write_container(path, {"adjacency": params.matrices["adjacency"]})
+        with pytest.raises(matrixio.ContainerError, match="missing matrices") as err:
+            model.ModelParams.load(path)
+        for name in model.PARAM_SHAPES:
+            if name != "adjacency":
+                assert name in str(err.value)
+
+    def test_wrong_shapes_named(self, tmp_path):
+        params = make_params(seed=43)
+        params.matrices["disc_h2"] = np.zeros((DIMS.k, DIMS.k + 1))
+        params.matrices["fusion_s"] = np.zeros((DIMS.k, DIMS.k))
+        path = tmp_path / "model.nmc"
+        params.save(path)
+        with pytest.raises(matrixio.ContainerError,
+                           match=r"disc_h2 \(4, 5\) \(expected \(4, 4\)\), "
+                                 r"fusion_s \(4, 4\) \(expected \(4, 8\)\)"):
+            model.ModelParams.load(path)
 
     def test_byte_identical_writes(self, tmp_path):
         params = make_params(seed=36)
