@@ -27,12 +27,13 @@ LOG_EPS = 1e-8  # guard inside the not-a-root logarithm
 
 @dataclass
 class PenaltyWeights:
-    """Multipliers for the structural penalties of the causal loss."""
+    """Multipliers for the structural penalties of the causal loss; the
+    joint model's defaults are model.LossConfig's gamma_* fields."""
 
-    dag: float = 1.0         # acyclicity
-    direction: float = 1.0   # preference -> attribute block L1
-    not_root: float = 0.1    # -log of preference-column L1 mass
-    sparsity: float = 0.01   # global L1
+    dag: float         # acyclicity
+    direction: float   # preference -> attribute block L1
+    not_root: float    # -log of preference-column L1 mass
+    sparsity: float    # global L1
 
 
 @dataclass

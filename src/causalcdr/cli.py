@@ -1,6 +1,6 @@
 """Config-driven experiment runner.
 
-Configs are flat key=value text with dotted section names and # comments:
+Configs are flat key=value text with dotted section names and # comment lines:
 
     dataset.kind=synthetic
     synth.n_users=400
@@ -18,9 +18,11 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import os
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -43,6 +45,16 @@ class DatasetSection:
     attribute_column: str = ""
     positive_threshold: float = 4.0
 
+    def __post_init__(self):
+        if self.kind not in ("synthetic", "csv"):
+            raise ConfigError(f"unknown dataset.kind {self.kind!r}")
+        if self.kind == "csv":
+            for path in (self.source_path, self.target_path):
+                if not path:
+                    raise ConfigError("csv dataset needs source_path and target_path")
+                if not os.path.isfile(path):
+                    raise ConfigError(f"dataset file {path!r} does not exist")
+
 
 @dataclass
 class ExperimentConfig:
@@ -50,60 +62,83 @@ class ExperimentConfig:
     synth: data.SynthConfig = field(default_factory=data.SynthConfig)
     split: data.SplitSpec = field(default_factory=data.SplitSpec)
     train: training.TrainConfig = field(default_factory=training.TrainConfig)
-    eval_ks: tuple = (5, 10)
-    seeds: tuple = (1, 2, 3, 4, 5)
-    sparsity_fraction: float = 1.0
+    eval_ks: tuple[int, ...] = field(default=(5, 10), metadata={"key": "eval.ks"})
+    seeds: tuple[int, ...] = (1, 2, 3, 4, 5)
+    sparsity_fraction: float = field(default=1.0, metadata={"key": "sparsity"})
     graph_threshold: float = 0.3
-    out_dir: str = "runs/experiment"
+    # where the artifacts go, not what they hold, so the hash leaves it out
+    out_dir: str = field(default="runs/experiment", metadata={"hashed": False})
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not self.seeds:
             raise ConfigError("seeds must be nonempty")
+        if min(self.eval_ks, default=0) < 1:
+            raise ConfigError("eval.ks must be a nonempty list of cutoffs >= 1")
         if not (0.0 < self.sparsity_fraction <= 1.0):
             raise ConfigError("sparsity_fraction must lie in (0, 1]")
-        if self.dataset.kind not in ("synthetic", "csv"):
-            raise ConfigError(f"unknown dataset.kind {self.dataset.kind!r}")
-        if self.dataset.kind == "csv":
-            for path in (self.dataset.source_path, self.dataset.target_path):
-                if not path:
-                    raise ConfigError("csv dataset needs source_path and target_path")
-                if not Path(path).exists():
-                    raise ConfigError(f"dataset file {path!r} does not exist")
+        if not (self.graph_threshold > 0.0):
+            raise ConfigError("graph_threshold must be positive")
 
 
-_SECTION_TYPES = {
-    "dataset": DatasetSection,
-    "synth": data.SynthConfig,
-    "split": data.SplitSpec,
-    "train": training.TrainConfig,
-}
-
-_SPLIT_KEY_ALIASES = {"train_ratio": "train_mix", "test_ratio": "test_mix"}
+_SECTION_TYPES = {name: hint for name, hint in get_type_hints(ExperimentConfig).items()
+                  if is_dataclass(hint)}
+_KEY_ALIASES = {"split.train_ratio": "split.train_mix",
+                "split.test_ratio": "split.test_mix"}
 
 
-def _coerce(value: str, target_type):
-    if target_type is bool:
-        if value.lower() in ("1", "true", "yes"):
-            return True
-        if value.lower() in ("0", "false", "no"):
-            return False
-        raise ConfigError(f"expected a boolean, got {value!r}")
-    if target_type is int:
-        return int(value)
-    if target_type is float:
-        return float(value)
-    if target_type is str:
-        return value
-    if target_type is tuple:
-        return tuple(float(x) if "." in x else int(x) for x in value.split(","))
-    raise ConfigError(f"unsupported config value type {target_type}")
+def _to_bool(value: str) -> bool:
+    if value.lower() not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError(f"expected a boolean, got {value!r}")
+    return value.lower() in ("1", "true", "yes")
+
+
+# declared field type -> parser of its text; arrays cannot be set from text.
+# A bare tuple holds numbers, each an int when it reads as one.
+_COERCERS = {str: str, int: int, float: float, bool: _to_bool, np.ndarray: None,
+             tuple: lambda value: tuple(int(x) if x.strip().lstrip("+-").isdigit()
+                                        else float(x) for x in value.split(",")),
+             tuple[int, ...]: lambda value: tuple(int(x) for x in value.split(","))}
+
+
+def _build_schema() -> dict:
+    """key -> (section or None, attribute, parser, hashed) in canonical order:
+    the sections and their fields sorted, then the top-level keys."""
+    entries = [(f"{name}.{f.name}", name, cls, f)
+               for name, cls in sorted(_SECTION_TYPES.items())
+               for f in sorted(fields(cls), key=lambda f: f.name)]
+    entries += [(f.metadata.get("key", f.name), None, ExperimentConfig, f)
+                for f in fields(ExperimentConfig) if f.name not in _SECTION_TYPES]
+    hints = {cls: get_type_hints(cls) for cls in (*_SECTION_TYPES.values(), ExperimentConfig)}
+    schema = {}
+    for key, section, cls, f in entries:
+        hint = hints[cls][f.name]
+        coerce = _COERCERS[get_args(hint)[0] if type(None) in get_args(hint) else hint]
+        if coerce is not None:
+            schema[key] = (section, f.name, coerce, f.metadata.get("hashed", True))
+    return schema
+
+
+CONFIG_SCHEMA = _build_schema()
+
+
+def _construct(cls, settings: dict, label: str, **sections):
+    """cls(**values) from settings {attribute: (line, value)}, so its checks
+    run; a failure names the lines whose value fails alone, else all."""
+    try:
+        return cls(**sections, **{a: value for a, (_, value) in settings.items()})
+    except ValueError as exc:
+        culprits = []
+        for attribute, (line_no, value) in settings.items():
+            try:
+                cls(**{attribute: value})
+            except ValueError:
+                culprits.append(line_no)
+        lines = sorted(culprits or [n for n, _ in settings.values()])
+        raise ConfigError(f"line {', '.join(map(str, lines))}: {label}: {exc}") from None
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
-    config = ExperimentConfig()
-    sections = {name: cls() for name, cls in _SECTION_TYPES.items()}
-    top_fields = {f.name: f for f in fields(ExperimentConfig)}
-
+    settings = {section: {} for section in (*_SECTION_TYPES, None)}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -111,48 +146,17 @@ def parse_config_text(text: str) -> ExperimentConfig:
         if "=" not in line:
             raise ConfigError(f"line {line_no}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if "." in key:
-            section_name, _, field_name = key.partition(".")
-            if section_name == "split":
-                field_name = _SPLIT_KEY_ALIASES.get(field_name, field_name)
-            if section_name == "eval" and field_name == "ks":
-                config.eval_ks = tuple(int(x) for x in value.split(","))
-                continue
-            section = sections.get(section_name)
-            if section is None:
-                raise ConfigError(f"line {line_no}: unknown section {section_name!r}")
-            section_fields = {f.name: f for f in fields(section)}
-            if field_name not in section_fields:
-                raise ConfigError(f"line {line_no}: unknown key {key!r}")
-            current = getattr(section, field_name)
-            target_type = type(current) if current is not None else str
-            if section_name == "split" and field_name in ("train_mix", "test_mix"):
-                target_type = tuple
-            if section_name == "split" and field_name == "ratios":
-                target_type = tuple
-            try:
-                setattr(section, field_name, _coerce(value, target_type))
-            except (ValueError, ConfigError) as exc:
-                raise ConfigError(f"line {line_no}: {exc}") from None
-        else:
-            if key == "seeds":
-                config.seeds = tuple(int(x) for x in value.split(","))
-            elif key == "sparsity":
-                config.sparsity_fraction = float(value)
-            elif key in top_fields:
-                current = getattr(config, key)
-                config.__setattr__(key, _coerce(value, type(current)))
-            else:
-                raise ConfigError(f"line {line_no}: unknown key {key!r}")
-
-    config.dataset = sections["dataset"]
-    config.synth = sections["synth"]
-    config.split = sections["split"]
-    config.train = sections["train"]
-    config.validate()
-    return config
+        key = _KEY_ALIASES.get(key.strip(), key.strip())
+        if key not in CONFIG_SCHEMA:
+            raise ConfigError(f"line {line_no}: unknown key {key!r}")
+        section, attribute, coerce, _ = CONFIG_SCHEMA[key]
+        try:
+            settings[section][attribute] = (line_no, coerce(value.strip()))
+        except ValueError as exc:
+            raise ConfigError(f"line {line_no}: {key}: {exc}") from None
+    sections = {name: _construct(cls, settings[name], name)
+                for name, cls in _SECTION_TYPES.items()}
+    return _construct(ExperimentConfig, settings[None], "top level", **sections)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -165,24 +169,22 @@ def load_config(path) -> ExperimentConfig:
 
 def config_canonical_text(config: ExperimentConfig) -> str:
     lines = []
-    for section_name in sorted(_SECTION_TYPES):
-        section = getattr(config, section_name)
-        for f in sorted(fields(section), key=lambda f: f.name):
-            value = getattr(section, f.name)
+    for key, (section, attribute, _, hashed) in CONFIG_SCHEMA.items():
+        value = getattr(getattr(config, section) if section else config, attribute)
+        if hashed and value is not None:
             if isinstance(value, tuple):
                 value = ",".join(str(v) for v in value)
-            if value is None or isinstance(value, np.ndarray):
-                continue
-            lines.append(f"{section_name}.{f.name}={value}")
-    lines.append("eval.ks=" + ",".join(str(k) for k in config.eval_ks))
-    lines.append("seeds=" + ",".join(str(s) for s in config.seeds))
-    lines.append(f"sparsity={config.sparsity_fraction}")
-    lines.append(f"graph_threshold={config.graph_threshold}")
+            lines.append(f"{key}={value}")
     return "\n".join(lines) + "\n"
 
 
 def config_hash(config: ExperimentConfig) -> str:
-    return hashlib.sha256(config_canonical_text(config).encode()).hexdigest()[:16]
+    """Digest of the canonical text and, for a csv dataset, of the CSVs."""
+    digest = hashlib.sha256(config_canonical_text(config).encode())
+    if config.dataset.kind == "csv":
+        for path in (config.dataset.source_path, config.dataset.target_path):
+            digest.update(hashlib.sha256(Path(path).read_bytes()).digest())
+    return digest.hexdigest()[:16]
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--iid-dir", help="paired IID run for degradation")
     grad = sub.add_parser("gradcheck", help="finite-difference gradient check")
     grad.add_argument("--seed", type=int, default=0)
-    grad.add_argument("--grl-scale", type=float, default=1.0)
+    grad.add_argument("--grl-scale", type=float, default=model.LossConfig.grl_scale)
     grad.add_argument("--corrupt-block", help="test hook: corrupt one block")
     common(sub.add_parser("synth", help="write a synthetic dataset to disk"))
     return parser

@@ -124,6 +124,11 @@ class SplitSpec:
     test_mix: tuple | None = None
     seed: int = 0
 
+    def __post_init__(self):
+        if len(self.ratios) != 3:
+            raise SplitError("ratios must be three shares (train, validation, "
+                             f"test), got {self.ratios}")
+
 
 # ---------------------------------------------------------------------------
 # ingestion
@@ -739,7 +744,26 @@ def save_split(split: SplitResult, directory, extra_meta: str = "") -> None:
                                   [cand.user, cand.positive_item] + negatives) + "\n")
 
 
+def _split_ints(path, line_no: int, fields) -> list:
+    try:
+        return [int(x) for x in fields]
+    except ValueError:
+        raise DataError(f"{path}: line {line_no}: expected integer user and "
+                        f"item ids, got {','.join(fields)!r}") from None
+
+
+def _split_header(path, line_no: int, line: str) -> tuple:
+    """(seed, tiebreak_seed) of a '# seed=... tiebreak_seed=...' line."""
+    try:
+        fields = dict(kv.split("=") for kv in line[1:].split())
+        return int(fields["seed"]), int(fields["tiebreak_seed"])
+    except (ValueError, KeyError):
+        raise DataError(f"{path}: line {line_no}: malformed header {line!r}") from None
+
+
 def load_split(directory) -> SplitResult:
+    """Read what save_split wrote; DataError names the file and line of
+    any row that does not parse."""
     from pathlib import Path
 
     directory = Path(directory)
@@ -747,18 +771,21 @@ def load_split(directory) -> SplitResult:
     seed = tiebreak_seed = 0
     for name in ("train", "validation", "test"):
         part = {SOURCE: set(), TARGET: set()}
-        with open(directory / f"{name}.csv", "r", encoding="utf-8") as fh:
-            for line in fh:
+        path = directory / f"{name}.csv"
+        with open(path, "r", encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
                 line = line.strip()
                 if line.startswith("#"):
-                    fields = dict(kv.split("=") for kv in line[1:].split())
-                    seed = int(fields["seed"])
-                    tiebreak_seed = int(fields["tiebreak_seed"])
+                    seed, tiebreak_seed = _split_header(path, line_no, line)
                     continue
                 if not line or line.startswith("domain,"):
                     continue
-                domain, u, i, _ = line.split(",")
-                part[domain].add((int(u), int(i)))
+                row = line.split(",")
+                if len(row) != 4 or row[0] not in part:
+                    raise DataError(f"{path}: line {line_no}: expected "
+                                    f"domain,user,item,label with domain source "
+                                    f"or target, got {line!r}")
+                part[row[0]].add(tuple(_split_ints(path, line_no, row[1:3])))
         parts[name] = part
 
     candidates = {}
@@ -770,11 +797,12 @@ def load_split(directory) -> SplitResult:
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
-                values = [int(x) for x in line.split(",")]
-                user, pos, negatives = values[0], values[1], values[2:]
+                values = _split_ints(path, line_no, line.split(","))
+                negatives = values[2:]
                 if len(negatives) != N_EVAL_NEGATIVES:
                     raise DataError(f"{path}: line {line_no} has {len(negatives)} "
                                     f"negatives, expected {N_EVAL_NEGATIVES}")
+                user, pos = values[0], values[1]
                 pos_key = (_stable_key(tiebreak_seed, user, pos), pos)
                 position = sum(
                     1 for j in negatives

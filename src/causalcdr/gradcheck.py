@@ -108,7 +108,8 @@ def toy_instance(seed: int = 0, k: int = 4, n_users: int = 6, n_items: int = 8,
     raise RuntimeError("could not find a kink-free toy initialization")
 
 
-def run_gradient_check(seed: int = 0, grl_scale: float = 1.0,
+def run_gradient_check(seed: int = 0,
+                       grl_scale: float = model.LossConfig.grl_scale,
                        step: float = 1e-4,
                        threshold: float = DEFAULT_THRESHOLD,
                        corrupt_block: str | None = None) -> GradCheckReport:

@@ -17,7 +17,7 @@ a value-only tape.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -124,13 +124,21 @@ class LossConfig:
     lambda_domain: float = 0.5
     lambda_causal: float = 1.0
     lambda_reg: float = 1e-5
-    penalty: causal.PenaltyWeights = field(default_factory=causal.PenaltyWeights)
+    gamma_dag: float = 1.0
+    gamma_direction: float = 1.0
+    gamma_not_root: float = 0.1
+    gamma_sparsity: float = 0.01
     grl_scale: float = 1.0
     ablation: str = "full"  # full | no_causal | no_source
 
     def __post_init__(self):
         if self.ablation not in ("full", "no_causal", "no_source"):
             raise ValueError(f"unknown ablation mode {self.ablation!r}")
+
+    @property
+    def penalty(self) -> causal.PenaltyWeights:
+        return causal.PenaltyWeights(self.gamma_dag, self.gamma_direction,
+                                     self.gamma_not_root, self.gamma_sparsity)
 
 
 @dataclass

@@ -24,46 +24,26 @@ class TrainingError(RuntimeError):
 
 
 @dataclass
-class TrainConfig:
+class TrainConfig(model.LossConfig):
     k: int = 16
     learning_rate: float = 0.01
-    lambda_source: float = 1.0
-    lambda_domain: float = 0.5
-    lambda_causal: float = 1.0
-    lambda_reg: float = 1e-5
-    gamma_dag: float = 1.0
-    gamma_direction: float = 1.0
-    gamma_not_root: float = 0.1
-    gamma_sparsity: float = 0.01
     epochs: int = 30
     batch_size: int = 64
     n_neg_per_positive: int = 4
-    grl_scale: float = 1.0
-    optimizer: str = "adam"
+    optimizer: str = "adam"         # a key of OPTIMIZERS
     seed: int = 0
     patience: int = 10
-    ablation: str = "full"          # full | no_causal | no_source
     init_scale: float = 0.1
     strict_causal_mask: bool = False
 
     def __post_init__(self):
+        super().__post_init__()
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
-
-    def loss_config(self) -> model.LossConfig:
-        return model.LossConfig(
-            lambda_source=self.lambda_source,
-            lambda_domain=self.lambda_domain,
-            lambda_causal=self.lambda_causal,
-            lambda_reg=self.lambda_reg,
-            penalty=causal.PenaltyWeights(
-                dag=self.gamma_dag, direction=self.gamma_direction,
-                not_root=self.gamma_not_root, sparsity=self.gamma_sparsity),
-            grl_scale=self.grl_scale,
-            ablation=self.ablation,
-        )
+        if self.optimizer not in OPTIMIZERS:
+            raise ValueError(f"unknown optimizer {self.optimizer!r}")
 
 
 @dataclass
@@ -143,12 +123,7 @@ class Adam:
             matrix -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
-def make_optimizer(config: TrainConfig):
-    if config.optimizer == "adam":
-        return Adam(config.learning_rate)
-    if config.optimizer == "sgd":
-        return Sgd(config.learning_rate)
-    raise ValueError(f"unknown optimizer {config.optimizer!r}")
+OPTIMIZERS = {"adam": Adam, "sgd": Sgd}
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +189,7 @@ def train(dataset: data.CrossDomainDataset, split: data.SplitResult,
     params = model.ModelParams.init(dims, seed=config.seed,
                                     init_scale=config.init_scale,
                                     strict_causal_mask=config.strict_causal_mask)
-    loss_config = config.loss_config()
-    optimizer = make_optimizer(config)
+    optimizer = OPTIMIZERS[config.optimizer](config.learning_rate)
     use_causal = config.ablation != "no_causal"
     has_validation = bool(split.val_candidates)
 
@@ -251,7 +225,7 @@ def train(dataset: data.CrossDomainDataset, split: data.SplitResult,
             tape = dc.Tape()
             try:
                 total, breakdown = model.total_loss(tape, params, target_batch,
-                                                    source_batch, loss_config)
+                                                    source_batch, config)
             except dc.NonFiniteError as exc:
                 raise TrainingError(
                     f"non-finite loss at epoch {epoch} step {steps}: {exc}") from exc
@@ -324,9 +298,13 @@ class AdjacencyFitConfig:
     learning_rate: float = 0.02
     steps: int = 3000
     penalty: causal.PenaltyWeights = field(default_factory=_structure_fit_penalty)
-    optimizer: str = "adam"
+    optimizer: str = "adam"         # a key of OPTIMIZERS
     strict_mask: bool = False
     seed: int = 0
+
+    def __post_init__(self):
+        if self.optimizer not in OPTIMIZERS:
+            raise ValueError(f"unknown optimizer {self.optimizer!r}")
 
 
 def fit_adjacency(samples: np.ndarray, k: int,
@@ -339,10 +317,7 @@ def fit_adjacency(samples: np.ndarray, k: int,
     if samples.ndim != 2 or samples.shape[0] != 2 * k:
         raise ValueError(f"samples must be {2 * k} x N, got {samples.shape}")
     adjacency = {"adjacency": np.zeros((2 * k, 2 * k))}
-    if config.optimizer == "adam":
-        optimizer = Adam(config.learning_rate)
-    else:
-        optimizer = Sgd(config.learning_rate)
+    optimizer = OPTIMIZERS[config.optimizer](config.learning_rate)
     history = []
     for _ in range(config.steps):
         tape = dc.Tape()

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from causalcdr import causal, diffcore as dc
+from causalcdr import causal, diffcore as dc, model
 
 
 def loss_value(a, h, k, weights=None):
-    weights = weights or causal.PenaltyWeights()
+    weights = weights or model.LossConfig().penalty
     tape = dc.Tape()
     a_node = tape.param("a", a)
     a_eff = causal.effective_adjacency(a_node, k)
@@ -216,7 +216,7 @@ class TestFusedLossIsExact:
     @pytest.mark.parametrize("k", [1, 3, 4, 8, 16])
     def test_matches_unfused_composition_bit_for_bit(self, kind, k):
         rng = np.random.default_rng(1000 * k + len(kind))
-        weights_list = [causal.PenaltyWeights(),
+        weights_list = [model.LossConfig().penalty,
                         causal.PenaltyWeights(dag=500.0, direction=1.0,
                                               not_root=0.1, sparsity=0.05)]
         for weights in weights_list:

@@ -2,6 +2,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from causalcdr import cli, data, evaluation, matrixio
 
@@ -79,6 +80,52 @@ class TestConfigParsing:
         config_b.train.epochs = 3
         assert cli.config_hash(config_a) != cli.config_hash(config_b)
 
+    def test_hash_is_pinned(self, tmp_path):
+        # artifacts embed this hash; a schema change must not move it
+        config = cli.load_config(write_config(tmp_path))
+        assert cli.config_hash(config) == "d084e906f3057aa6"
+
+    def test_hash_covers_csv_contents(self, tmp_path):
+        for name in ("source.csv", "target.csv"):
+            (tmp_path / name).write_text("user,item,rating\n1,2,5\n3,4,5\n")
+        path = write_config(tmp_path, "dataset.kind=csv",
+                            **{"dataset.source_path": str(tmp_path / "source.csv"),
+                               "dataset.target_path": str(tmp_path / "target.csv")})
+        config = cli.load_config(path)
+        before = cli.config_hash(config)
+        with open(tmp_path / "target.csv", "r+b") as fh:
+            fh.seek(len("user,item,rating\n1,2,"))
+            fh.write(b"4")
+        assert cli.config_canonical_text(cli.load_config(path)) == \
+            cli.config_canonical_text(config)
+        assert cli.config_hash(config) != before
+
+    def test_readme_example_parses(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        config = cli.parse_config_text(block)
+        assert config.split.train_mix == (0.8, 0.2)
+        assert config.train.lambda_reg == 1e-5
+        assert config.out_dir == "runs/experiment"
+
+    @pytest.mark.parametrize("line", [
+        "graph_threshold=abc", "graph_threshold=0", "seeds=", "seeds=a",
+        "sparsity=x", "eval.ks=x", "eval.ks=0", "synth.weight_matrix=foo",
+        "train.epochs=0", "train.learning_rate=-1", "train.ablation=bogus",
+        "train.optimizer=adamw", "split.ratios=1,2",
+        # second spellings that are no longer keys
+        "eval_ks=5", "sparsity_fraction=0.5",
+        # a path the file system refuses to look up
+        "dataset.kind=csv\ndataset.source_path=" + "x" * 300,
+    ], ids=lambda line: line[:40])
+    def test_malformed_value_exits_1(self, tmp_path, capsys, line):
+        path = write_config(tmp_path, out_dir=str(tmp_path / "run"))
+        path.write_text(path.read_text() + line + "\n")
+        assert cli.main(["prepare", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: line 18")
+        assert not (tmp_path / "run").exists()
+
 
 class TestPipeline:
     def test_run_experiment_writes_artifacts(self, tmp_path):
@@ -94,6 +141,9 @@ class TestPipeline:
             history = (out / f"seed_{seed}" / "history.csv").read_text()
             assert history.splitlines()[1].startswith("epoch,L_t,L_s,")
         assert set(report.mean) == {"HR@5", "HR@10", "NDCG@5", "NDCG@10"}
+        # config.txt is a config: passed back, it gives the same hash
+        assert cli.config_hash(cli.load_config(out / "config.txt")) == \
+            cli.config_hash(config)
 
     def test_rerun_is_byte_identical(self, tmp_path):
         config = cli.load_config(write_config(tmp_path))
@@ -206,3 +256,66 @@ class TestCommands:
         assert cli.main(["ablate", "--config", str(path), "--mode",
                          "no_causal"]) == 0
         assert (tmp_path / "runab" / "ablate_no_causal" / "metrics.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# parser fuzzing
+
+CONFIG_KEYS = sorted(cli.CONFIG_SCHEMA) + ["split.train_ratio", "split.test_ratio"]
+PLAUSIBLE_VALUES = ["0", "1", "2", "7", "0.5", "0.01", "1e-05", "true", "False",
+                    "0.8,0.2", "0.8,0.1,0.1", "1,2", "5,10", "synthetic", "iid",
+                    "ood_degree", "adam", "sgd", "full", "no_causal", "no_source",
+                    "0.00001", "1e999", "runs/x", ""]
+JUNK_VALUES = st.one_of(st.text(max_size=12),
+                        st.floats(allow_nan=True, allow_infinity=True).map(str),
+                        st.integers(-10**6, 10**6).map(str),
+                        st.lists(st.integers(-3, 30).map(str), max_size=4).map(",".join))
+
+
+def _lines(keys, values):
+    return st.tuples(keys, values).map(lambda kv: f"{kv[0]}={kv[1]}")
+
+
+ANY_LINE = st.one_of(
+    _lines(st.sampled_from(CONFIG_KEYS),
+           st.one_of(st.sampled_from(PLAUSIBLE_VALUES), JUNK_VALUES)),
+    _lines(st.text(alphabet="abcdeinst._ ", max_size=14), st.sampled_from(PLAUSIBLE_VALUES)),
+    st.sampled_from(["", "   ", "# comment", "#x=1", "noequals"]),
+    st.text(max_size=20),
+)
+
+
+def _parses(text):
+    try:
+        cli.parse_config_text(text)
+    except cli.ConfigError:
+        return False
+    return True
+
+
+# lines that parse on their own, so most configs built from them parse
+ACCEPTED_LINES = [f"{key}={value}" for key in CONFIG_KEYS for value in PLAUSIBLE_VALUES
+                  if _parses(f"{key}={value}")]
+
+
+class TestConfigFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(ANY_LINE, max_size=12).map("\n".join))
+    def test_parses_or_raises_config_error(self, text):
+        try:
+            cli.parse_config_text(text)
+        except cli.ConfigError:
+            pass
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much])
+    @given(st.lists(st.one_of(st.sampled_from(ACCEPTED_LINES), ANY_LINE),
+                    max_size=8).map("\n".join))
+    @example("split.test_mix=0.00001,2")  # prints as 1e-05: a float without a '.'
+    def test_canonical_text_is_a_fixed_point(self, text):
+        try:
+            config = cli.parse_config_text(text)
+        except cli.ConfigError:
+            assume(False)
+        canonical = cli.config_canonical_text(config)
+        assert cli.config_canonical_text(cli.parse_config_text(canonical)) == canonical

@@ -393,6 +393,33 @@ class TestSplitSerialization:
             assert a.positive_position == b.positive_position
             assert np.array_equal(a.items, b.items)
 
+    @pytest.mark.parametrize("name, line_no, edit, message", [
+        ("train.csv", 3, lambda row: row[:2], "line 3: expected domain,user,item,label"),
+        ("validation.csv", 3, lambda row: ["other"] + row[1:],
+         "line 3: expected domain,user,item,label"),
+        ("test.csv", 3, lambda row: [row[0], "x" + row[1]] + row[2:],
+         "line 3: expected integer"),
+        ("train.csv", 3, lambda row: row[:2] + ["1.5"] + row[3:], "line 3: expected integer"),
+        ("candidates_test.csv", 2, lambda row: row[:5] + ["x119"] + row[6:],
+         "line 2: expected integer"),
+        ("candidates_validation.csv", 2, lambda row: [""] + row[1:],
+         "line 2: expected integer"),
+        ("test.csv", 1, lambda row: ["# seed=x tiebreak_seed=3"], "line 1: malformed header"),
+        ("train.csv", 1, lambda row: ["# tiebreak_seed=3 note"], "line 1: malformed header"),
+    ], ids=["short_row", "unknown_domain", "user_not_int", "item_not_int",
+            "negative_not_int", "candidate_user_empty", "seed_not_int",
+            "header_without_seed"])
+    def test_malformed_row_names_file_and_line(self, tmp_path, synth_dataset,
+                                               name, line_no, edit, message):
+        split = data.split_iid(synth_dataset, seed=14)
+        data.save_split(split, tmp_path / "split")
+        path = tmp_path / "split" / name
+        lines = path.read_text().splitlines()
+        lines[line_no - 1] = ",".join(edit(lines[line_no - 1].split(",")))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(data.DataError, match=f"{name}: {message}"):
+            data.load_split(tmp_path / "split")
+
     @pytest.mark.parametrize("drop", [1, -1])
     def test_candidate_row_with_wrong_negative_count_rejected(self, tmp_path,
                                                               synth_dataset, drop):

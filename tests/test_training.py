@@ -48,6 +48,29 @@ class TestOptimizers:
         assert np.allclose(params["w"], target, atol=1e-3)
 
 
+    def test_train_config_rejects_unknown_optimizer(self):
+        with pytest.raises(ValueError, match="adamw"):
+            training.TrainConfig(optimizer="adamw")
+
+    def test_fit_config_rejects_unknown_optimizer(self):
+        with pytest.raises(ValueError, match="adamw"):
+            training.AdjacencyFitConfig(optimizer="adamw")
+
+    def test_fit_adjacency_uses_the_optimizer_table(self, monkeypatch):
+        stepped = []
+
+        class Recording(training.Sgd):
+            def step(self, params, grads):
+                stepped.append(self.learning_rate)
+                super().step(params, grads)
+
+        monkeypatch.setitem(training.OPTIMIZERS, "recording", Recording)
+        config = training.AdjacencyFitConfig(steps=3, optimizer="recording",
+                                             learning_rate=0.05)
+        training.fit_adjacency(np.random.default_rng(0).normal(size=(4, 20)), 2, config)
+        assert stepped == [0.05] * 3
+
+
 class TestTrain:
     def test_history_one_record_per_epoch(self, small_setup):
         dataset, split, _ = small_setup
@@ -225,7 +248,7 @@ class TestFitAdjacency:
         h = np.vstack([a.T, (a @ b).T])
         config = training.AdjacencyFitConfig(
             learning_rate=1e-2, steps=50, optimizer="sgd",
-            penalty=causal.PenaltyWeights())
+            penalty=model.LossConfig().penalty)
         _, history = training.fit_adjacency(h, k, config)
         losses = [step[0] for step in history]
         assert all(b2 <= a2 + 1e-12 for a2, b2 in zip(losses, losses[1:]))
@@ -237,7 +260,7 @@ class TestFitAdjacency:
         a = rng.normal(size=(300, k))
         h = np.vstack([a.T, (a @ b + 0.05 * rng.normal(size=(300, k))).T])
         config = training.AdjacencyFitConfig(
-            steps=800, penalty=causal.PenaltyWeights(direction=50.0))
+            steps=800, penalty=model.LossConfig(gamma_direction=50.0).penalty)
         adjacency, _ = training.fit_adjacency(h, k, config)
         reverse_mass = np.abs(adjacency[k:, :k]).sum()
         total_mass = np.abs(adjacency).sum()
