@@ -3,8 +3,7 @@ learned causal graph from latent user attributes to preferences, built
 for out-of-distribution evaluation."""
 
 from .data import (CrossDomainDataset, SplitResult, SplitSpec, SynthConfig,
-                   ingest_csv, split_iid, split_ood_attribute,
-                   split_ood_degree, synth_generate)
+                   generate_split, ingest_csv, synth_generate)
 from .evaluation import (MetricsReport, aggregate_runs, degradation_report,
                          evaluate, rank_metrics)
 from .model import LossConfig, ModelDims, ModelParams, total_loss
@@ -17,7 +16,6 @@ __all__ = [
     "AdjacencyFitConfig", "CrossDomainDataset", "LossConfig", "MetricsReport",
     "ModelDims", "ModelParams", "SplitResult", "SplitSpec", "SynthConfig",
     "TrainConfig", "TrainResult", "aggregate_runs", "degradation_report",
-    "discriminator_probe", "evaluate", "fit_adjacency", "ingest_csv",
-    "rank_metrics", "split_iid", "split_ood_attribute", "split_ood_degree",
-    "synth_generate", "total_loss", "train",
+    "discriminator_probe", "evaluate", "fit_adjacency", "generate_split",
+    "ingest_csv", "rank_metrics", "synth_generate", "total_loss", "train",
 ]

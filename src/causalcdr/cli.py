@@ -205,16 +205,13 @@ def _meta(config: ExperimentConfig, seed=None) -> str:
 def build_dataset(config: ExperimentConfig):
     if config.dataset.kind == "synthetic":
         return data.synth_generate(config.synth)
-    schema = {"user": config.dataset.user_column,
-              "item": config.dataset.item_column}
-    if config.dataset.rating_column:
-        schema["rating"] = config.dataset.rating_column
-    if config.dataset.attribute_column:
-        schema["attribute"] = config.dataset.attribute_column
-    dataset = data.ingest_csv(config.dataset.source_path,
-                              config.dataset.target_path,
-                              schema=schema,
-                              positive_threshold=config.dataset.positive_threshold)
+    section = config.dataset
+    dataset = data.ingest_csv(section.source_path, section.target_path,
+                              user_column=section.user_column,
+                              item_column=section.item_column,
+                              rating_column=section.rating_column,
+                              attribute_column=section.attribute_column,
+                              positive_threshold=section.positive_threshold)
     return dataset, None
 
 
@@ -298,15 +295,20 @@ def write_report(config: ExperimentConfig, runs: list, out: Path,
 
 
 def load_seed_metrics(out: Path, seeds) -> list:
+    """{metric@k: mean} of each seed's metrics_seed.csv; a file that cannot
+    be read or holds a malformed row is a StageFailure that names it."""
     runs = []
     for seed in seeds:
         path = out / f"seed_{seed}" / "metrics_seed.csv"
-        run = {}
-        for line in path.read_text(encoding="utf-8").splitlines():
-            if line.startswith("#") or line.startswith("setting,") or not line:
-                continue
-            _, metric, k, mean, _, _ = line.split(",")
-            run[f"{metric}@{k}"] = float(mean)
+        try:
+            run = {}
+            for line in path.read_text(encoding="utf-8").splitlines():
+                if line.startswith("#") or line.startswith("setting,") or not line:
+                    continue
+                _, metric, k, mean, _, _ = line.split(",")
+                run[f"{metric}@{k}"] = float(mean)
+        except (OSError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
+            raise StageFailure("report", ValueError(f"{path}: {exc}")) from None
         runs.append(run)
     return runs
 
@@ -389,12 +391,33 @@ def _cmd_ablate(args) -> int:
 def _cmd_report(args) -> int:
     config = _config_from_args(args)
     out = Path(config.out_dir)
-    runs = load_seed_metrics(out, config.seeds)
-    iid_report = None
+    directories = [out]
     if args.iid_dir:
-        iid_runs = load_seed_metrics(Path(args.iid_dir), config.seeds)
-        iid_report = evaluation.aggregate_runs(iid_runs)
-    report = write_report(config, runs, out, iid_report=iid_report)
+        # the paired run may differ from this one in its split kind and mixes only
+        directories.append(Path(args.iid_dir))
+        path = directories[1] / "config.txt"
+        try:
+            theirs = set(path.read_text(encoding="utf-8").splitlines())
+        except (OSError, ValueError) as exc:
+            raise StageFailure("report", ValueError(f"{path}: {exc}")) from None
+        ours = set(config_canonical_text(config).splitlines())
+        differ = {line.partition("=")[0] for line in theirs ^ ours}
+        differ -= {"split.kind", "split.train_mix", "split.test_mix"}
+        if differ:
+            raise StageFailure("report", ValueError(
+                f"{path} differs from this run's config in {', '.join(sorted(differ))}"))
+    expected = sorted(evaluation.metric_key(m, k) for m in ("hr", "ndcg")
+                      for k in config.eval_ks)
+    runs = []
+    for directory in directories:
+        runs.append(load_seed_metrics(directory, config.seeds))
+        for seed, run in zip(config.seeds, runs[-1]):
+            if sorted(run) != expected:
+                raise StageFailure("report", ValueError(
+                    f"{directory / f'seed_{seed}' / 'metrics_seed.csv'} holds "
+                    f"metrics {sorted(run)}, expected {expected}"))
+    iid_report = evaluation.aggregate_runs(runs[1]) if args.iid_dir else None
+    report = write_report(config, runs[0], out, iid_report=iid_report)
     print((out / "metrics.md").read_text(encoding="utf-8"))
     return 0
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import hashlib
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -116,7 +117,8 @@ class SplitResult:
 
 @dataclass
 class SplitSpec:
-    """Declarative split request, resolved by generate_split()."""
+    """Declarative split request, resolved by generate_split(); SplitError
+    on a request that no dataset could honor."""
 
     kind: str = "iid"                      # iid | ood_degree | ood_attribute
     ratios: tuple = (0.8, 0.1, 0.1)
@@ -125,9 +127,21 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if len(self.ratios) != 3:
-            raise SplitError("ratios must be three shares (train, validation, "
-                             f"test), got {self.ratios}")
+        if self.kind not in ("iid", "ood_degree", "ood_attribute"):
+            raise SplitError(f"unknown split kind {self.kind!r}")
+        ratios = np.asarray(self.ratios, dtype=np.float64)
+        if ratios.shape != (3,) or np.any(ratios < 0) or not 0 < ratios.sum() < np.inf:
+            raise SplitError("ratios must be three finite nonnegative shares (train, "
+                             f"validation, test) with a positive sum, got {self.ratios}")
+        for name, mix in (("train_mix", self.train_mix), ("test_mix", self.test_mix)):
+            if mix is None:
+                if self.kind != "iid":
+                    raise SplitError(f"a {self.kind} split needs train_mix and test_mix")
+                continue
+            shares = np.asarray(mix, dtype=np.float64)
+            if shares.shape != (2,) or np.any(shares < 0) or not np.isclose(shares.sum(), 1.0):
+                raise SplitError(f"{name} must be a finite nonnegative pair summing "
+                                 f"to 1, got {mix}")
 
 
 # ---------------------------------------------------------------------------
@@ -140,57 +154,53 @@ def _sort_key(key: str):
         return (1, 0, key)
 
 
-def _read_rows(path, schema: dict, threshold: float):
+def _read_rows(path, user_column: str, item_column: str, rating_column: str,
+               attribute_column: str, threshold: float):
     """Yield (user key, item key, attribute or None) per positive row of
     one domain's file."""
-    user_col = schema.get("user", "user")
-    item_col = schema.get("item", "item")
-    rating_col = schema.get("rating")
-    attr_col = schema.get("attribute")
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise DataError(f"{path}: empty file")
-        for col in (user_col, item_col):
+        for col in (user_column, item_column) + ((rating_column,) if rating_column else ()):
             if col not in reader.fieldnames:
                 raise DataError(f"{path}: missing column {col!r}")
-        if rating_col is not None and rating_col not in reader.fieldnames:
-            raise DataError(f"{path}: missing column {rating_col!r}")
-        if attr_col is not None and attr_col not in reader.fieldnames:
-            attr_col = None  # attribute is optional per file
+        if attribute_column not in reader.fieldnames:
+            attribute_column = ""  # attribute is optional per file
         for line_no, row in enumerate(reader, start=2):
-            user = row.get(user_col)
-            item = row.get(item_col)
+            user = row[user_column]
+            item = row[item_column]
             if user is None or item is None or user == "" or item == "":
                 raise DataError(f"{path}: malformed row at line {line_no}")
-            rating = None
-            if rating_col is not None:
+            if rating_column:
                 try:
-                    rating = float(row[rating_col])
+                    rating = float(row[rating_column])
                 except (TypeError, ValueError):
                     raise DataError(f"{path}: bad rating at line {line_no}") from None
                 if rating < threshold:
                     continue
-            attr = row.get(attr_col) if attr_col else None
+            attr = row[attribute_column] if attribute_column else None
             yield user, item, attr or None
 
 
-def ingest_csv(source_path, target_path, schema: dict | None = None,
+def ingest_csv(source_path, target_path, *, user_column: str = "user",
+               item_column: str = "item", rating_column: str = "rating",
+               attribute_column: str = "attribute",
                positive_threshold: float = 4.0) -> CrossDomainDataset:
     """Build the shared-user dataset from two delimiter-separated files.
 
     Rows with rating >= positive_threshold become positives (all rows when
-    the schema names no rating column). Users are restricted to the
-    intersection of the two files' user keys; indices are dense and sorted
-    numerically when every key parses as an integer.
+    rating_column is ""; no attribute when attribute_column is "" or absent
+    from a file). Users are restricted to the intersection of the two files'
+    user keys; indices are dense and sorted numerically when every key
+    parses as an integer.
     """
-    schema = schema or {"user": "user", "item": "item", "rating": "rating",
-                        "attribute": "attribute"}
+    columns = (user_column, item_column, rating_column, attribute_column)
     raw = {}
     attrs: dict[str, str] = {}
     for domain, path in ((SOURCE, source_path), (TARGET, target_path)):
         rows = []
-        for user, item, attribute in _read_rows(path, schema, positive_threshold):
+        for user, item, attribute in _read_rows(path, *columns, positive_threshold):
             rows.append((user, item))
             if attribute is not None:
                 if attrs.get(user, attribute) != attribute:
@@ -270,8 +280,6 @@ def save_dataset_csv(dataset: CrossDomainDataset, source_path, target_path) -> N
 def _apportion(n: int, ratios) -> tuple:
     """Largest-remainder integer split of n by the normalized ratios."""
     ratios = np.asarray(ratios, dtype=np.float64)
-    if np.any(ratios < 0) or ratios.sum() <= 0:
-        raise SplitError(f"ratios must be nonnegative and sum > 0, got {tuple(ratios)}")
     shares = ratios / ratios.sum()
     raw = shares * n
     counts = np.floor(raw).astype(int)
@@ -330,51 +338,31 @@ def _ensure_test_users_trained(train: set, val: set, test: set, rng,
     return moves
 
 
-def _finish_split(dataset, parts, seed, rng, moves) -> SplitResult:
-    train, val, test = parts
-    tiebreak_seed = int(rng.integers(0, 2**31 - 1))
-    eval_candidates = build_eval_candidates(
-        dataset, sorted(test[TARGET]), seed=tiebreak_seed)
-    val_candidates = build_eval_candidates(
-        dataset, sorted(val[TARGET]), seed=tiebreak_seed)
-    return SplitResult(train=train, validation=val, test=test,
-                       eval_candidates=eval_candidates,
-                       val_candidates=val_candidates,
-                       seed=seed, tiebreak_seed=tiebreak_seed,
-                       forced_train_moves=moves)
-
-
-def split_iid(dataset: CrossDomainDataset, ratios=(0.8, 0.1, 0.1),
-              seed: int = 0) -> SplitResult:
-    """Random per-domain partition at the given ratios; target test users
-    always retain a training positive."""
-    rng = np.random.default_rng(seed)
-    train, val, test = {}, {}, {}
-    for domain in DOMAINS:
-        train[domain], val[domain], test[domain] = _partition_domain(
-            dataset.positives(domain), ratios, rng)
-    moves = _ensure_test_users_trained(train[TARGET], val[TARGET], test[TARGET], rng)
-    return _finish_split(dataset, (train, val, test), seed, rng, moves)
-
-
 def _user_types_by_degree(dataset: CrossDomainDataset) -> np.ndarray:
-    """1 for users strictly above the median target degree, else 0."""
+    """1 for users strictly above the median target degree, else 0, so
+    ood_degree mix pairs read (high, low)."""
     degrees = dataset.target_degrees()
     median = float(np.median(degrees))
     return (degrees > median).astype(np.int8)
 
 
-def _split_biased(dataset, types, train_mix, test_mix, ratios, seed) -> SplitResult:
-    """Shared machinery for the degree- and attribute-biased splits.
+def _user_types_by_attribute(dataset: CrossDomainDataset) -> np.ndarray:
+    """1 for users with the first label of the binary attribute, else 0, so
+    ood_attribute mix pairs read (first, second label) in sorted order."""
+    if dataset.user_attribute is None:
+        raise SplitError("dataset has no user attribute column")
+    labels = np.unique(dataset.user_attribute)
+    if len(labels) != 2:
+        raise SplitError(f"attribute must be binary, found {len(labels)} labels")
+    return (dataset.user_attribute == labels[0]).astype(np.int8)
 
-    types[u] in {0, 1}; mix pairs are (type-1 share, type-0 share), i.e.
-    (high, low) for degree and (first label, second label) for attributes.
-    """
-    for name, mix in (("train", train_mix), ("test", test_mix)):
-        mix = np.asarray(mix, dtype=np.float64)
-        if mix.shape != (2,) or np.any(mix < 0) or not np.isclose(mix.sum(), 1.0):
-            raise SplitError(f"{name} mix must be a nonnegative pair summing to 1")
-    rng = np.random.default_rng(seed)
+
+def _split_biased(dataset, types, spec: SplitSpec, rng) -> tuple:
+    """(parts, forced moves) of a target split biased by types[u] in {0, 1}:
+    the train and test parts hold type-1 interactions at the spec's mix
+    shares, and validation mirrors train. The corpus is subsampled to the
+    largest size at which both mixtures are feasible."""
+    ratios, train_mix, test_mix = spec.ratios, spec.train_mix, spec.test_mix
 
     pools = {1: sorted(p for p in dataset.target_positives if types[p[0]] == 1),
              0: sorted(p for p in dataset.target_positives if types[p[0]] == 0)}
@@ -432,45 +420,32 @@ def _split_biased(dataset, types, train_mix, test_mix, ratios, seed) -> SplitRes
              {SOURCE: src_test, TARGET: test})
     moves = _ensure_test_users_trained(parts[0][TARGET], parts[1][TARGET],
                                        parts[2][TARGET], rng, types=types)
-    return _finish_split(dataset, parts, seed, rng, moves)
-
-
-def split_ood_degree(dataset: CrossDomainDataset, train_ratio, test_ratio,
-                     ratios=(0.8, 0.1, 0.1), seed: int = 0) -> SplitResult:
-    """Bias the target split by user activity: users above the median
-    target degree are the high type. Ratio pairs are (high, low) shares of
-    interactions; the corpus is subsampled to the largest size at which
-    both mixtures are feasible."""
-    types = _user_types_by_degree(dataset)
-    return _split_biased(dataset, types, tuple(train_ratio), tuple(test_ratio),
-                         ratios, seed)
-
-
-def split_ood_attribute(dataset: CrossDomainDataset, train_ratio, test_ratio,
-                        ratios=(0.8, 0.1, 0.1), seed: int = 0) -> SplitResult:
-    """Bias the target split by the binary user attribute; ratio pairs are
-    (first label, second label) shares in sorted label order."""
-    if dataset.user_attribute is None:
-        raise SplitError("dataset has no user attribute column")
-    labels = np.unique(dataset.user_attribute)
-    if len(labels) != 2:
-        raise SplitError(f"attribute must be binary, found {len(labels)} labels")
-    # type 1 = first label so the pair order matches the documented reading
-    types = (dataset.user_attribute == labels[0]).astype(np.int8)
-    return _split_biased(dataset, types, tuple(train_ratio), tuple(test_ratio),
-                         ratios, seed)
+    return parts, moves
 
 
 def generate_split(dataset: CrossDomainDataset, spec: SplitSpec) -> SplitResult:
+    """Split the dataset as the spec requests. iid partitions each domain
+    at random; the ood kinds bias the target split by user degree or by the
+    binary user attribute. Target test users always keep a training
+    positive."""
+    rng = np.random.default_rng(spec.seed)
     if spec.kind == "iid":
-        return split_iid(dataset, spec.ratios, spec.seed)
-    if spec.kind == "ood_degree":
-        return split_ood_degree(dataset, spec.train_mix, spec.test_mix,
-                                spec.ratios, spec.seed)
-    if spec.kind == "ood_attribute":
-        return split_ood_attribute(dataset, spec.train_mix, spec.test_mix,
-                                   spec.ratios, spec.seed)
-    raise SplitError(f"unknown split kind {spec.kind!r}")
+        train, val, test = {}, {}, {}
+        for domain in DOMAINS:
+            train[domain], val[domain], test[domain] = _partition_domain(
+                dataset.positives(domain), spec.ratios, rng)
+        moves = _ensure_test_users_trained(train[TARGET], val[TARGET], test[TARGET], rng)
+    else:
+        by = _user_types_by_degree if spec.kind == "ood_degree" else _user_types_by_attribute
+        (train, val, test), moves = _split_biased(dataset, by(dataset), spec, rng)
+    tiebreak_seed = int(rng.integers(0, 2**31 - 1))
+    return SplitResult(train=train, validation=val, test=test,
+                       eval_candidates=build_eval_candidates(
+                           dataset, sorted(test[TARGET]), seed=tiebreak_seed),
+                       val_candidates=build_eval_candidates(
+                           dataset, sorted(val[TARGET]), seed=tiebreak_seed),
+                       seed=spec.seed, tiebreak_seed=tiebreak_seed,
+                       forced_train_moves=moves)
 
 
 def realized_mixture(positives, types) -> float:
@@ -548,11 +523,20 @@ def sample_train_negatives(dataset: CrossDomainDataset, split: SplitResult,
     return TrainingExamples(users, items, labels, skipped_saturated_users=skipped)
 
 
+def _candidate_list(seed: int, user: int, positive: int, negatives) -> CandidateList:
+    """The positive and its negatives in tie-break order: sorted by
+    (_stable_key(seed, user, item), item). save_split writes the negatives
+    in this order and load_split rebuilds it from the tiebreak seed."""
+    items = sorted([positive, *negatives], key=lambda j: (_stable_key(seed, user, j), j))
+    return CandidateList(user=user, positive_item=positive,
+                         items=np.array(items, dtype=np.intp),
+                         positive_position=items.index(positive))
+
+
 def build_eval_candidates(dataset: CrossDomainDataset, test_positives,
                           seed: int) -> list:
-    """99 uniform never-interacted negatives per test positive, ordered by
-    a per-(user, item) hash of the seed. That order is the tie-break order
-    of the ranking metrics and survives serialization byte for byte.
+    """99 uniform never-interacted negatives per test positive, in the
+    tie-break order of _candidate_list.
     """
     rng = np.random.default_rng(seed)
     user_items = dataset.user_items(TARGET)
@@ -567,14 +551,7 @@ def build_eval_candidates(dataset: CrossDomainDataset, test_positives,
                 f"user {u} has only {len(eligible)} eligible negatives; "
                 f"{N_EVAL_NEGATIVES} required")
         negatives = rng.choice(eligible, size=N_EVAL_NEGATIVES, replace=False)
-        items = np.concatenate([[pos], negatives])
-        keys = [(_stable_key(seed, u, int(j)), int(j)) for j in items]
-        order = np.lexsort(([k[1] for k in keys], [k[0] for k in keys]))
-        ordered = items[order]
-        position = int(np.nonzero(ordered == pos)[0][0])
-        out.append(CandidateList(user=u, positive_item=pos,
-                                 items=ordered.astype(np.intp),
-                                 positive_position=position))
+        out.append(_candidate_list(seed, u, pos, negatives.tolist()))
     return out
 
 
@@ -583,6 +560,9 @@ def build_eval_candidates(dataset: CrossDomainDataset, test_positives,
 
 @dataclass
 class SynthConfig:
+    """Synthetic dataset request, drawn by synth_generate(); DataError on a
+    request that the generator cannot honor."""
+
     n_users: int = 500
     n_source_items: int = 400
     n_target_items: int = 300
@@ -590,12 +570,33 @@ class SynthConfig:
     target_density: float = 0.02
     source_density: float = 0.04
     n_edges: int = 8
-    weight_matrix: np.ndarray | None = None   # overrides n_edges when given
+    weight_matrix: np.ndarray | None = None   # target map; n_edges still shapes the source map
     noise_scale: float = 0.1
     attribute_shift: float = 0.0              # subpopulation mean shift
     source_map_correlation: float = 0.7
     degree_spread: float = 0.4                # exponent tempering activity skew
     seed: int = 0
+
+    def __post_init__(self):
+        for name in ("n_users", "n_source_items", "n_target_items", "k"):
+            if not 1 <= getattr(self, name) <= np.iinfo(np.intp).max:
+                raise DataError(f"{name} must lie in [1, {np.iinfo(np.intp).max}], "
+                                f"got {getattr(self, name)}")
+        k = self.k
+        # checked with a weight_matrix too: the source map is always random
+        if not k <= self.n_edges <= k * k:
+            raise DataError(f"n_edges must lie in [{k}, {k * k}], got {self.n_edges}")
+        if self.weight_matrix is not None and np.shape(self.weight_matrix) != (k, k):
+            raise DataError(f"weight matrix must be {k}x{k}, "
+                            f"got {np.shape(self.weight_matrix)}")
+        if not 0 < self.degree_spread < np.inf:
+            raise DataError(f"degree_spread must be positive and finite, got "
+                            f"{self.degree_spread}")
+        for name, items in (("target_density", self.n_target_items),
+                            ("source_density", self.n_source_items)):
+            density, cells = getattr(self, name), self.n_users * items
+            if not (0 < density < 1 and 1 <= _positive_count(density, cells) < cells):
+                raise DataError(f"{name} {density} infeasible for {cells} cells")
 
 
 @dataclass
@@ -617,8 +618,6 @@ def _random_weight_matrix(k: int, n_edges: int, rng) -> np.ndarray:
     """Sparse attribute->preference map. Every preference dimension gets at
     least one parent (a parentless preference would contradict the model's
     not-a-root prior and turn that dimension into pure noise)."""
-    if not (k <= n_edges <= k * k):
-        raise DataError(f"n_edges must lie in [{k}, {k * k}], got {n_edges}")
     b = np.zeros((k, k))
     cells = [int(rng.integers(k)) * k + j for j in range(k)]  # one per column
     remaining = sorted(set(range(k * k)) - set(cells))
@@ -634,18 +633,18 @@ def _temper_norms(prefs: np.ndarray, spread: float) -> np.ndarray:
     """Rescale rows so their norms become norm**spread: keeps per-user
     activity monotone in preference strength while softening the tail so
     low-activity users still hold a usable share of interactions."""
-    if spread <= 0:
-        raise DataError(f"degree_spread must be positive, got {spread}")
     norms = np.linalg.norm(prefs, axis=1, keepdims=True)
     safe = np.where(norms > 1e-12, norms, 1.0)
     return prefs * safe ** (spread - 1.0)
 
 
+def _positive_count(density: float, cells: int) -> int:
+    """Number of positives a density asks for among cells user-item pairs."""
+    return int(round(density * cells))
+
+
 def _positives_from_affinity(affinity: np.ndarray, density: float) -> set:
-    n_total = affinity.size
-    count = int(round(density * n_total))
-    if count < 1 or count >= n_total:
-        raise DataError(f"density {density} infeasible for {n_total} cells")
+    count = _positive_count(density, affinity.size)
     top = np.argsort(-affinity.ravel(), kind="stable")[:count]
     rows, cols = np.unravel_index(top, affinity.shape)
     return {(int(u), int(i)) for u, i in zip(rows, cols)}
@@ -669,8 +668,6 @@ def synth_generate(config: SynthConfig) -> tuple[CrossDomainDataset, GroundTruth
 
     if config.weight_matrix is not None:
         b = np.asarray(config.weight_matrix, dtype=np.float64)
-        if b.shape != (k, k):
-            raise DataError(f"weight matrix must be {k}x{k}, got {b.shape}")
     else:
         b = _random_weight_matrix(k, config.n_edges, rng)
 
@@ -719,8 +716,6 @@ def synth_generate(config: SynthConfig) -> tuple[CrossDomainDataset, GroundTruth
 def save_split(split: SplitResult, directory, extra_meta: str = "") -> None:
     """One file per part with lines domain,user,item,label plus candidate
     files for validation and test."""
-    from pathlib import Path
-
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     header = f"# seed={split.seed} tiebreak_seed={split.tiebreak_seed}"
@@ -746,10 +741,14 @@ def save_split(split: SplitResult, directory, extra_meta: str = "") -> None:
 
 def _split_ints(path, line_no: int, fields) -> list:
     try:
-        return [int(x) for x in fields]
+        values = [int(x) for x in fields]
     except ValueError:
+        values = [-1]
+    if min(values) < 0 or max(values) > np.iinfo(np.intp).max:
         raise DataError(f"{path}: line {line_no}: expected integer user and "
-                        f"item ids, got {','.join(fields)!r}") from None
+                        f"item ids in [0, {np.iinfo(np.intp).max}], got "
+                        f"{','.join(fields)!r}")
+    return values
 
 
 def _split_header(path, line_no: int, line: str) -> tuple:
@@ -761,56 +760,51 @@ def _split_header(path, line_no: int, line: str) -> tuple:
         raise DataError(f"{path}: line {line_no}: malformed header {line!r}") from None
 
 
-def load_split(directory) -> SplitResult:
-    """Read what save_split wrote; DataError names the file and line of
-    any row that does not parse."""
-    from pathlib import Path
+def _split_lines(path) -> list:
+    """(line number, stripped line) pairs of one split file."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"{path}: cannot read split file: {exc}") from None
+    return [(n, line.strip()) for n, line in enumerate(text.split("\n"), start=1)]
 
+
+def load_split(directory) -> SplitResult:
+    """Read what save_split wrote; DataError names the file, and the line
+    of any row that does not parse."""
     directory = Path(directory)
     parts = {}
     seed = tiebreak_seed = 0
     for name in ("train", "validation", "test"):
         part = {SOURCE: set(), TARGET: set()}
         path = directory / f"{name}.csv"
-        with open(path, "r", encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.strip()
-                if line.startswith("#"):
-                    seed, tiebreak_seed = _split_header(path, line_no, line)
-                    continue
-                if not line or line.startswith("domain,"):
-                    continue
-                row = line.split(",")
-                if len(row) != 4 or row[0] not in part:
-                    raise DataError(f"{path}: line {line_no}: expected "
-                                    f"domain,user,item,label with domain source "
-                                    f"or target, got {line!r}")
-                part[row[0]].add(tuple(_split_ints(path, line_no, row[1:3])))
+        for line_no, line in _split_lines(path):
+            if line.startswith("#"):
+                seed, tiebreak_seed = _split_header(path, line_no, line)
+                continue
+            if not line or line.startswith("domain,"):
+                continue
+            row = line.split(",")
+            if len(row) != 4 or row[0] not in part:
+                raise DataError(f"{path}: line {line_no}: expected "
+                                f"domain,user,item,label with domain source "
+                                f"or target, got {line!r}")
+            part[row[0]].add(tuple(_split_ints(path, line_no, row[1:3])))
         parts[name] = part
 
     candidates = {}
     for name in ("candidates_test", "candidates_validation"):
         lists = []
         path = directory / f"{name}.csv"
-        with open(path, "r", encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                values = _split_ints(path, line_no, line.split(","))
-                negatives = values[2:]
-                if len(negatives) != N_EVAL_NEGATIVES:
-                    raise DataError(f"{path}: line {line_no} has {len(negatives)} "
-                                    f"negatives, expected {N_EVAL_NEGATIVES}")
-                user, pos = values[0], values[1]
-                pos_key = (_stable_key(tiebreak_seed, user, pos), pos)
-                position = sum(
-                    1 for j in negatives
-                    if (_stable_key(tiebreak_seed, user, j), j) < pos_key)
-                items = negatives[:position] + [pos] + negatives[position:]
-                lists.append(CandidateList(user=user, positive_item=pos,
-                                           items=np.array(items, dtype=np.intp),
-                                           positive_position=position))
+        for line_no, line in _split_lines(path):
+            if not line or line.startswith("#"):
+                continue
+            values = _split_ints(path, line_no, line.split(","))
+            negatives = values[2:]
+            if len(negatives) != N_EVAL_NEGATIVES:
+                raise DataError(f"{path}: line {line_no} has {len(negatives)} "
+                                f"negatives, expected {N_EVAL_NEGATIVES}")
+            lists.append(_candidate_list(tiebreak_seed, values[0], values[1], negatives))
         candidates[name] = lists
 
     return SplitResult(train=parts["train"], validation=parts["validation"],

@@ -62,9 +62,6 @@ class Node:
     def shape(self):
         return self.value.shape
 
-    def item(self) -> float:
-        return float(self.value)
-
 
 class Tape:
     """Ordered record of primitive operations plus a parameter registry.
@@ -164,17 +161,6 @@ def _require_same_shape(op: str, a: Node, b: Node) -> None:
 
 # ---------------------------------------------------------------------------
 # elementwise arithmetic
-
-def add(a: Node, b: Node) -> Node:
-    _require_same_shape("add", a, b)
-    tape = _tape_of(a, b)
-
-    def backward(g):
-        _accum(a, g)
-        _accum(b, g)
-
-    return tape.record("add", a.value + b.value, backward)
-
 
 def sub(a: Node, b: Node) -> Node:
     _require_same_shape("sub", a, b)
@@ -508,31 +494,32 @@ def matrix_exp(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _trace_exp_minus_d(op: str, a: np.ndarray) -> tuple[float, np.ndarray]:
+    """(trace(exp(a * a)) - d, exp(a * a)) for a d x d matrix a."""
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ShapeError(f"{op}: expected a square matrix, got shape {a.shape}")
+    e = matrix_exp(a * a)
+    return float(np.trace(e)) - a.shape[0], e
+
+
 def acyclicity(a: np.ndarray) -> float:
     """trace(exp(a * a)) - d for a d x d matrix; zero exactly when the
     nonzero pattern of a is a DAG. The node count d is subtracted.
     """
-    a = _as_array(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ShapeError(f"acyclicity: expected a square matrix, got shape {a.shape}")
-    e = matrix_exp(a * a)
-    value = float(np.trace(e)) - a.shape[0]
+    value, _ = _trace_exp_minus_d("acyclicity", _as_array(a))
     _check_finite("acyclicity", np.asarray(value))
     return value
 
 
 def acyclicity_term(a: Node) -> Node:
     """Tape node for the acyclicity scalar; backward uses the closed form."""
-    if a.value.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ShapeError(f"acyclicity_term: expected a square matrix, got shape {a.shape}")
-    e = matrix_exp(a.value * a.value)
-    value = np.asarray(np.trace(e) - a.shape[0])
+    value, e = _trace_exp_minus_d("acyclicity_term", a.value)
     et_2a = e.T * (2.0 * a.value)
 
     def backward(g):
         _accum(a, g * et_2a)
 
-    return a.tape.record("acyclicity", value, backward)
+    return a.tape.record("acyclicity", np.asarray(value), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -582,9 +569,3 @@ def finite_diff_details(loss_fn: Callable[[Mapping[str, np.ndarray]], tuple],
             worst = max(worst, err)
         errors[name] = worst
     return errors
-
-
-def finite_diff_check(loss_fn, params, step: float = 1e-5) -> float:
-    """Maximum relative error across every entry of every parameter."""
-    details = finite_diff_details(loss_fn, params, step)
-    return max(details.values()) if details else 0.0

@@ -114,7 +114,7 @@ def protocol_dataset():
 
 def test_criterion_4_protocol_fidelity(protocol_dataset):
     dataset = protocol_dataset
-    split = data.split_iid(dataset, seed=0)
+    split = data.generate_split(dataset, data.SplitSpec(seed=0))
     ratio_ok = True
     for domain in (SOURCE, TARGET):
         total = len(dataset.positives(domain))
@@ -129,13 +129,15 @@ def test_criterion_4_protocol_fidelity(protocol_dataset):
         and cand.items[cand.positive_position] == cand.positive_item
         for cand in split.eval_candidates)
 
-    degree_split = data.split_ood_degree(dataset, (0.4, 0.6), (0.7, 0.3), seed=1)
+    degree_split = data.generate_split(dataset, data.SplitSpec(
+        "ood_degree", train_mix=(0.4, 0.6), test_mix=(0.7, 0.3), seed=1))
     types = data._user_types_by_degree(dataset)
     deg_train = data.realized_mixture(degree_split.train[TARGET], types)
     deg_test = data.realized_mixture(degree_split.test[TARGET], types)
     degree_ok = abs(deg_train - 0.4) < 0.02 and abs(deg_test - 0.7) < 0.02
 
-    attr_split = data.split_ood_attribute(dataset, (0.8, 0.2), (0.2, 0.8), seed=1)
+    attr_split = data.generate_split(dataset, data.SplitSpec(
+        "ood_attribute", train_mix=(0.8, 0.2), test_mix=(0.2, 0.8), seed=1))
     attr_types = (dataset.user_attribute == 0).astype(int)
     attr_train = data.realized_mixture(attr_split.train[TARGET], attr_types)
     attr_test = data.realized_mixture(attr_split.test[TARGET], attr_types)
@@ -178,7 +180,7 @@ def adversarial_setup():
     dataset, _ = data.synth_generate(cfg)
     # no validation part: the probe wants the final training state, not a
     # best-validation snapshot
-    split = data.split_iid(dataset, ratios=(0.9, 0.0, 0.1), seed=1)
+    split = data.generate_split(dataset, data.SplitSpec(ratios=(0.9, 0.0, 0.1), seed=1))
     return dataset, split
 
 
@@ -211,8 +213,9 @@ def shift_setup():
                            attribute_shift=2.0, noise_scale=0.15,
                            source_map_correlation=0.8, seed=7)
     dataset, _ = data.synth_generate(cfg)
-    iid = data.split_iid(dataset, seed=7)
-    ood = data.split_ood_attribute(dataset, (0.8, 0.2), (0.2, 0.8), seed=7)
+    iid = data.generate_split(dataset, data.SplitSpec(seed=7))
+    ood = data.generate_split(dataset, data.SplitSpec(
+        "ood_attribute", train_mix=(0.8, 0.2), test_mix=(0.2, 0.8), seed=7))
     return dataset, iid, ood
 
 
@@ -280,7 +283,7 @@ def test_criterion_9_uniform_scorer_sanity():
                            k=4, target_density=0.05, source_density=0.03,
                            seed=21)
     dataset, _ = data.synth_generate(cfg)
-    split = data.split_iid(dataset, seed=21)
+    split = data.generate_split(dataset, data.SplitSpec(seed=21))
     n_positives = len(split.eval_candidates)
     metrics = evaluation.evaluate_candidates(
         split.eval_candidates, lambda users, items: np.zeros(items.shape))

@@ -35,6 +35,35 @@ def write_config(tmp_path, text=BASE_CONFIG, **extra):
     return path
 
 
+def append(path, text):
+    path.write_text(path.read_text() + text)
+
+
+def write_metrics(seed_dir, metrics):
+    seed_dir.mkdir(parents=True, exist_ok=True)
+    rows = [f"iid,{key.replace('@', ',')},{value!r},0.0," for key, value in metrics.items()]
+    (seed_dir / "metrics_seed.csv").write_text(
+        "# config_hash=0\nsetting,metric,k,mean,std,degradation_pct\n" + "\n".join(rows) + "\n")
+
+
+def report_runs(tmp_path):
+    """Stored seed metrics of an ood_attribute run and of its paired iid run,
+    which differ in their split kind and mixes only."""
+    runs = tmp_path / "runs"
+    iid = cli.load_config(write_config(tmp_path))
+    ood_config = tmp_path / "ood.cfg"
+    ood_config.write_text(BASE_CONFIG.replace(
+        "split.kind=iid", "split.kind=ood_attribute\nsplit.train_mix=0.8,0.2\n"
+                          "split.test_mix=0.2,0.8"))
+    for name, config, hr in (("iid", iid, 0.5), ("ood", cli.load_config(ood_config), 0.4)):
+        (runs / name).mkdir(parents=True)
+        (runs / name / "config.txt").write_text(cli.config_canonical_text(config))
+        for seed in config.seeds:
+            write_metrics(runs / name / f"seed_{seed}",
+                          {f"{m}@{k}": hr for m in ("HR", "NDCG") for k in (5, 10)})
+    return ood_config, runs
+
+
 class TestConfigParsing:
     def test_round_trip_values(self, tmp_path):
         path = write_config(tmp_path, sparsity="0.5")
@@ -113,6 +142,11 @@ class TestConfigParsing:
         "sparsity=x", "eval.ks=x", "eval.ks=0", "synth.weight_matrix=foo",
         "train.epochs=0", "train.learning_rate=-1", "train.ablation=bogus",
         "train.optimizer=adamw", "split.ratios=1,2",
+        # synthetic shapes and split requests the generator or splitter cannot honor
+        "synth.n_users=-5", "synth.target_density=1e999", "synth.target_density=nan",
+        "split.kind=ood_degree", "synth.k=0", "synth.n_edges=100",
+        "synth.degree_spread=0", "synth.target_density=0.9999999", "split.kind=bogus",
+        "split.ratios=-1,1,1", "split.ratios=nan,1,1", "split.train_mix=0.5,0.7",
         # second spellings that are no longer keys
         "eval_ks=5", "sparsity_fraction=0.5",
         # a path the file system refuses to look up
@@ -251,6 +285,39 @@ class TestCommands:
         ds = data.ingest_csv(out / "source.csv", out / "target.csv")
         assert ds.n_users > 0
 
+    def test_report_pairs_an_iid_run_that_differs_in_its_split_only(self, tmp_path,
+                                                                     capsys):
+        ood_config, runs = report_runs(tmp_path)
+        assert cli.main(["report", "--config", str(ood_config), "--out", str(runs / "ood"),
+                         "--iid-dir", str(runs / "iid")]) == 0
+        rows = (runs / "ood" / "metrics.csv").read_text().splitlines()
+        assert rows[2] == "ood_attribute,HR,10,0.400000,0.000000,20.00"
+        assert "| ood_attribute | 0.4000 (-20.00%) |" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("damage, named", [
+        (lambda runs: (runs / "ood" / "seed_2" / "metrics_seed.csv").unlink(),
+         "ood/seed_2/metrics_seed.csv"),
+        (lambda runs: append(runs / "ood" / "seed_1" / "metrics_seed.csv", "x,HR,10\n"),
+         "ood/seed_1/metrics_seed.csv"),
+        (lambda runs: append(runs / "ood" / "seed_2" / "metrics_seed.csv",
+                             "ood_attribute,MRR,10,0.5,0.0,\n"),
+         "ood/seed_2/metrics_seed.csv"),
+        (lambda runs: [write_metrics(runs / "iid" / f"seed_{seed}", {"HR@10": 0.5})
+                       for seed in (1, 2)],
+         "iid/seed_1/metrics_seed.csv"),
+        (lambda runs: (runs / "iid" / "config.txt").unlink(), "iid/config.txt"),
+        (lambda runs: append(runs / "iid" / "config.txt", "graph_threshold=0.5\n"),
+         "iid/config.txt differs from this run's config in graph_threshold"),
+    ], ids=["missing_metrics", "malformed_row", "other_metric_set",
+            "iid_other_metric_set", "iid_without_config", "iid_other_config"])
+    def test_report_refuses_a_broken_run_with_exit_2(self, tmp_path, capsys, damage, named):
+        ood_config, runs = report_runs(tmp_path)
+        damage(runs)
+        assert cli.main(["report", "--config", str(ood_config), "--out", str(runs / "ood"),
+                         "--iid-dir", str(runs / "iid")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runtime failure") and named in err
+
     def test_ablate_command(self, tmp_path):
         path = write_config(tmp_path, out_dir=str(tmp_path / "runab"))
         assert cli.main(["ablate", "--config", str(path), "--mode",
@@ -311,7 +378,7 @@ class TestConfigFuzz:
               suppress_health_check=[HealthCheck.filter_too_much])
     @given(st.lists(st.one_of(st.sampled_from(ACCEPTED_LINES), ANY_LINE),
                     max_size=8).map("\n".join))
-    @example("split.test_mix=0.00001,2")  # prints as 1e-05: a float without a '.'
+    @example("split.test_mix=0.00001,0.99999")  # prints as 1e-05: a float without a '.'
     def test_canonical_text_is_a_fixed_point(self, text):
         try:
             config = cli.parse_config_text(text)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from causalcdr import data
 from causalcdr.data import SOURCE, TARGET
@@ -36,7 +37,7 @@ class TestIngest:
         tgt = tmp_path / "tgt.csv"
         write_csv(src, ["a,x", "a,y"], header="user,item")
         write_csv(tgt, ["a,p"], header="user,item")
-        ds = data.ingest_csv(src, tgt, schema={"user": "user", "item": "item"})
+        ds = data.ingest_csv(src, tgt, rating_column="")
         assert len(ds.source_positives) == 2
 
     def test_missing_column_named(self, tmp_path):
@@ -99,7 +100,7 @@ class TestIngest:
 
 class TestSplitIid:
     def test_ratio_within_one(self, synth_dataset):
-        split = data.split_iid(synth_dataset, seed=1)
+        split = data.generate_split(synth_dataset, data.SplitSpec(seed=1))
         for domain in (SOURCE, TARGET):
             total = len(synth_dataset.positives(domain))
             expected = data._apportion(total, (0.8, 0.1, 0.1))
@@ -109,7 +110,7 @@ class TestSplitIid:
                 assert abs(g - e) <= 1
 
     def test_parts_disjoint_and_complete(self, synth_dataset):
-        split = data.split_iid(synth_dataset, seed=2)
+        split = data.generate_split(synth_dataset, data.SplitSpec(seed=2))
         for domain in (SOURCE, TARGET):
             train, val, test = (split.train[domain], split.validation[domain],
                                 split.test[domain])
@@ -117,27 +118,29 @@ class TestSplitIid:
             assert train | val | test == synth_dataset.positives(domain)
 
     def test_same_seed_identical(self, synth_dataset):
-        a = data.split_iid(synth_dataset, seed=3)
-        b = data.split_iid(synth_dataset, seed=3)
+        a = data.generate_split(synth_dataset, data.SplitSpec(seed=3))
+        b = data.generate_split(synth_dataset, data.SplitSpec(seed=3))
         assert a.train == b.train and a.test == b.test
         assert all(np.array_equal(x.items, y.items)
                    for x, y in zip(a.eval_candidates, b.eval_candidates))
 
     def test_test_users_keep_a_training_positive(self, synth_dataset):
-        split = data.split_iid(synth_dataset, seed=4)
+        split = data.generate_split(synth_dataset, data.SplitSpec(seed=4))
         train_users = {u for u, _ in split.train[TARGET]}
         for u, _ in split.test[TARGET]:
             assert u in train_users
 
     def test_degenerate_all_train(self, synth_dataset):
-        split = data.split_iid(synth_dataset, ratios=(1.0, 0.0, 0.0), seed=5)
+        split = data.generate_split(synth_dataset, data.SplitSpec(
+            ratios=(1.0, 0.0, 0.0), seed=5))
         assert split.test[TARGET] == set()
         assert split.eval_candidates == []
 
 
 class TestSplitOod:
     def test_degree_mixture_within_two_points(self, synth_dataset):
-        split = data.split_ood_degree(synth_dataset, (0.4, 0.6), (0.7, 0.3), seed=6)
+        split = data.generate_split(synth_dataset, data.SplitSpec(
+            "ood_degree", train_mix=(0.4, 0.6), test_mix=(0.7, 0.3), seed=6))
         types = data._user_types_by_degree(synth_dataset)
         assert data.realized_mixture(split.train[TARGET], types) == pytest.approx(0.4, abs=0.02)
         assert data.realized_mixture(split.test[TARGET], types) == pytest.approx(0.7, abs=0.02)
@@ -149,12 +152,15 @@ class TestSplitOod:
             source_positives={(u, 0) for u in range(10)},
             target_positives=positives)
         with pytest.raises(data.SplitError):
-            data.split_ood_degree(ds, (0.4, 0.6), (0.7, 0.3), seed=0)
-        split = data.split_ood_degree(ds, (0.0, 1.0), (0.0, 1.0), seed=0)
+            data.generate_split(ds, data.SplitSpec(
+                "ood_degree", train_mix=(0.4, 0.6), test_mix=(0.7, 0.3), seed=0))
+        split = data.generate_split(ds, data.SplitSpec(
+            "ood_degree", train_mix=(0.0, 1.0), test_mix=(0.0, 1.0), seed=0))
         assert len(split.train[TARGET]) > 0
 
     def test_attribute_mixture_within_two_points(self, synth_dataset):
-        split = data.split_ood_attribute(synth_dataset, (0.8, 0.2), (0.2, 0.8), seed=7)
+        split = data.generate_split(synth_dataset, data.SplitSpec(
+            "ood_attribute", train_mix=(0.8, 0.2), test_mix=(0.2, 0.8), seed=7))
         types = (synth_dataset.user_attribute == 0).astype(int)
         assert data.realized_mixture(split.train[TARGET], types) == pytest.approx(0.8, abs=0.02)
         assert data.realized_mixture(split.test[TARGET], types) == pytest.approx(0.2, abs=0.02)
@@ -167,19 +173,55 @@ class TestSplitOod:
             source_positives=synth_dataset.source_positives,
             target_positives=synth_dataset.target_positives)
         with pytest.raises(data.SplitError, match="attribute"):
-            data.split_ood_attribute(ds, (0.5, 0.5), (0.5, 0.5), seed=0)
+            data.generate_split(ds, data.SplitSpec(
+                "ood_attribute", train_mix=(0.5, 0.5), test_mix=(0.5, 0.5), seed=0))
 
     def test_no_shift_control_allowed(self, synth_dataset):
-        split = data.split_ood_attribute(synth_dataset, (0.5, 0.5), (0.5, 0.5), seed=8)
+        split = data.generate_split(synth_dataset, data.SplitSpec(
+            "ood_attribute", train_mix=(0.5, 0.5), test_mix=(0.5, 0.5), seed=8))
         types = (synth_dataset.user_attribute == 0).astype(int)
         train_mix = data.realized_mixture(split.train[TARGET], types)
         test_mix = data.realized_mixture(split.test[TARGET], types)
         assert train_mix == pytest.approx(test_mix, abs=0.02)
 
 
+def kwargs_id(kwargs):
+    return ",".join(f"{key}={np.shape(value) if key == 'weight_matrix' else str(value)[:12]}"
+                    for key, value in kwargs.items())
+
+
+class TestRequestsCheckThemselves:
+    @pytest.mark.parametrize("kwargs", [
+        {"ratios": (1, 2)}, {"ratios": (-1, 1, 1)}, {"ratios": (float("nan"), 1, 1)},
+        {"ratios": (float("inf"), 1, 1)}, {"ratios": (0, 0, 0)}, {"kind": "bogus"},
+        {"train_mix": (0.5, 0.7)}, {"test_mix": (float("nan"), 1.0)},
+        {"test_mix": (-0.5, 1.5)}, {"kind": "ood_degree"},
+        {"kind": "ood_attribute", "train_mix": (0.5, 0.5)},
+    ], ids=kwargs_id)
+    def test_split_spec_rejects(self, kwargs):
+        with pytest.raises(data.SplitError):
+            data.SplitSpec(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"k": 0}, {"n_users": -5}, {"n_source_items": 0}, {"n_target_items": 0},
+        {"n_users": 10**400},
+        {"n_edges": 3}, {"n_edges": 17}, {"k": 2}, {"weight_matrix": np.eye(3)},
+        {"weight_matrix": np.eye(4), "n_edges": 20}, {"degree_spread": 0.0},
+        {"degree_spread": float("nan")}, {"target_density": float("nan")},
+        {"target_density": 1e999}, {"source_density": 0.9999999},
+        {"target_density": 1e-9},
+    ], ids=kwargs_id)
+    def test_synth_config_rejects(self, kwargs):
+        with pytest.raises(data.DataError):
+            data.SynthConfig(**kwargs)
+
+    def test_no_split_functions_besides_generate_split(self):
+        assert [name for name in dir(data) if name.startswith("split")] == []
+
+
 class TestSampling:
     def test_negative_count_and_exclusion(self, synth_dataset):
-        split = data.split_iid(synth_dataset, seed=9)
+        split = data.generate_split(synth_dataset, data.SplitSpec(seed=9))
         examples = data.sample_train_negatives(synth_dataset, split, TARGET, 4, seed=10)
         n_pos = len(split.train[TARGET])
         assert len(examples) == 5 * n_pos
@@ -190,13 +232,13 @@ class TestSampling:
                 assert int(i) not in user_items.get(int(u), set())
 
     def test_same_seed_identical(self, synth_dataset):
-        split = data.split_iid(synth_dataset, seed=9)
+        split = data.generate_split(synth_dataset, data.SplitSpec(seed=9))
         a = data.sample_train_negatives(synth_dataset, split, TARGET, 4, seed=11)
         b = data.sample_train_negatives(synth_dataset, split, TARGET, 4, seed=11)
         assert np.array_equal(a.items, b.items)
 
     def test_candidate_lists_complete(self, synth_dataset):
-        split = data.split_iid(synth_dataset, seed=12)
+        split = data.generate_split(synth_dataset, data.SplitSpec(seed=12))
         user_items = synth_dataset.user_items(TARGET)
         for cand in split.eval_candidates:
             assert len(cand.items) == 100
@@ -225,7 +267,7 @@ class TestSampling:
         assert all(u == 1 for u, _ in negatives)
 
     def test_empty_training_part(self, synth_dataset):
-        split = data.split_iid(synth_dataset, seed=9)
+        split = data.generate_split(synth_dataset, data.SplitSpec(seed=9))
         split.train[TARGET] = set()
         examples = data.sample_train_negatives(synth_dataset, split, TARGET, 4, seed=0)
         assert len(examples) == 0
@@ -286,7 +328,7 @@ class TestBlockSamplerMatchesScalarDraws:
     @pytest.mark.parametrize("seed", [0, 1, 2, 17, 123])
     @pytest.mark.parametrize("domain", [SOURCE, TARGET])
     def test_synthetic_split(self, synth_dataset, seed, domain):
-        split = data.split_iid(synth_dataset, seed=9)
+        split = data.generate_split(synth_dataset, data.SplitSpec(seed=9))
         for n_neg in (1, 4):
             assert_same_examples(
                 data.sample_train_negatives(synth_dataset, split, domain, n_neg, seed),
@@ -379,7 +421,7 @@ class TestSynth:
 
 class TestSplitSerialization:
     def test_round_trip(self, tmp_path, synth_dataset):
-        split = data.split_iid(synth_dataset, seed=13)
+        split = data.generate_split(synth_dataset, data.SplitSpec(seed=13))
         data.save_split(split, tmp_path / "split")
         loaded = data.load_split(tmp_path / "split")
         assert loaded.train == split.train
@@ -406,12 +448,15 @@ class TestSplitSerialization:
          "line 2: expected integer"),
         ("test.csv", 1, lambda row: ["# seed=x tiebreak_seed=3"], "line 1: malformed header"),
         ("train.csv", 1, lambda row: ["# tiebreak_seed=3 note"], "line 1: malformed header"),
+        ("train.csv", 3, lambda row: [row[0], "-1"] + row[2:], "line 3: expected integer"),
+        ("candidates_test.csv", 2, lambda row: row[:5] + ["9" * 20] + row[6:],
+         "line 2: expected integer"),
     ], ids=["short_row", "unknown_domain", "user_not_int", "item_not_int",
             "negative_not_int", "candidate_user_empty", "seed_not_int",
-            "header_without_seed"])
+            "header_without_seed", "user_below_zero", "negative_beyond_intp"])
     def test_malformed_row_names_file_and_line(self, tmp_path, synth_dataset,
                                                name, line_no, edit, message):
-        split = data.split_iid(synth_dataset, seed=14)
+        split = data.generate_split(synth_dataset, data.SplitSpec(seed=14))
         data.save_split(split, tmp_path / "split")
         path = tmp_path / "split" / name
         lines = path.read_text().splitlines()
@@ -423,7 +468,7 @@ class TestSplitSerialization:
     @pytest.mark.parametrize("drop", [1, -1])
     def test_candidate_row_with_wrong_negative_count_rejected(self, tmp_path,
                                                               synth_dataset, drop):
-        split = data.split_iid(synth_dataset, seed=14)
+        split = data.generate_split(synth_dataset, data.SplitSpec(seed=14))
         data.save_split(split, tmp_path / "split")
         path = tmp_path / "split" / "candidates_validation.csv"
         lines = path.read_text().splitlines()
@@ -435,3 +480,69 @@ class TestSplitSerialization:
                            match=f"candidates_validation.csv: line 3 has {negatives} "
                                  f"negatives, expected 99"):
             data.load_split(tmp_path / "split")
+
+
+SPLIT_FILES = ("train.csv", "validation.csv", "test.csv", "candidates_test.csv",
+               "candidates_validation.csv")
+
+
+@pytest.fixture(scope="module")
+def saved_split_files(tmp_path_factory):
+    dataset, _ = data.synth_generate(data.SynthConfig(
+        n_users=40, n_source_items=60, n_target_items=110, target_density=0.03,
+        source_density=0.04, seed=5))
+    directory = tmp_path_factory.mktemp("split")
+    data.save_split(data.generate_split(dataset, data.SplitSpec(seed=1)), directory)
+    return {name: (directory / name).read_bytes() for name in SPLIT_FILES}
+
+
+LINE_EDITS = st.tuples(
+    st.sampled_from(SPLIT_FILES), st.integers(0, 10**6),
+    st.sampled_from(["drop", "repeat", "replace", "cut"]),
+    st.one_of(st.binary(max_size=12),
+              st.sampled_from([b"", b"#", b"# seed=1", b"# tiebreak_seed=2 seed=3",
+                               b"domain,user", b"target,1,2,1", b"source,-1,0,1",
+                               b"1,2", b"3,4," + b"5," * 98 + b"6",
+                               b"3," + b"9" * 20 + b"," + b"5," * 98 + b"6"])))
+BYTE_FLIPS = st.tuples(st.sampled_from(SPLIT_FILES), st.integers(0, 10**6),
+                       st.integers(1, 255))
+
+
+class TestSplitReaderFuzz:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.one_of(LINE_EDITS, BYTE_FLIPS), min_size=1, max_size=4))
+    def test_edited_split_loads_or_raises_data_error(self, saved_split_files, tmp_path,
+                                                     edits):
+        files = dict(saved_split_files)
+        for name, at, *change in edits:
+            if len(change) == 1:
+                blob = bytearray(files[name])
+                blob[at % len(blob)] ^= change[0]
+                files[name] = bytes(blob)
+                continue
+            op, text = change
+            lines = files[name].split(b"\n")
+            i = at % len(lines)
+            if op == "drop":
+                del lines[i]
+            elif op == "repeat":
+                lines.insert(i, lines[i])
+            elif op == "replace":
+                lines[i] = text
+            else:
+                lines[i] = lines[i][:len(text)]
+            files[name] = b"\n".join(lines)
+        for name, blob in files.items():
+            (tmp_path / name).write_bytes(blob)
+        try:
+            data.load_split(tmp_path)
+        except data.DataError:
+            pass
+
+    def test_non_utf8_byte_names_the_file(self, saved_split_files, tmp_path):
+        for name, blob in saved_split_files.items():
+            (tmp_path / name).write_bytes(blob)
+        (tmp_path / "train.csv").write_bytes(saved_split_files["train.csv"] + b"\xff\n")
+        with pytest.raises(data.DataError, match="train.csv: cannot read"):
+            data.load_split(tmp_path)

@@ -43,7 +43,7 @@ def small_split_and_params(seed):
     params = model.ModelParams.init(dims, seed=seed + 1)
     params.matrices["adjacency"] = np.random.default_rng(seed + 2).normal(
         size=(8, 8)) * 0.3
-    return data.split_iid(dataset, seed=seed + 3), params
+    return data.generate_split(dataset, data.SplitSpec(seed=seed + 3)), params
 
 
 class TestRankMetrics:
@@ -160,7 +160,7 @@ class TestEvaluate:
         dataset, _ = data.synth_generate(data.SynthConfig(
             n_users=60, n_source_items=130, n_target_items=120,
             target_density=0.04, source_density=0.04, seed=3))
-        split = data.split_iid(dataset, seed=4)
+        split = data.generate_split(dataset, data.SplitSpec(seed=4))
         dims = model.ModelDims(k=4, n_users=60, n_source_items=130,
                                n_target_items=120)
         params = model.ModelParams.init(dims, seed=5)
@@ -174,7 +174,7 @@ class TestEvaluate:
         dataset, _ = data.synth_generate(data.SynthConfig(
             n_users=18, n_source_items=140, n_target_items=130,
             target_density=0.06, source_density=0.05, seed=8))
-        split = data.split_iid(dataset, seed=9)
+        split = data.generate_split(dataset, data.SplitSpec(seed=9))
         dims = model.ModelDims(k=4, n_users=18, n_source_items=140,
                                n_target_items=130)
         params = model.ModelParams.init(dims, seed=10)

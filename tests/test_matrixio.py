@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from causalcdr import matrixio
 
@@ -57,3 +58,20 @@ def test_name_that_is_not_utf8_rejected(tmp_path):
     path.write_bytes(blob)
     with pytest.raises(matrixio.ContainerError, match="utf-8"):
         matrixio.read_container(path)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.tuples(st.integers(0, 10**6), st.integers(1, 255)),
+                min_size=1, max_size=4))
+def test_flipped_bytes_read_or_raise_container_error(container, tmp_path, flips):
+    path, _ = container
+    blob = bytearray(path.read_bytes())
+    for at, mask in flips:
+        blob[at % len(blob)] ^= mask
+    flipped = tmp_path / "flipped.nmc"
+    flipped.write_bytes(bytes(blob))
+    try:
+        matrixio.read_container(flipped)
+    except matrixio.ContainerError:
+        pass

@@ -10,7 +10,7 @@ def small_setup():
                            k=4, target_density=0.03, source_density=0.05,
                            attribute_shift=1.0, seed=3)
     dataset, truth = data.synth_generate(cfg)
-    split = data.split_iid(dataset, seed=3)
+    split = data.generate_split(dataset, data.SplitSpec(seed=3))
     return dataset, split, truth
 
 
@@ -135,7 +135,7 @@ class TestTrain:
 
     def test_empty_target_train_rejected(self, small_setup):
         dataset, _, _ = small_setup
-        empty = data.split_iid(dataset, ratios=(1.0, 0.0, 0.0), seed=0)
+        empty = data.generate_split(dataset, data.SplitSpec(ratios=(1.0, 0.0, 0.0), seed=0))
         empty.train[data.TARGET] = set()
         with pytest.raises(training.TrainingError):
             training.train(dataset, empty, quick_config())
@@ -194,18 +194,18 @@ class TestGrlBlocks:
             domain, grads = run(p_mats)
             return lambda_domain * domain, grads
 
-        err = dc.finite_diff_check(
+        err = max(dc.finite_diff_details(
             disc_target, {n: params.matrices[n] for n in
-                          ("disc_h1", "disc_h2", "disc_out")}, step=1e-5)
+                          ("disc_h1", "disc_h2", "disc_out")}, step=1e-5).values())
         assert err < 1e-5
 
         def encoder_target(p_mats):
             domain, grads = run(p_mats)
             return -lambda_domain * grl_scale * domain, grads
 
-        err = dc.finite_diff_check(
+        err = max(dc.finite_diff_details(
             encoder_target, {"shared_encoder": params.matrices["shared_encoder"]},
-            step=1e-5)
+            step=1e-5).values())
         assert err < 1e-5
 
 
