@@ -48,6 +48,12 @@ class DatasetSection:
     def __post_init__(self):
         if self.kind not in ("synthetic", "csv"):
             raise ConfigError(f"unknown dataset.kind {self.kind!r}")
+        for name in ("user_column", "item_column"):
+            if not getattr(self, name):
+                raise ConfigError(f"dataset.{name} must name a column")
+        if not np.isfinite(self.positive_threshold):
+            raise ConfigError("dataset.positive_threshold must be finite, got "
+                              f"{self.positive_threshold}")
         if self.kind == "csv":
             for path in (self.source_path, self.target_path):
                 if not path:

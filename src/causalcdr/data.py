@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -74,10 +76,9 @@ class CrossDomainDataset:
         return cached
 
     def target_degrees(self) -> np.ndarray:
-        degrees = np.zeros(self.n_users, dtype=np.int64)
-        for u, _ in self.target_positives:
-            degrees[u] += 1
-        return degrees
+        users = np.fromiter((u for u, _ in self.target_positives), dtype=np.int64,
+                            count=len(self.target_positives))
+        return np.bincount(users, minlength=self.n_users).astype(np.int64, copy=False)
 
     @staticmethod
     def _check_domain(domain: str) -> None:
@@ -177,6 +178,9 @@ def _read_rows(path, user_column: str, item_column: str, rating_column: str,
                     rating = float(row[rating_column])
                 except (TypeError, ValueError):
                     raise DataError(f"{path}: bad rating at line {line_no}") from None
+                if not math.isfinite(rating):
+                    raise DataError(f"{path}: non-finite rating {row[rating_column]!r} "
+                                    f"at line {line_no}")
                 if rating < threshold:
                     continue
             attr = row[attribute_column] if attribute_column else None
@@ -317,24 +321,47 @@ def _ensure_test_users_trained(train: set, val: set, test: set, rng,
     for u, _ in train:
         train_per_user[u] = train_per_user.get(u, 0) + 1
 
+    # Donors are the train pairs of users with two or more of them, sorted,
+    # overall and per type. A promoted user goes from zero to one pair, so
+    # the lists only shrink: by each demoted pair, and by a user's last pair
+    # once its count drops to one. Kept current, they equal the lists a
+    # fresh sort would give at every draw.
+    donors = sorted(p for p in train if train_per_user[p[0]] >= 2)
+    if types is not None:
+        by_type: dict = {}
+        for p in donors:
+            by_type.setdefault(types[p[0]], []).append(p)
+
+    def drop(pair) -> None:
+        same_type = [by_type[types[pair[0]]]] if types is not None else []
+        for pairs in (donors, *same_type):
+            del pairs[bisect_left(pairs, pair)]
+
     for part in (val, test):
-        violators = sorted({u for u, _ in part if train_per_user.get(u, 0) == 0})
-        for u in violators:
-            user_held = sorted(p for p in part if p[0] == u)
+        # a demoted pair's user keeps a train pair, so this index of the
+        # violators' held pairs stays exact while they are promoted
+        held: dict = {}
+        for p in sorted(part):
+            if train_per_user.get(p[0], 0) == 0:
+                held.setdefault(p[0], []).append(p)
+        for u, user_held in held.items():
             promote = user_held[rng.integers(len(user_held))]
-            donors = sorted(p for p in train if train_per_user.get(p[0], 0) >= 2)
+            pool = donors
             if types is not None:
-                same_type = [p for p in donors if types[p[0]] == types[u]]
-                donors = same_type or donors
+                pool = by_type.get(types[u]) or donors
             part.discard(promote)
             train.add(promote)
-            train_per_user[u] = train_per_user.get(u, 0) + 1
+            train_per_user[u] = 1
             moves += 1
-            if donors:
-                demote = donors[rng.integers(len(donors))]
+            if pool:
+                demote = pool[rng.integers(len(pool))]
                 train.discard(demote)
                 part.add(demote)
-                train_per_user[demote[0]] -= 1
+                d = demote[0]
+                train_per_user[d] -= 1
+                drop(demote)
+                if train_per_user[d] == 1:
+                    drop(donors[bisect_left(donors, (d,))])
     return moves
 
 
@@ -543,9 +570,9 @@ def build_eval_candidates(dataset: CrossDomainDataset, test_positives,
     n_items = dataset.n_target_items
     out = []
     for u, pos in sorted(test_positives):
-        known = user_items.get(u, set())
-        eligible = np.array([j for j in range(n_items) if j not in known],
-                            dtype=np.intp)
+        mask = np.ones(n_items, dtype=bool)
+        mask[list(user_items.get(u, ()))] = False
+        eligible = np.flatnonzero(mask)
         if len(eligible) < N_EVAL_NEGATIVES:
             raise SplitError(
                 f"user {u} has only {len(eligible)} eligible negatives; "
@@ -644,10 +671,24 @@ def _positive_count(density: float, cells: int) -> int:
 
 
 def _positives_from_affinity(affinity: np.ndarray, density: float) -> set:
+    """The `count` highest-affinity cells, ties taken in flat-index order:
+    the first `count` of a stable descending sort.
+
+    np.partition finds the cut-off, the count-th largest value. Fewer than
+    `count` cells lie above it and at least `count` lie at or above it, so
+    a stable sort takes every cell above the cut-off, then the cells at the
+    cut-off in flat-index order until it has `count`. Only those cells are
+    then sorted, to insert them into the set in the stable sort's order.
+    """
     count = _positive_count(density, affinity.size)
-    top = np.argsort(-affinity.ravel(), kind="stable")[:count]
+    flat = affinity.ravel()
+    cutoff = np.partition(flat, flat.size - count)[flat.size - count]
+    above = np.flatnonzero(flat > cutoff)
+    ties = np.flatnonzero(flat == cutoff)[:count - len(above)]
+    top = np.concatenate([above, ties])
+    top = top[np.argsort(-flat[top], kind="stable")]
     rows, cols = np.unravel_index(top, affinity.shape)
-    return {(int(u), int(i)) for u, i in zip(rows, cols)}
+    return set(zip(rows.tolist(), cols.tolist()))
 
 
 def synth_generate(config: SynthConfig) -> tuple[CrossDomainDataset, GroundTruth]:

@@ -149,6 +149,9 @@ class TestConfigParsing:
         "split.ratios=-1,1,1", "split.ratios=nan,1,1", "split.train_mix=0.5,0.7",
         # second spellings that are no longer keys
         "eval_ks=5", "sparsity_fraction=0.5",
+        # dataset columns that cannot name a column, and a threshold that is not finite
+        "dataset.user_column=", "dataset.item_column=",
+        "dataset.positive_threshold=nan", "dataset.positive_threshold=inf",
         # a path the file system refuses to look up
         "dataset.kind=csv\ndataset.source_path=" + "x" * 300,
     ], ids=lambda line: line[:40])

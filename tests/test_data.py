@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -54,6 +56,16 @@ class TestIngest:
         write_csv(src, ["a,x,5", "a,y,bad"])
         write_csv(tgt, ["a,p,5"])
         with pytest.raises(data.DataError, match="line 3"):
+            data.ingest_csv(src, tgt)
+
+    @pytest.mark.parametrize("rating", ["nan", "NaN", "inf", "-inf"])
+    def test_non_finite_rating_rejected(self, tmp_path, rating):
+        # nan < threshold is never true, so a nan rating would pass as a positive
+        src = tmp_path / "src.csv"
+        tgt = tmp_path / "tgt.csv"
+        write_csv(src, ["a,x,5", f"a,y,{rating}"])
+        write_csv(tgt, ["a,p,5"])
+        with pytest.raises(data.DataError, match=r"src\.csv: non-finite rating .* line 3"):
             data.ingest_csv(src, tgt)
 
     def test_empty_intersection_rejected(self, tmp_path):
@@ -546,3 +558,193 @@ class TestSplitReaderFuzz:
         (tmp_path / "train.csv").write_bytes(saved_split_files["train.csv"] + b"\xff\n")
         with pytest.raises(data.DataError, match="train.csv: cannot read"):
             data.load_split(tmp_path)
+
+
+# ---------------------------------------------------------------------------
+# The loop-and-sort forms of the three data-building functions that now do
+# array work. Each array form must return what its loop form returns and
+# consume the generator's stream the same way.
+
+def loop_positives_from_affinity(affinity, density):
+    count = data._positive_count(density, affinity.size)
+    top = np.argsort(-affinity.ravel(), kind="stable")[:count]
+    rows, cols = np.unravel_index(top, affinity.shape)
+    return {(int(u), int(i)) for u, i in zip(rows, cols)}
+
+
+def loop_ensure_test_users_trained(train, val, test, rng, types=None):
+    moves = 0
+    train_per_user = {}
+    for u, _ in train:
+        train_per_user[u] = train_per_user.get(u, 0) + 1
+
+    for part in (val, test):
+        violators = sorted({u for u, _ in part if train_per_user.get(u, 0) == 0})
+        for u in violators:
+            user_held = sorted(p for p in part if p[0] == u)
+            promote = user_held[rng.integers(len(user_held))]
+            donors = sorted(p for p in train if train_per_user.get(p[0], 0) >= 2)
+            if types is not None:
+                same_type = [p for p in donors if types[p[0]] == types[u]]
+                donors = same_type or donors
+            part.discard(promote)
+            train.add(promote)
+            train_per_user[u] = train_per_user.get(u, 0) + 1
+            moves += 1
+            if donors:
+                demote = donors[rng.integers(len(donors))]
+                train.discard(demote)
+                part.add(demote)
+                train_per_user[demote[0]] -= 1
+    return moves
+
+
+def loop_build_eval_candidates(dataset, test_positives, seed):
+    """(lists, generator after the last draw)."""
+    rng = np.random.default_rng(seed)
+    user_items = dataset.user_items(TARGET)
+    out = []
+    for u, pos in sorted(test_positives):
+        known = user_items.get(u, set())
+        eligible = np.array([j for j in range(dataset.n_target_items) if j not in known],
+                            dtype=np.intp)
+        negatives = rng.choice(eligible, size=data.N_EVAL_NEGATIVES, replace=False)
+        out.append(data._candidate_list(seed, u, pos, negatives.tolist()))
+    return out, rng
+
+
+def random_parts(seed, train_share, n_users=40, n_items=30, n_pairs=130):
+    """Random disjoint (train, validation, test) pairs, about three per
+    user, so that many users hold nothing in train."""
+    rng = np.random.default_rng(seed)
+    cells = rng.choice(n_users * n_items, size=n_pairs, replace=False)
+    where = rng.choice(3, size=n_pairs, p=[train_share, (1 - train_share) / 2,
+                                           (1 - train_share) / 2])
+    pairs = [(int(c) // n_items, int(c) % n_items) for c in cells]
+    parts = tuple({p for p, w in zip(pairs, where) if w == k} for k in range(3))
+    return parts, rng.integers(0, 2, size=n_users).astype(np.int8)
+
+
+class TestArrayFormsMatchLoopForms:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("values", ["normal", "few_integers", "signed_zeros"])
+    def test_positives_from_affinity(self, seed, values):
+        rng = np.random.default_rng(seed)
+        shape = (37, 53)
+        affinity = {
+            "normal": lambda: rng.normal(size=shape),
+            # nearly every cut-off falls inside a long run of ties
+            "few_integers": lambda: rng.integers(0, 4, size=shape).astype(np.float64),
+            # -0.0 and 0.0 tie in both the sort and the cut-off test
+            "signed_zeros": lambda: rng.choice([-0.0, 0.0, 1.0], size=shape),
+        }[values]()
+        cells = affinity.size
+        for count in (1, 2, cells // 50, cells // 3, cells - 1):
+            density = count / cells
+            assert data._positive_count(density, cells) == count
+            got = data._positives_from_affinity(affinity, density)
+            want = loop_positives_from_affinity(affinity, density)
+            assert got == want
+            # inserted in the same order, so they also iterate alike
+            assert list(got) == list(want)
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("train_share", [0.15, 0.4, 0.7])
+    @pytest.mark.parametrize("typed", [False, True], ids=["untyped", "typed"])
+    def test_ensure_test_users_trained(self, seed, train_share, typed):
+        parts, types = random_parts(seed, train_share)
+        types = types if typed else None
+        got = [set(p) for p in parts]
+        want = [set(p) for p in parts]
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got_moves = data._ensure_test_users_trained(*got, got_rng, types=types)
+        want_moves = loop_ensure_test_users_trained(*want, want_rng, types=types)
+        assert got_moves == want_moves > 0
+        assert got == want
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_build_eval_candidates(self, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        n_users, n_items = 25, 160
+        # the last user holds no positive at all
+        positives = {(int(u), int(i)) for u, i in zip(rng.integers(n_users - 1, size=700),
+                                                      rng.integers(n_items, size=700))}
+        dataset = data.CrossDomainDataset(n_users=n_users, n_source_items=3,
+                                          n_target_items=n_items,
+                                          source_positives={(0, 0)},
+                                          target_positives=positives)
+        pool = sorted(positives)
+        held = [pool[j] for j in rng.choice(len(pool), size=60, replace=False)]
+        held.append((n_users - 1, 5))
+        want, want_rng = loop_build_eval_candidates(dataset, held, seed + 100)
+
+        made = []
+        default_rng = np.random.default_rng
+
+        def recording_rng(s):
+            made.append(default_rng(s))
+            return made[-1]
+
+        monkeypatch.setattr(np.random, "default_rng", recording_rng)
+        got = data.build_eval_candidates(dataset, held, seed + 100)
+        assert len(made) == 1
+        assert made[0].bit_generator.state == want_rng.bit_generator.state
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert (g.user, g.positive_item, g.positive_position) == \
+                (w.user, w.positive_item, w.positive_position)
+            assert g.items.dtype == w.items.dtype and np.array_equal(g.items, w.items)
+
+
+# ---------------------------------------------------------------------------
+# The bytes save_split writes for one small request per split kind, and for
+# a tiny CSV dataset. A change that moves a single byte of a split, its
+# candidate lists or the positives they are drawn from changes a digest.
+
+GOLDEN_SYNTH = data.SynthConfig(n_users=120, n_source_items=150, n_target_items=130,
+                                k=4, target_density=0.03, source_density=0.05,
+                                attribute_shift=1.0, seed=3)
+GOLDEN_SPLITS = {
+    "iid": (data.SplitSpec(kind="iid", seed=4),
+            "1f3b879410c24831b0a45ea631000116829d4c451a0ec9012e8801aeb3d310b2"),
+    "ood_degree": (data.SplitSpec(kind="ood_degree", train_mix=(0.7, 0.3),
+                                  test_mix=(0.3, 0.7), seed=4),
+                   "d761e903ee2f074b07d1f07049a758f6bb9907115e450c76f0571027d4df5bc1"),
+    "ood_attribute": (data.SplitSpec(kind="ood_attribute", train_mix=(0.8, 0.2),
+                                     test_mix=(0.2, 0.8), seed=4),
+                      "ccbc9ca4e8ae064a4d1204596a66ff82499b1ac9009f41acbc883f174150dc58"),
+    "csv": (data.SplitSpec(kind="iid", seed=4),
+            "86299c157deb35ff84aabdfdf52b3ef2f85a23aec6935e141ca358faa776fb0e"),
+}
+
+
+def golden_csv_dataset(directory):
+    """400 rows per file over 40 string-keyed users, ratings 1-5."""
+    rng = np.random.default_rng(8)
+    for name, n_items in (("source", 90), ("target", 200)):
+        lines = ["user,item,rating,attribute"]
+        for _ in range(400):
+            u, i, r = (int(rng.integers(40)), int(rng.integers(n_items)),
+                       int(rng.integers(1, 6)))
+            lines.append(f"u{u},{i},{r},{'fm'[u % 2]}")
+        (directory / f"{name}.csv").write_text("\n".join(lines) + "\n")
+    return data.ingest_csv(directory / "source.csv", directory / "target.csv")
+
+
+def directory_digest(directory):
+    digest = hashlib.sha256()
+    for path in sorted(directory.iterdir()):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("case", list(GOLDEN_SPLITS))
+def test_saved_split_bytes_are_pinned(tmp_path, case):
+    spec, sha256 = GOLDEN_SPLITS[case]
+    if case == "csv":
+        dataset = golden_csv_dataset(tmp_path)
+    else:
+        dataset, _ = data.synth_generate(GOLDEN_SYNTH)
+    data.save_split(data.generate_split(dataset, spec), tmp_path / "split")
+    assert directory_digest(tmp_path / "split") == sha256
