@@ -44,10 +44,6 @@ class CausalLossTerms:
     not_root: float
     sparsity: float
 
-    def weighted_total(self, w: PenaltyWeights) -> float:
-        return (self.reconstruction + w.dag * self.dag + w.direction * self.direction
-                + w.not_root * self.not_root + w.sparsity * self.sparsity)
-
 
 def adjacency_mask(k: int, strict: bool = False) -> np.ndarray:
     """Trainable-entry mask: zero diagonal always; with strict=True only

@@ -255,36 +255,44 @@ def train_seed(config: ExperimentConfig, dataset, split, seed: int,
                        meta={"config_hash": config_hash(config), "seed": str(seed)})
     training.history_to_csv(result.history, seed_dir / "history.csv",
                             header_meta=meta)
-    metrics = evaluation.evaluate(result.params, result.adjacency, split,
-                                  ks=config.eval_ks)
-    report = evaluation.aggregate_runs([metrics])
-    evaluation.write_metrics_csv(report, config.split.kind,
-                                 seed_dir / "metrics_seed.csv", header_meta=meta,
-                                 value_format="{!r}")
+    metrics = _score_seed(config, result.params, result.adjacency, split, seed_dir, meta)
     if result.adjacency is not None:
         causal.export_edge_list(result.adjacency, config.graph_threshold,
                                 seed_dir / "graph_edges.csv", extra_meta=meta)
     return metrics
 
 
+def _score_seed(config: ExperimentConfig, params, adjacency, split,
+                seed_dir: Path, meta: str) -> dict:
+    """Test metrics of one seed's model, also written to its metrics_seed.csv."""
+    metrics = evaluation.evaluate(params, adjacency, split, ks=config.eval_ks)
+    evaluation.write_metrics_csv(evaluation.aggregate_runs([metrics]), config.split.kind,
+                                 seed_dir / "metrics_seed.csv", header_meta=meta,
+                                 value_format="{!r}")
+    return metrics
+
+
 def evaluate_seed(config: ExperimentConfig, dataset, split, seed: int,
                   out: Path) -> dict:
+    """Re-score seed's stored checkpoint on split; dataset is not used."""
     seed_dir = out / f"seed_{seed}"
     checkpoint = seed_dir / "checkpoint.nmc"
     if not checkpoint.is_file():
         raise StageFailure("evaluate", FileNotFoundError(
             f"no checkpoint {checkpoint}; train seed {seed} first"))
     params = model.ModelParams.load(checkpoint)
-    adjacency = None
-    if config.train.ablation != "no_causal":
-        adjacency = params.effective_adjacency_matrix()
-    metrics = evaluation.evaluate(params, adjacency, split, ks=config.eval_ks)
-    report = evaluation.aggregate_runs([metrics])
-    evaluation.write_metrics_csv(report, config.split.kind,
-                                 seed_dir / "metrics_seed.csv",
-                                 header_meta=_meta(config, seed),
-                                 value_format="{!r}")
-    return metrics
+    # an id beyond the checkpoint's tables would reach gather_cols as a ShapeError
+    lists, dims = split.eval_candidates, params.dims
+    for what, ids, size in (("user", [c.user for c in lists], dims.n_users),
+                            ("target item", [c.items for c in lists], dims.n_target_items)):
+        largest = np.max(ids, initial=-1)
+        if largest >= size:
+            raise StageFailure("evaluate", ValueError(
+                f"{checkpoint} holds {size} {what}s, but the split's test lists "
+                f"hold {what} id {largest}"))
+    adjacency = (None if config.train.ablation == "no_causal"
+                 else params.effective_adjacency_matrix())
+    return _score_seed(config, params, adjacency, split, seed_dir, _meta(config, seed))
 
 
 def write_report(config: ExperimentConfig, runs: list, out: Path,
@@ -375,9 +383,17 @@ def _cmd_train(args) -> int:
 def _cmd_evaluate(args) -> int:
     config = _config_from_args(args)
     out = Path(config.out_dir)
-    dataset, _, split = prepare(config, out)
+    split = data.load_split(out / "splits")
+    stored, expected = split.meta.get("config_hash"), config_hash(config)
+    if stored != expected:
+        raise StageFailure("evaluate", ValueError(
+            f"{out / 'splits' / 'train.csv'} was written for config_hash={stored}, "
+            f"this config has config_hash={expected}; run prepare or train again"))
+    if not split.eval_candidates:
+        raise StageFailure("evaluate", ValueError(
+            f"{out / 'splits' / 'candidates_test.csv'} holds no candidate lists"))
     seeds = [args.seed] if args.seed is not None else config.seeds
-    runs = [evaluate_seed(config, dataset, split, seed, out) for seed in seeds]
+    runs = [evaluate_seed(config, None, split, seed, out) for seed in seeds]
     report = evaluation.aggregate_runs(runs)
     for key in sorted(report.mean):
         print(f"{key}: {report.mean[key]:.4f} (±{report.std[key]:.4f})")

@@ -110,6 +110,7 @@ class SplitResult:
     seed: int
     tiebreak_seed: int
     forced_train_moves: int = 0
+    meta: dict = field(default_factory=dict)  # header fields after the seeds (extra_meta)
 
     def part(self, name: str) -> dict:
         return {"train": self.train, "validation": self.validation,
@@ -199,6 +200,8 @@ def ingest_csv(source_path, target_path, *, user_column: str = "user",
     user keys; indices are dense and sorted numerically when every key
     parses as an integer.
     """
+    if not math.isfinite(positive_threshold):
+        raise DataError(f"positive_threshold must be finite, got {positive_threshold}")
     columns = (user_column, item_column, rating_column, attribute_column)
     raw = {}
     attrs: dict[str, str] = {}
@@ -792,13 +795,16 @@ def _split_ints(path, line_no: int, fields) -> list:
     return values
 
 
-def _split_header(path, line_no: int, line: str) -> tuple:
-    """(seed, tiebreak_seed) of a '# seed=... tiebreak_seed=...' line."""
+def _split_header(path, line: str) -> tuple:
+    """(seed, tiebreak_seed, other fields) of a split file's first line,
+    '# seed=... tiebreak_seed=...' plus save_split's extra_meta."""
     try:
+        if not line.startswith("#"):
+            raise ValueError
         fields = dict(kv.split("=") for kv in line[1:].split())
-        return int(fields["seed"]), int(fields["tiebreak_seed"])
+        return int(fields.pop("seed")), int(fields.pop("tiebreak_seed")), fields
     except (ValueError, KeyError):
-        raise DataError(f"{path}: line {line_no}: malformed header {line!r}") from None
+        raise DataError(f"{path}: line 1: malformed header {line!r}") from None
 
 
 def _split_lines(path) -> list:
@@ -812,17 +818,25 @@ def _split_lines(path) -> list:
 
 def load_split(directory) -> SplitResult:
     """Read what save_split wrote; DataError names the file, and the line
-    of any row that does not parse."""
+    of any row that does not parse. All five files must open with the
+    same header line."""
     directory = Path(directory)
+    rows, first = {}, None
+    for name in ("train", "validation", "test", "candidates_test",
+                 "candidates_validation"):
+        path = directory / f"{name}.csv"
+        (_, header), *rows[name] = _split_lines(path)
+        seed, tiebreak_seed, meta = _split_header(path, header)
+        first = first or header
+        if header != first:
+            raise DataError(f"{path}: header {header!r} differs from "
+                            f"{directory / 'train.csv'}'s {first!r}")
+
     parts = {}
-    seed = tiebreak_seed = 0
     for name in ("train", "validation", "test"):
         part = {SOURCE: set(), TARGET: set()}
         path = directory / f"{name}.csv"
-        for line_no, line in _split_lines(path):
-            if line.startswith("#"):
-                seed, tiebreak_seed = _split_header(path, line_no, line)
-                continue
+        for line_no, line in rows[name]:
             if not line or line.startswith("domain,"):
                 continue
             row = line.split(",")
@@ -837,8 +851,8 @@ def load_split(directory) -> SplitResult:
     for name in ("candidates_test", "candidates_validation"):
         lists = []
         path = directory / f"{name}.csv"
-        for line_no, line in _split_lines(path):
-            if not line or line.startswith("#"):
+        for line_no, line in rows[name]:
+            if not line:
                 continue
             values = _split_ints(path, line_no, line.split(","))
             negatives = values[2:]
@@ -852,4 +866,4 @@ def load_split(directory) -> SplitResult:
                        test=parts["test"],
                        eval_candidates=candidates["candidates_test"],
                        val_candidates=candidates["candidates_validation"],
-                       seed=seed, tiebreak_seed=tiebreak_seed)
+                       seed=seed, tiebreak_seed=tiebreak_seed, meta=meta)

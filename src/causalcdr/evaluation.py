@@ -88,6 +88,8 @@ def evaluate(params: model.ModelParams, adjacency: np.ndarray | None,
     """Score every stored candidate list with the model's training forward
     pass on a value-only tape and average the ranking metrics; adjacency
     None evaluates the no-causal variant."""
+    if part not in ("test", "validation"):
+        raise ValueError(f"unknown part {part!r}; expected 'test' or 'validation'")
     candidates = split.eval_candidates if part == "test" else split.val_candidates
     if not candidates:
         raise ValueError(f"split has no {part} candidates")

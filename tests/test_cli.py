@@ -1,10 +1,12 @@
+import hashlib
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
-from causalcdr import cli, data, evaluation, matrixio
+from causalcdr import cli, data, evaluation, matrixio, model
 
 BASE_CONFIG = """
 dataset.kind=synthetic
@@ -245,6 +247,13 @@ class TestCommands:
 
     def test_evaluate_without_checkpoint_exits_2(self, tmp_path, capsys):
         path = write_config(tmp_path, out_dir=str(tmp_path / "noeval"))
+        # evaluate reads the stored splits/ first and does not build them
+        assert cli.main(["evaluate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "runtime failure" in err and "splits/train.csv: cannot read" in err
+        assert not (tmp_path / "noeval").exists()
+        assert cli.main(["prepare", "--config", str(path)]) == 0
+        capsys.readouterr()
         assert cli.main(["evaluate", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert "runtime failure" in err and "checkpoint.nmc" in err
@@ -326,6 +335,102 @@ class TestCommands:
         assert cli.main(["ablate", "--config", str(path), "--mode",
                          "no_causal"]) == 0
         assert (tmp_path / "runab" / "ablate_no_causal" / "metrics.csv").exists()
+
+
+def digests(directory):
+    return {path.relative_to(directory): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(directory.rglob("*")) if path.is_file()}
+
+
+@pytest.fixture(scope="module")
+def trained_run(tmp_path_factory):
+    """A run directory that `train` wrote for BASE_CONFIG."""
+    directory = tmp_path_factory.mktemp("trained")
+    path = write_config(directory, out_dir=str(directory / "run"))
+    assert cli.main(["train", "--config", str(path)]) == 0
+    return directory / "run"
+
+
+class TestEvaluateStoredRun:
+    """`evaluate` re-scores the checkpoints against the stored splits/; it
+    never rebuilds the split, and it refuses a run it cannot score."""
+
+    @pytest.fixture
+    def run(self, tmp_path, trained_run):
+        shutil.copytree(trained_run, tmp_path / "run")
+        return tmp_path / "run"
+
+    def evaluate(self, tmp_path, run, text=BASE_CONFIG):
+        path = write_config(tmp_path, text)
+        return cli.main(["evaluate", "--config", str(path), "--out", str(run)])
+
+    def test_evaluate_after_train_rewrites_nothing(self, tmp_path, run, monkeypatch,
+                                                   capsys):
+        before = digests(run)
+
+        def no_dataset(config):
+            raise AssertionError("evaluate must not build the dataset")
+
+        monkeypatch.setattr(cli, "build_dataset", no_dataset)
+        assert self.evaluate(tmp_path, run) == 0
+        assert "HR@10" in capsys.readouterr().out
+        assert digests(run) == before
+
+    def test_changed_split_seed_exits_2(self, tmp_path, run, capsys):
+        before = digests(run)
+        text = BASE_CONFIG.replace("split.seed=11", "split.seed=12")
+        assert self.evaluate(tmp_path, run, text) == 2
+        err = capsys.readouterr().err
+        ours = cli.config_hash(cli.parse_config_text(BASE_CONFIG))
+        theirs = cli.config_hash(cli.parse_config_text(text))
+        assert err.startswith("runtime failure") and "splits/train.csv" in err
+        assert f"config_hash={ours}" in err and f"config_hash={theirs}" in err
+        assert digests(run) == before
+
+    def test_missing_splits_exits_2(self, tmp_path, run, capsys):
+        shutil.rmtree(run / "splits")
+        before = digests(run)
+        assert self.evaluate(tmp_path, run) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runtime failure") and "splits/train.csv: cannot read" in err
+        assert digests(run) == before
+
+    def test_split_without_test_lists_exits_2(self, tmp_path, run, capsys):
+        path = run / "splits" / "candidates_test.csv"
+        path.write_text(path.read_text().splitlines()[0] + "\n")
+        before = digests(run)
+        assert self.evaluate(tmp_path, run) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runtime failure")
+        assert "splits/candidates_test.csv holds no candidate lists" in err
+        assert digests(run) == before
+
+    @pytest.mark.parametrize("narrow, named", [
+        ({"n_target_items": 50}, "target item id"), ({"n_users": 30}, "user id")],
+        ids=["target_items", "users"])
+    def test_checkpoint_narrower_than_the_split_exits_2(self, tmp_path, run, capsys,
+                                                        narrow, named):
+        dims = model.ModelDims(**{"k": 4, "n_users": 80, "n_source_items": 120,
+                                  "n_target_items": 110, **narrow})
+        checkpoint = run / "seed_1" / "checkpoint.nmc"
+        model.ModelParams.init(dims, seed=3).save(checkpoint)
+        before = digests(run)
+        assert self.evaluate(tmp_path, run) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runtime failure") and str(checkpoint) in err
+        assert named in err
+        assert digests(run) == before
+
+    def test_split_file_from_another_seed_exits_2(self, tmp_path, run, capsys):
+        other = cli.parse_config_text(BASE_CONFIG.replace("split.seed=11", "split.seed=12"))
+        cli.prepare(other, tmp_path / "other")
+        shutil.copy(tmp_path / "other" / "splits" / "candidates_test.csv", run / "splits")
+        before = digests(run)
+        assert self.evaluate(tmp_path, run) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runtime failure")
+        assert "splits/candidates_test.csv: header" in err and "differs" in err
+        assert digests(run) == before
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,16 @@ class TestIngest:
         with pytest.raises(data.DataError, match=r"src\.csv: non-finite rating .* line 3"):
             data.ingest_csv(src, tgt)
 
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_threshold_rejected(self, tmp_path, threshold):
+        # at nan, rating < threshold is never true and every row would be a positive
+        src = tmp_path / "src.csv"
+        tgt = tmp_path / "tgt.csv"
+        write_csv(src, ["a,x,1", "a,y,5"])
+        write_csv(tgt, ["a,p,5"])
+        with pytest.raises(data.DataError, match="positive_threshold must be finite"):
+            data.ingest_csv(src, tgt, positive_threshold=threshold)
+
     def test_empty_intersection_rejected(self, tmp_path):
         src = tmp_path / "src.csv"
         tgt = tmp_path / "tgt.csv"
@@ -431,6 +441,10 @@ class TestSynth:
         assert means[0] < means[1] < means[2] < means[3]
 
 
+SPLIT_FILES = ("train.csv", "validation.csv", "test.csv", "candidates_test.csv",
+               "candidates_validation.csv")
+
+
 class TestSplitSerialization:
     def test_round_trip(self, tmp_path, synth_dataset):
         split = data.generate_split(synth_dataset, data.SplitSpec(seed=13))
@@ -463,9 +477,12 @@ class TestSplitSerialization:
         ("train.csv", 3, lambda row: [row[0], "-1"] + row[2:], "line 3: expected integer"),
         ("candidates_test.csv", 2, lambda row: row[:5] + ["9" * 20] + row[6:],
          "line 2: expected integer"),
+        ("candidates_validation.csv", 1, lambda row: ["1", "2"], "line 1: malformed header"),
+        ("validation.csv", 1, lambda row: ["seed=1 tiebreak_seed=2"], "line 1: malformed header"),
     ], ids=["short_row", "unknown_domain", "user_not_int", "item_not_int",
             "negative_not_int", "candidate_user_empty", "seed_not_int",
-            "header_without_seed", "user_below_zero", "negative_beyond_intp"])
+            "header_without_seed", "user_below_zero", "negative_beyond_intp",
+            "candidates_without_header", "header_without_hash_mark"])
     def test_malformed_row_names_file_and_line(self, tmp_path, synth_dataset,
                                                name, line_no, edit, message):
         split = data.generate_split(synth_dataset, data.SplitSpec(seed=14))
@@ -476,6 +493,25 @@ class TestSplitSerialization:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(data.DataError, match=f"{name}: {message}"):
             data.load_split(tmp_path / "split")
+
+    def test_round_trip_keeps_extra_meta(self, tmp_path, synth_dataset):
+        split = data.generate_split(synth_dataset, data.SplitSpec(seed=13))
+        data.save_split(split, tmp_path / "split", extra_meta="config_hash=ab12 note=x")
+        loaded = data.load_split(tmp_path / "split")
+        assert (loaded.seed, loaded.tiebreak_seed) == (split.seed, split.tiebreak_seed)
+        assert loaded.meta == {"config_hash": "ab12", "note": "x"}
+
+    @pytest.mark.parametrize("name", SPLIT_FILES[1:])
+    def test_file_from_another_split_rejected(self, tmp_path, synth_dataset, name):
+        # a candidate file drawn with another seed would be ordered with the
+        # wrong tie-break seed
+        for seed in (11, 12):
+            data.save_split(data.generate_split(synth_dataset, data.SplitSpec(seed=seed)),
+                            tmp_path / f"split_{seed}")
+        (tmp_path / "split_11" / name).write_bytes((tmp_path / "split_12" / name).read_bytes())
+        with pytest.raises(data.DataError, match=f"split_11/{name}: header "
+                                                 r"'# seed=12 tiebreak_seed=\d+' differs"):
+            data.load_split(tmp_path / "split_11")
 
     @pytest.mark.parametrize("drop", [1, -1])
     def test_candidate_row_with_wrong_negative_count_rejected(self, tmp_path,
@@ -492,10 +528,6 @@ class TestSplitSerialization:
                            match=f"candidates_validation.csv: line 3 has {negatives} "
                                  f"negatives, expected 99"):
             data.load_split(tmp_path / "split")
-
-
-SPLIT_FILES = ("train.csv", "validation.csv", "test.csv", "candidates_test.csv",
-               "candidates_validation.csv")
 
 
 @pytest.fixture(scope="module")

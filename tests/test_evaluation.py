@@ -217,6 +217,11 @@ class TestEvaluate:
             assert brute_force_rank(row, cand.positive_position) == \
                 brute_force_rank(alone, cand.positive_position)
 
+    def test_unknown_part_rejected(self):
+        split, params = small_split_and_params(seed=32)
+        with pytest.raises(ValueError, match="unknown part 'tset'"):
+            evaluation.evaluate(params, None, split, part="tset")
+
     def test_list_of_wrong_length_names_the_user(self):
         candidates = make_candidates(3, seed=31)
         candidates[1] = CandidateList(user=17, positive_item=0,

@@ -299,8 +299,10 @@ class TestTotalLoss:
                     + config.lambda_causal * b.causal
                     + config.lambda_reg * b.regularizer)
         assert float(total.value) == pytest.approx(expected, rel=1e-12)
-        assert b.causal == pytest.approx(b.causal_terms.weighted_total(config.penalty),
-                                         rel=1e-12)
+        terms, w = b.causal_terms, config.penalty
+        causal = (terms.reconstruction + w.dag * terms.dag + w.direction * terms.direction
+                  + w.not_root * terms.not_root + w.sparsity * terms.sparsity)
+        assert b.causal == pytest.approx(causal, rel=1e-12)
 
     def test_no_causal_equals_zeroed_causal_path(self):
         target, source = make_batches(seed=23)
