@@ -296,11 +296,6 @@ def _apportion(n: int, ratios) -> tuple:
     return tuple(int(c) for c in counts)
 
 
-def _stable_key(seed: int, user: int, item: int) -> int:
-    digest = hashlib.sha1(f"{seed}:{user}:{item}".encode()).digest()
-    return int.from_bytes(digest[:8], "big")
-
-
 def _partition_domain(positives, ratios, rng) -> tuple:
     pool = sorted(positives)
     rng.shuffle(pool)
@@ -553,26 +548,48 @@ def sample_train_negatives(dataset: CrossDomainDataset, split: SplitResult,
     return TrainingExamples(users, items, labels, skipped_saturated_users=skipped)
 
 
-def _candidate_list(seed: int, user: int, positive: int, negatives) -> CandidateList:
-    """The positive and its negatives in tie-break order: sorted by
-    (_stable_key(seed, user, item), item). save_split writes the negatives
-    in this order and load_split rebuilds it from the tiebreak seed."""
-    items = sorted([positive, *negatives], key=lambda j: (_stable_key(seed, user, j), j))
-    return CandidateList(user=user, positive_item=positive,
-                         items=np.array(items, dtype=np.intp),
-                         positive_position=items.index(positive))
+CANDIDATE_BLOCK_LISTS = 64
+# the first 8 bytes of each joined 20-byte SHA-1 digest, read big-endian
+_DIGEST_KEY = np.dtype({"names": ["key"], "formats": [">u8"], "itemsize": 20})
+
+
+def _candidate_lists(seed: int, users, items: np.ndarray) -> list:
+    """One CandidateList per row of `items` (L, 1 + N_EVAL_NEGATIVES intp,
+    the positive in column 0), each row sorted in place into tie-break
+    order: by the first 8 bytes, read big-endian, of
+    sha1(f"{seed}:{user}:{item}"), ties by item id. Each list's `items` is
+    a view of its row. save_split writes the negatives in this order and
+    load_split rebuilds it from the tiebreak seed."""
+    positives, out = items[:, 0].tolist(), []
+    for start in range(0, len(items), CANDIDATE_BLOCK_LISTS):
+        stop = start + CANDIDATE_BLOCK_LISTS
+        block, block_users = items[start:stop], users[start:stop]
+        digests = []
+        for user, row in zip(block_users, block.tolist()):
+            prefix = b"%d:%d:" % (seed, user)
+            digests += [hashlib.sha1(prefix + b"%d" % j).digest() for j in row]
+        keys = np.frombuffer(b"".join(digests), _DIGEST_KEY)["key"].reshape(block.shape)
+        block[:] = np.take_along_axis(block, np.lexsort((block, keys), axis=1), axis=1)
+        block_positives = positives[start:stop]
+        where = np.argmax(block == np.array(block_positives)[:, None], axis=1).tolist()
+        out += [CandidateList(user=user, positive_item=positive, items=row,
+                              positive_position=position)
+                for user, positive, row, position
+                in zip(block_users, block_positives, block, where)]
+    return out
 
 
 def build_eval_candidates(dataset: CrossDomainDataset, test_positives,
                           seed: int) -> list:
     """99 uniform never-interacted negatives per test positive, in the
-    tie-break order of _candidate_list.
+    tie-break order of _candidate_lists.
     """
     rng = np.random.default_rng(seed)
     user_items = dataset.user_items(TARGET)
     n_items = dataset.n_target_items
-    out = []
-    for u, pos in sorted(test_positives):
+    pairs = sorted(test_positives)
+    items = np.empty((len(pairs), 1 + N_EVAL_NEGATIVES), dtype=np.intp)
+    for r, (u, pos) in enumerate(pairs):
         mask = np.ones(n_items, dtype=bool)
         mask[list(user_items.get(u, ()))] = False
         eligible = np.flatnonzero(mask)
@@ -580,9 +597,9 @@ def build_eval_candidates(dataset: CrossDomainDataset, test_positives,
             raise SplitError(
                 f"user {u} has only {len(eligible)} eligible negatives; "
                 f"{N_EVAL_NEGATIVES} required")
-        negatives = rng.choice(eligible, size=N_EVAL_NEGATIVES, replace=False)
-        out.append(_candidate_list(seed, u, pos, negatives.tolist()))
-    return out
+        items[r, 0] = pos
+        items[r, 1:] = rng.choice(eligible, size=N_EVAL_NEGATIVES, replace=False)
+    return _candidate_lists(seed, [u for u, _ in pairs], items)
 
 
 # ---------------------------------------------------------------------------
@@ -778,9 +795,10 @@ def save_split(split: SplitResult, directory, extra_meta: str = "") -> None:
         with open(directory / f"{name}.csv", "w", encoding="utf-8") as fh:
             fh.write(header + "\n")
             for cand in candidates:
-                negatives = [int(j) for j in cand.items if j != cand.positive_item]
-                fh.write(",".join(str(x) for x in
-                                  [cand.user, cand.positive_item] + negatives) + "\n")
+                negatives = cand.items.tolist()
+                del negatives[cand.positive_position]
+                fh.write(",".join(map(str, [cand.user, cand.positive_item, *negatives]))
+                         + "\n")
 
 
 def _split_ints(path, line_no: int, fields) -> list:
@@ -840,27 +858,34 @@ def load_split(directory) -> SplitResult:
             if not line or line.startswith("domain,"):
                 continue
             row = line.split(",")
-            if len(row) != 4 or row[0] not in part:
+            if len(row) != 4 or row[0] not in part or row[3] != "1":
                 raise DataError(f"{path}: line {line_no}: expected "
                                 f"domain,user,item,label with domain source "
-                                f"or target, got {line!r}")
+                                f"or target and label 1, got {line!r}")
             part[row[0]].add(tuple(_split_ints(path, line_no, row[1:3])))
         parts[name] = part
 
     candidates = {}
     for name in ("candidates_test", "candidates_validation"):
-        lists = []
         path = directory / f"{name}.csv"
-        for line_no, line in rows[name]:
-            if not line:
-                continue
+        numbered = [(line_no, line) for line_no, line in rows[name] if line]
+        items = np.empty((len(numbered), 1 + N_EVAL_NEGATIVES), dtype=np.intp)
+        users = []
+        for r, (line_no, line) in enumerate(numbered):
             values = _split_ints(path, line_no, line.split(","))
             negatives = values[2:]
             if len(negatives) != N_EVAL_NEGATIVES:
                 raise DataError(f"{path}: line {line_no} has {len(negatives)} "
                                 f"negatives, expected {N_EVAL_NEGATIVES}")
-            lists.append(_candidate_list(tiebreak_seed, values[0], values[1], negatives))
-        candidates[name] = lists
+            users.append(values[0])
+            items[r] = values[1:]
+        candidates[name] = _candidate_lists(tiebreak_seed, users, items)
+        # sorted rows hold a repeated item in adjacent columns
+        repeats = np.flatnonzero(np.any(items[:, 1:] == items[:, :-1], axis=1))
+        if len(repeats):
+            row = items[repeats[0]]
+            raise DataError(f"{path}: line {numbered[repeats[0]][0]}: item "
+                            f"{row[np.argmax(row[1:] == row[:-1])]} is listed twice")
 
     return SplitResult(train=parts["train"], validation=parts["validation"],
                        test=parts["test"],

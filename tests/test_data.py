@@ -461,6 +461,23 @@ class TestSplitSerialization:
             assert a.positive_position == b.positive_position
             assert np.array_equal(a.items, b.items)
 
+    def test_load_rebuilds_the_order_from_the_tiebreak_seed(self, tmp_path, synth_dataset):
+        split = data.generate_split(synth_dataset, data.SplitSpec(seed=13))
+        data.save_split(split, tmp_path / "split")
+        path = tmp_path / "split" / "candidates_test.csv"
+        header, *rows = path.read_text().splitlines()
+        rng = np.random.default_rng(0)
+        for r in (0, 1, len(rows) // 2, len(rows) - 1):
+            fields = rows[r].split(",")
+            rows[r] = ",".join(fields[:2] + rng.permutation(fields[2:]).tolist())
+        path.write_text("\n".join([header, *rows]) + "\n")
+        loaded = data.load_split(tmp_path / "split")
+        assert len(loaded.eval_candidates) == len(split.eval_candidates)
+        for a, b in zip(loaded.eval_candidates, split.eval_candidates):
+            assert (a.user, a.positive_item, a.positive_position) == \
+                (b.user, b.positive_item, b.positive_position)
+            assert a.items.tolist() == b.items.tolist()
+
     @pytest.mark.parametrize("name, line_no, edit, message", [
         ("train.csv", 3, lambda row: row[:2], "line 3: expected domain,user,item,label"),
         ("validation.csv", 3, lambda row: ["other"] + row[1:],
@@ -479,10 +496,17 @@ class TestSplitSerialization:
          "line 2: expected integer"),
         ("candidates_validation.csv", 1, lambda row: ["1", "2"], "line 1: malformed header"),
         ("validation.csv", 1, lambda row: ["seed=1 tiebreak_seed=2"], "line 1: malformed header"),
+        ("candidates_test.csv", 2, lambda row: row[:2] + [row[1]] + row[3:],
+         r"line 2: item \d+ is listed twice"),
+        ("candidates_validation.csv", 3, lambda row: row[:3] + [row[2]] + row[4:],
+         r"line 3: item \d+ is listed twice"),
+        ("train.csv", 3, lambda row: row[:3] + ["banana"],
+         "line 3: expected domain,user,item,label with domain source or target and label 1"),
     ], ids=["short_row", "unknown_domain", "user_not_int", "item_not_int",
             "negative_not_int", "candidate_user_empty", "seed_not_int",
             "header_without_seed", "user_below_zero", "negative_beyond_intp",
-            "candidates_without_header", "header_without_hash_mark"])
+            "candidates_without_header", "header_without_hash_mark",
+            "negative_equals_positive", "negative_listed_twice", "label_not_1"])
     def test_malformed_row_names_file_and_line(self, tmp_path, synth_dataset,
                                                name, line_no, edit, message):
         split = data.generate_split(synth_dataset, data.SplitSpec(seed=14))
@@ -641,7 +665,11 @@ def loop_build_eval_candidates(dataset, test_positives, seed):
         eligible = np.array([j for j in range(dataset.n_target_items) if j not in known],
                             dtype=np.intp)
         negatives = rng.choice(eligible, size=data.N_EVAL_NEGATIVES, replace=False)
-        out.append(data._candidate_list(seed, u, pos, negatives.tolist()))
+        items = sorted([pos, *negatives.tolist()], key=lambda j: (int.from_bytes(
+            hashlib.sha1(f"{seed}:{u}:{j}".encode()).digest()[:8], "big"), j))
+        out.append(data.CandidateList(user=u, positive_item=pos,
+                                      items=np.array(items, dtype=np.intp),
+                                      positive_position=items.index(pos)))
     return out, rng
 
 
