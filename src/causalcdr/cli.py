@@ -283,8 +283,8 @@ def evaluate_seed(config: ExperimentConfig, dataset, split, seed: int,
     params = model.ModelParams.load(checkpoint)
     # an id beyond the checkpoint's tables would reach gather_cols as a ShapeError
     lists, dims = split.eval_candidates, params.dims
-    for what, ids, size in (("user", [c.user for c in lists], dims.n_users),
-                            ("target item", [c.items for c in lists], dims.n_target_items)):
+    for what, ids, size in (("user", lists.users, dims.n_users),
+                            ("target item", lists.items, dims.n_target_items)):
         largest = np.max(ids, initial=-1)
         if largest >= size:
             raise StageFailure("evaluate", ValueError(
@@ -484,6 +484,13 @@ def _config_from_args(args) -> ExperimentConfig:
     return config
 
 
+def _grl_scale(text: str) -> float:
+    value = float(text)  # argparse reports a ValueError as an invalid value
+    if not 0 <= value < np.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="causalcdr",
@@ -508,8 +515,10 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--iid-dir", help="paired IID run for degradation")
     grad = sub.add_parser("gradcheck", help="finite-difference gradient check")
     grad.add_argument("--seed", type=int, default=0)
-    grad.add_argument("--grl-scale", type=float, default=model.LossConfig.grl_scale)
-    grad.add_argument("--corrupt-block", help="test hook: corrupt one block")
+    grad.add_argument("--grl-scale", type=_grl_scale, default=model.LossConfig.grl_scale)
+    grad.add_argument("--corrupt-block", choices=sorted(model.PARAM_SHAPES),
+                      metavar="BLOCK", help="test hook: corrupt one parameter block's "
+                                            "gradient; one of %(choices)s")
     common(sub.add_parser("synth", help="write a synthetic dataset to disk"))
     return parser
 

@@ -51,9 +51,6 @@ class CrossDomainDataset:
     target_positives: set
     user_attribute: np.ndarray | None = None     # per-user label in {0, 1}
     attribute_names: tuple | None = None         # original label strings
-    user_keys: list = field(default_factory=list)
-    source_item_keys: list = field(default_factory=list)
-    target_item_keys: list = field(default_factory=list)
     stats: IngestStats | None = None
 
     def positives(self, domain: str) -> set:
@@ -87,17 +84,21 @@ class CrossDomainDataset:
 
 
 @dataclass
-class CandidateList:
-    """One test (or validation) positive plus its 99 sampled negatives.
+class CandidateLists:
+    """Test (or validation) positives, one list per row, each with its 99
+    sampled negatives.
 
-    `items` holds all 100 candidates in the fixed randomized order used
-    for tie-breaking; `positive_position` locates the positive inside it.
+    Row r of `items` holds list r's 1 + N_EVAL_NEGATIVES candidates in the
+    fixed randomized order used for tie-breaking; its positive is
+    `items[r, positions[r]]`, held out for user `users[r]`.
     """
 
-    user: int
-    positive_item: int
-    items: np.ndarray
-    positive_position: int
+    users: np.ndarray       # (L,) intp
+    items: np.ndarray       # (L, 1 + N_EVAL_NEGATIVES) intp
+    positions: np.ndarray   # (L,) intp
+
+    def __len__(self):
+        return len(self.users)
 
 
 @dataclass
@@ -105,8 +106,8 @@ class SplitResult:
     train: dict
     validation: dict
     test: dict
-    eval_candidates: list
-    val_candidates: list
+    eval_candidates: CandidateLists
+    val_candidates: CandidateLists
     seed: int
     tiebreak_seed: int
     forced_train_moves: int = 0
@@ -160,32 +161,35 @@ def _read_rows(path, user_column: str, item_column: str, rating_column: str,
                attribute_column: str, threshold: float):
     """Yield (user key, item key, attribute or None) per positive row of
     one domain's file."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise DataError(f"{path}: empty file")
-        for col in (user_column, item_column) + ((rating_column,) if rating_column else ()):
-            if col not in reader.fieldnames:
-                raise DataError(f"{path}: missing column {col!r}")
-        if attribute_column not in reader.fieldnames:
-            attribute_column = ""  # attribute is optional per file
-        for line_no, row in enumerate(reader, start=2):
-            user = row[user_column]
-            item = row[item_column]
-            if user is None or item is None or user == "" or item == "":
-                raise DataError(f"{path}: malformed row at line {line_no}")
-            if rating_column:
-                try:
-                    rating = float(row[rating_column])
-                except (TypeError, ValueError):
-                    raise DataError(f"{path}: bad rating at line {line_no}") from None
-                if not math.isfinite(rating):
-                    raise DataError(f"{path}: non-finite rating {row[rating_column]!r} "
-                                    f"at line {line_no}")
-                if rating < threshold:
-                    continue
-            attr = row[attribute_column] if attribute_column else None
-            yield user, item, attr or None
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None:
+                raise DataError(f"{path}: empty file")
+            for col in (user_column, item_column) + ((rating_column,) if rating_column else ()):
+                if col not in reader.fieldnames:
+                    raise DataError(f"{path}: missing column {col!r}")
+            if attribute_column not in reader.fieldnames:
+                attribute_column = ""  # attribute is optional per file
+            for line_no, row in enumerate(reader, start=2):
+                user = row[user_column]
+                item = row[item_column]
+                if user is None or item is None or user == "" or item == "":
+                    raise DataError(f"{path}: malformed row at line {line_no}")
+                if rating_column:
+                    try:
+                        rating = float(row[rating_column])
+                    except (TypeError, ValueError):
+                        raise DataError(f"{path}: bad rating at line {line_no}") from None
+                    if not math.isfinite(rating):
+                        raise DataError(f"{path}: non-finite rating {row[rating_column]!r} "
+                                        f"at line {line_no}")
+                    if rating < threshold:
+                        continue
+                attr = row[attribute_column] if attribute_column else None
+                yield user, item, attr or None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"{path}: cannot read CSV file: {exc}") from None
 
 
 def ingest_csv(source_path, target_path, *, user_column: str = "user",
@@ -231,13 +235,13 @@ def ingest_csv(source_path, target_path, *, user_column: str = "user",
         target_rows=len(raw[TARGET]),
     )
 
-    item_keys = {}
+    n_items = {}
     positives = {}
     for domain in DOMAINS:
         kept = [(u, i) for u, i in raw[domain] if u in shared]
         keys = sorted({i for _, i in kept}, key=_sort_key)
         index = {key: j for j, key in enumerate(keys)}
-        item_keys[domain] = keys
+        n_items[domain] = len(keys)
         positives[domain] = {(user_index[u], index[i]) for u, i in kept}
 
     attribute = None
@@ -251,15 +255,12 @@ def ingest_csv(source_path, target_path, *, user_column: str = "user",
 
     return CrossDomainDataset(
         n_users=len(user_keys),
-        n_source_items=len(item_keys[SOURCE]),
-        n_target_items=len(item_keys[TARGET]),
+        n_source_items=n_items[SOURCE],
+        n_target_items=n_items[TARGET],
         source_positives=positives[SOURCE],
         target_positives=positives[TARGET],
         user_attribute=attribute,
         attribute_names=names,
-        user_keys=list(user_keys),
-        source_item_keys=item_keys[SOURCE],
-        target_item_keys=item_keys[TARGET],
         stats=stats,
     )
 
@@ -553,34 +554,30 @@ CANDIDATE_BLOCK_LISTS = 64
 _DIGEST_KEY = np.dtype({"names": ["key"], "formats": [">u8"], "itemsize": 20})
 
 
-def _candidate_lists(seed: int, users, items: np.ndarray) -> list:
-    """One CandidateList per row of `items` (L, 1 + N_EVAL_NEGATIVES intp,
-    the positive in column 0), each row sorted in place into tie-break
-    order: by the first 8 bytes, read big-endian, of
-    sha1(f"{seed}:{user}:{item}"), ties by item id. Each list's `items` is
-    a view of its row. save_split writes the negatives in this order and
-    load_split rebuilds it from the tiebreak seed."""
-    positives, out = items[:, 0].tolist(), []
+def _candidate_lists(seed: int, users, items: np.ndarray) -> CandidateLists:
+    """The candidate lists of the rows of `items` (L, 1 + N_EVAL_NEGATIVES
+    intp, the positive in column 0), each row sorted in place into
+    tie-break order: by the first 8 bytes, read big-endian, of
+    sha1(f"{seed}:{user}:{item}"), ties by item id. save_split writes the
+    negatives in this order and load_split rebuilds it from the tiebreak
+    seed."""
+    users = np.asarray(users, dtype=np.intp)
+    positives = items[:, :1].copy()
     for start in range(0, len(items), CANDIDATE_BLOCK_LISTS):
         stop = start + CANDIDATE_BLOCK_LISTS
-        block, block_users = items[start:stop], users[start:stop]
+        block = items[start:stop]
         digests = []
-        for user, row in zip(block_users, block.tolist()):
+        for user, row in zip(users[start:stop].tolist(), block.tolist()):
             prefix = b"%d:%d:" % (seed, user)
             digests += [hashlib.sha1(prefix + b"%d" % j).digest() for j in row]
         keys = np.frombuffer(b"".join(digests), _DIGEST_KEY)["key"].reshape(block.shape)
         block[:] = np.take_along_axis(block, np.lexsort((block, keys), axis=1), axis=1)
-        block_positives = positives[start:stop]
-        where = np.argmax(block == np.array(block_positives)[:, None], axis=1).tolist()
-        out += [CandidateList(user=user, positive_item=positive, items=row,
-                              positive_position=position)
-                for user, positive, row, position
-                in zip(block_users, block_positives, block, where)]
-    return out
+    return CandidateLists(users=users, items=items,
+                          positions=np.argmax(items == positives, axis=1))
 
 
 def build_eval_candidates(dataset: CrossDomainDataset, test_positives,
-                          seed: int) -> list:
+                          seed: int) -> CandidateLists:
     """99 uniform never-interacted negatives per test positive, in the
     tie-break order of _candidate_lists.
     """
@@ -756,9 +753,6 @@ def synth_generate(config: SynthConfig) -> tuple[CrossDomainDataset, GroundTruth
         target_positives=target_positives,
         user_attribute=labels,
         attribute_names=("0", "1"),
-        user_keys=[str(u) for u in range(m)],
-        source_item_keys=[str(i) for i in range(config.n_source_items)],
-        target_item_keys=[str(i) for i in range(config.n_target_items)],
     )
     truth = GroundTruth(
         weight_matrix=b,
@@ -790,15 +784,15 @@ def save_split(split: SplitResult, directory, extra_meta: str = "") -> None:
             for domain in DOMAINS:
                 for u, i in sorted(part[domain]):
                     fh.write(f"{domain},{u},{i},1\n")
-    for name, candidates in (("candidates_test", split.eval_candidates),
-                             ("candidates_validation", split.val_candidates)):
+    for name, lists in (("candidates_test", split.eval_candidates),
+                        ("candidates_validation", split.val_candidates)):
         with open(directory / f"{name}.csv", "w", encoding="utf-8") as fh:
             fh.write(header + "\n")
-            for cand in candidates:
-                negatives = cand.items.tolist()
-                del negatives[cand.positive_position]
-                fh.write(",".join(map(str, [cand.user, cand.positive_item, *negatives]))
-                         + "\n")
+            for user, row, position in zip(lists.users.tolist(), lists.items,
+                                           lists.positions.tolist()):
+                negatives = row.tolist()
+                positive = negatives.pop(position)
+                fh.write(",".join(map(str, [user, positive, *negatives])) + "\n")
 
 
 def _split_ints(path, line_no: int, fields) -> list:

@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import diffcore as dc, model
+from . import data, diffcore as dc, model
 
-CANDIDATES_PER_POSITIVE = 100
 DEFAULT_KS = (5, 10)
 EVAL_BLOCK_LISTS = 16  # candidate lists scored per forward pass
 
@@ -47,40 +46,37 @@ def rank_metrics(scores, positive_position: int, k: int) -> tuple:
     by 1/log2(rank + 1) and is 0 otherwise.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    if scores.shape != (CANDIDATES_PER_POSITIVE,):
-        raise ValueError(f"expected {CANDIDATES_PER_POSITIVE} scores, "
+    if scores.shape != (1 + data.N_EVAL_NEGATIVES,):
+        raise ValueError(f"expected {1 + data.N_EVAL_NEGATIVES} scores, "
                          f"got shape {scores.shape}")
     rank = int(_ranks(scores[None], np.array([positive_position]))[0])
     return _hit_ndcg(rank, k)
 
 
-def evaluate_candidates(candidates, scorer, ks=DEFAULT_KS) -> dict:
+def evaluate_candidates(candidates: data.CandidateLists, scorer, ks=DEFAULT_KS) -> dict:
     """Average hit and ndcg over candidate lists. scorer maps a block of
     users (L,) and their candidate items (L, 100) to scores (L, 100); it
     sees EVAL_BLOCK_LISTS lists at a time, in list order."""
     if not candidates:
         raise ValueError("no candidate lists to evaluate")
-    for cand in candidates:
-        if len(cand.items) != CANDIDATES_PER_POSITIVE:
-            raise ValueError(f"candidate list of user {cand.user} has "
-                             f"{len(cand.items)} items, expected "
-                             f"{CANDIDATES_PER_POSITIVE}")
+    n_lists, width = len(candidates), 1 + data.N_EVAL_NEGATIVES
+    if candidates.items.shape != (n_lists, width):
+        raise ValueError(f"{n_lists} candidate lists hold items of shape "
+                         f"{candidates.items.shape}, expected ({n_lists}, {width})")
     totals = {metric_key(m, k): 0.0 for m in ("hr", "ndcg") for k in ks}
-    for start in range(0, len(candidates), EVAL_BLOCK_LISTS):
-        block = candidates[start:start + EVAL_BLOCK_LISTS]
-        items = np.stack([cand.items for cand in block])
-        scores = np.asarray(scorer(np.array([cand.user for cand in block]), items),
-                            dtype=np.float64)
+    for start in range(0, n_lists, EVAL_BLOCK_LISTS):
+        stop = start + EVAL_BLOCK_LISTS
+        items = candidates.items[start:stop]
+        scores = np.asarray(scorer(candidates.users[start:stop], items), dtype=np.float64)
         if scores.shape != items.shape:
             raise ValueError(f"scorer returned shape {scores.shape} for "
                              f"candidates of shape {items.shape}")
-        ranks = _ranks(scores, np.array([cand.positive_position for cand in block]))
-        for rank in ranks.tolist():
+        for rank in _ranks(scores, candidates.positions[start:stop]).tolist():
             for k in ks:
                 hit, ndcg = _hit_ndcg(rank, k)
                 totals[metric_key("hr", k)] += hit
                 totals[metric_key("ndcg", k)] += ndcg
-    return {key: value / len(candidates) for key, value in totals.items()}
+    return {key: value / n_lists for key, value in totals.items()}
 
 
 def evaluate(params: model.ModelParams, adjacency: np.ndarray | None,

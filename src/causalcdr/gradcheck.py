@@ -118,6 +118,8 @@ def run_gradient_check(seed: int = 0,
     corrupt_block deliberately shifts one block's analytic gradient; the
     report then fails naming that block (test hook for the fail path).
     """
+    if corrupt_block is not None and corrupt_block not in model.PARAM_SHAPES:
+        raise ValueError(f"unknown parameter block {corrupt_block!r}")
     params, target, source = toy_instance(seed=seed)
     config = model.LossConfig(grl_scale=grl_scale, lambda_reg=CHECK_LAMBDA_REG)
 
@@ -129,7 +131,7 @@ def run_gradient_check(seed: int = 0,
         total, breakdown = model.total_loss(tape, p, target, source, config)
         tape.backward(total)
         grads = tape.grads()
-        if corrupt_block is not None and corrupt_block in grads:
+        if corrupt_block is not None:
             grads[corrupt_block] = grads[corrupt_block] + 0.1
         return float(total.value), breakdown, grads
 

@@ -17,7 +17,7 @@ a value-only tape.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -112,8 +112,11 @@ class ModelParams:
         if wrong:
             raise matrixio.ContainerError(
                 f"{path}: matrices of the wrong shape for k={k}: {', '.join(wrong)}")
-        return cls(dims=dims, matrices=matrices,
-                   strict_causal_mask=bool(int(meta.get("strict_causal_mask", "0"))))
+        strict = meta.get("strict_causal_mask", "0")
+        if strict not in ("0", "1"):
+            raise matrixio.ContainerError(
+                f"{path}: strict_causal_mask is {strict!r}, expected '0' or '1'")
+        return cls(dims=dims, matrices=matrices, strict_causal_mask=strict == "1")
 
 
 @dataclass
@@ -134,6 +137,10 @@ class LossConfig:
     def __post_init__(self):
         if self.ablation not in ("full", "no_causal", "no_source"):
             raise ValueError(f"unknown ablation mode {self.ablation!r}")
+        for f in fields(LossConfig):
+            value = getattr(self, f.name)
+            if f.name != "ablation" and not 0 <= value < np.inf:
+                raise ValueError(f"{f.name} must be finite and >= 0, got {value}")
 
     @property
     def penalty(self) -> causal.PenaltyWeights:
@@ -277,8 +284,7 @@ def score_candidates(nodes: dict, users, items, a_eff: Node | None) -> np.ndarra
 
 
 def total_loss(tape: dc.Tape, params: ModelParams, target_batch: Batch,
-               source_batch: Batch | None, config: LossConfig,
-               nodes: dict | None = None) -> tuple[Node, LossBreakdown]:
+               source_batch: Batch | None, config: LossConfig) -> tuple[Node, LossBreakdown]:
     """Joint objective over one step's batches.
 
     Target interaction loss, weighted source interaction loss, weighted
@@ -294,7 +300,7 @@ def total_loss(tape: dc.Tape, params: ModelParams, target_batch: Batch,
         source_batch = None
 
     k = params.dims.k
-    nodes = nodes if nodes is not None else params.register(tape)
+    nodes = params.register(tape)
     use_causal = config.ablation != "no_causal"
     a_eff = (causal.effective_adjacency(nodes["adjacency"], k,
                                         params.strict_causal_mask)

@@ -38,10 +38,13 @@ class TrainConfig(model.LossConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be >= 1")
+        for name in ("k", "epochs", "batch_size", "n_neg_per_positive", "patience"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("learning_rate", "init_scale"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and positive, got "
+                                 f"{getattr(self, name)}")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
 
@@ -72,7 +75,6 @@ class TrainResult:
     adjacency: np.ndarray | None
     history: list
     best_epoch: int
-    config: TrainConfig
 
 
 def history_to_csv(history, path, header_meta: str | None = None) -> None:
@@ -135,13 +137,11 @@ class ProbeResult:
     tie_fraction: float
 
 
-def discriminator_probe(params: model.ModelParams,
-                        users=None) -> ProbeResult:
-    """Classify the shared preference of every probe user from each domain
-    by discriminator argmax (ties to the source unit) and score against
-    the true domain labels; the set is balanced by construction."""
-    if users is None:
-        users = np.arange(params.dims.n_users)
+def discriminator_probe(params: model.ModelParams) -> ProbeResult:
+    """Classify the shared preference of every user from each domain by
+    discriminator argmax (ties to the source unit) and score against the
+    true domain labels; the set is balanced by construction."""
+    users = np.arange(params.dims.n_users)
     nodes = params.register(dc.Tape(grad=False))
     shared = dc.hconcat(
         model.encode_domain_shared(
@@ -277,7 +277,7 @@ def train(dataset: data.CrossDomainDataset, split: data.SplitResult,
 
     adjacency = best.effective_adjacency_matrix() if use_causal else None
     return TrainResult(params=best, adjacency=adjacency, history=history,
-                       best_epoch=best_epoch, config=config)
+                       best_epoch=best_epoch)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +300,6 @@ class AdjacencyFitConfig:
     penalty: causal.PenaltyWeights = field(default_factory=_structure_fit_penalty)
     optimizer: str = "adam"         # a key of OPTIMIZERS
     strict_mask: bool = False
-    seed: int = 0
 
     def __post_init__(self):
         if self.optimizer not in OPTIMIZERS:

@@ -123,11 +123,14 @@ def test_criterion_4_protocol_fidelity(protocol_dataset):
                len(split.test[domain]))
         ratio_ok &= all(abs(g - e) <= 1 for g, e in zip(got, expected))
 
-    candidates_ok = all(
-        len(cand.items) == 100
-        and len(set(cand.items.tolist())) == 100
-        and cand.items[cand.positive_position] == cand.positive_item
-        for cand in split.eval_candidates)
+    # every list holds 100 distinct items, and the lists' (user, positive)
+    # pairs are exactly the held-out target positives
+    lists = split.eval_candidates
+    held = list(zip(lists.users.tolist(),
+                    lists.items[np.arange(len(lists)), lists.positions].tolist()))
+    candidates_ok = (lists.items.shape == (len(lists), 100)
+                     and all(len(set(row)) == 100 for row in lists.items.tolist())
+                     and sorted(held) == sorted(split.test[TARGET]))
 
     degree_split = data.generate_split(dataset, data.SplitSpec(
         "ood_degree", train_mix=(0.4, 0.6), test_mix=(0.7, 0.3), seed=1))

@@ -156,6 +156,12 @@ class TestConfigParsing:
         "dataset.positive_threshold=nan", "dataset.positive_threshold=inf",
         # a path the file system refuses to look up
         "dataset.kind=csv\ndataset.source_path=" + "x" * 300,
+        # training values that fail at the first step, or quietly do nothing
+        "train.k=0", "train.k=-2", "train.n_neg_per_positive=0", "train.patience=0",
+        "train.patience=-1", "train.learning_rate=nan", "train.learning_rate=inf",
+        "train.init_scale=nan", "train.init_scale=0", "train.grl_scale=-1",
+        "train.grl_scale=nan", "train.lambda_domain=nan", "train.lambda_source=-0.5",
+        "train.gamma_dag=inf", "train.gamma_sparsity=-1",
     ], ids=lambda line: line[:40])
     def test_malformed_value_exits_1(self, tmp_path, capsys, line):
         path = write_config(tmp_path, out_dir=str(tmp_path / "run"))
@@ -244,6 +250,54 @@ class TestCommands:
         assert "shared_encoder" in out and "compensated" in out
         assert cli.main(["gradcheck", "--corrupt-block", "fusion_t"]) == 3
         assert "fusion_t" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--corrupt-block", "fusion_tt"], "argument --corrupt-block: invalid choice"),
+        (["--grl-scale", "-1"], "argument --grl-scale: expected a finite number >= 0"),
+        (["--grl-scale", "nan"], "argument --grl-scale: expected a finite number >= 0"),
+        (["--grl-scale", "inf"], "argument --grl-scale: expected a finite number >= 0"),
+        (["--grl-scale", "x"], "argument --grl-scale: invalid"),
+    ], ids=["block_typo", "negative_grl_scale", "nan_grl_scale", "inf_grl_scale",
+            "grl_scale_not_a_number"])
+    def test_gradcheck_bad_flag_is_a_usage_error(self, capsys, monkeypatch, flags, message):
+        def no_check(**kwargs):
+            raise AssertionError("a bad flag must be rejected before the check runs")
+
+        monkeypatch.setattr(cli.gradcheck, "run_gradient_check", no_check)
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["gradcheck", *flags])
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
+
+    def test_strict_causal_mask_run(self, tmp_path):
+        path = write_config(tmp_path, out_dir=str(tmp_path / "strict"), seeds="1",
+                            **{"train.strict_causal_mask": "true"})
+        assert cli.main(["train", "--config", str(path)]) == 0
+        seed_dir = tmp_path / "strict" / "seed_1"
+        params = model.ModelParams.load(seed_dir / "checkpoint.nmc")
+        assert params.strict_causal_mask is True
+        k = params.dims.k
+        adjacency = params.effective_adjacency_matrix()
+        free = np.zeros(adjacency.shape, dtype=bool)
+        free[:k, k:] = True  # attribute -> preference
+        assert np.all(adjacency[~free] == 0.0) and np.any(adjacency[free] != 0.0)
+        for line in (seed_dir / "graph_edges.csv").read_text().splitlines()[2:]:
+            i, j = map(int, line.split(",")[:2])
+            assert i < k <= j
+        stored = (seed_dir / "metrics_seed.csv").read_bytes()
+        (seed_dir / "metrics_seed.csv").unlink()
+        assert cli.main(["evaluate", "--config", str(path)]) == 0
+        assert (seed_dir / "metrics_seed.csv").read_bytes() == stored
+
+    def test_undecodable_csv_exits_2(self, tmp_path, capsys):
+        (tmp_path / "source.csv").write_bytes(b"user,item,rating\n1,\xe92,5\n")
+        (tmp_path / "target.csv").write_bytes(b"user,item,rating\n1,2,5\n")
+        path = write_config(tmp_path, "dataset.kind=csv", out_dir=str(tmp_path / "run"),
+                            **{"dataset.source_path": str(tmp_path / "source.csv"),
+                               "dataset.target_path": str(tmp_path / "target.csv")})
+        assert cli.main(["prepare", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runtime failure") and "source.csv: cannot read CSV file" in err
 
     def test_evaluate_without_checkpoint_exits_2(self, tmp_path, capsys):
         path = write_config(tmp_path, out_dir=str(tmp_path / "noeval"))

@@ -68,6 +68,19 @@ class TestIngest:
         with pytest.raises(data.DataError, match=r"src\.csv: non-finite rating .* line 3"):
             data.ingest_csv(src, tgt)
 
+    @pytest.mark.parametrize("damage", ["latin1_byte", "missing_file"])
+    def test_unreadable_file_named(self, tmp_path, damage):
+        src = tmp_path / "src.csv"
+        tgt = tmp_path / "tgt.csv"
+        write_csv(src, ["a,x,5", "a,y,5"])
+        write_csv(tgt, ["a,p,5"])
+        if damage == "latin1_byte":
+            src.write_bytes(src.read_bytes().replace(b"y", b"\xe9"))
+        else:
+            src.unlink()
+        with pytest.raises(data.DataError, match=r"src\.csv: cannot read CSV file"):
+            data.ingest_csv(src, tgt)
+
     @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_threshold_rejected(self, tmp_path, threshold):
         # at nan, rating < threshold is never true and every row would be a positive
@@ -143,8 +156,7 @@ class TestSplitIid:
         a = data.generate_split(synth_dataset, data.SplitSpec(seed=3))
         b = data.generate_split(synth_dataset, data.SplitSpec(seed=3))
         assert a.train == b.train and a.test == b.test
-        assert all(np.array_equal(x.items, y.items)
-                   for x, y in zip(a.eval_candidates, b.eval_candidates))
+        assert np.array_equal(a.eval_candidates.items, b.eval_candidates.items)
 
     def test_test_users_keep_a_training_positive(self, synth_dataset):
         split = data.generate_split(synth_dataset, data.SplitSpec(seed=4))
@@ -156,7 +168,7 @@ class TestSplitIid:
         split = data.generate_split(synth_dataset, data.SplitSpec(
             ratios=(1.0, 0.0, 0.0), seed=5))
         assert split.test[TARGET] == set()
-        assert split.eval_candidates == []
+        assert len(split.eval_candidates) == 0
 
 
 class TestSplitOod:
@@ -262,13 +274,16 @@ class TestSampling:
     def test_candidate_lists_complete(self, synth_dataset):
         split = data.generate_split(synth_dataset, data.SplitSpec(seed=12))
         user_items = synth_dataset.user_items(TARGET)
-        for cand in split.eval_candidates:
-            assert len(cand.items) == 100
-            assert len(set(cand.items.tolist())) == 100
-            assert cand.items[cand.positive_position] == cand.positive_item
-            positives = user_items[cand.user]
-            others = [j for j in cand.items if j != cand.positive_item]
-            assert all(j not in positives for j in others)
+        lists = split.eval_candidates
+        assert lists.items.shape == (len(split.test[TARGET]), 100)
+        held = []
+        for user, items, position in zip(lists.users.tolist(), lists.items.tolist(),
+                                         lists.positions.tolist()):
+            assert len(set(items)) == 100
+            positive = items.pop(position)
+            held.append((user, positive))
+            assert all(j not in user_items[user] for j in items)
+        assert held == sorted(split.test[TARGET])
 
     def test_saturated_user_gets_no_negatives(self):
         # one user positive on every target item: recorded, not an error
@@ -441,6 +456,12 @@ class TestSynth:
         assert means[0] < means[1] < means[2] < means[3]
 
 
+def assert_same_lists(got, want):
+    for name in ("users", "items", "positions"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype == np.intp and np.array_equal(a, b), name
+
+
 SPLIT_FILES = ("train.csv", "validation.csv", "test.csv", "candidates_test.csv",
                "candidates_validation.csv")
 
@@ -454,12 +475,8 @@ class TestSplitSerialization:
         assert loaded.validation == split.validation
         assert loaded.test == split.test
         assert loaded.tiebreak_seed == split.tiebreak_seed
-        assert len(loaded.eval_candidates) == len(split.eval_candidates)
-        for a, b in zip(loaded.eval_candidates, split.eval_candidates):
-            assert a.user == b.user
-            assert a.positive_item == b.positive_item
-            assert a.positive_position == b.positive_position
-            assert np.array_equal(a.items, b.items)
+        for name in ("eval_candidates", "val_candidates"):
+            assert_same_lists(getattr(loaded, name), getattr(split, name))
 
     def test_load_rebuilds_the_order_from_the_tiebreak_seed(self, tmp_path, synth_dataset):
         split = data.generate_split(synth_dataset, data.SplitSpec(seed=13))
@@ -472,11 +489,7 @@ class TestSplitSerialization:
             rows[r] = ",".join(fields[:2] + rng.permutation(fields[2:]).tolist())
         path.write_text("\n".join([header, *rows]) + "\n")
         loaded = data.load_split(tmp_path / "split")
-        assert len(loaded.eval_candidates) == len(split.eval_candidates)
-        for a, b in zip(loaded.eval_candidates, split.eval_candidates):
-            assert (a.user, a.positive_item, a.positive_position) == \
-                (b.user, b.positive_item, b.positive_position)
-            assert a.items.tolist() == b.items.tolist()
+        assert_same_lists(loaded.eval_candidates, split.eval_candidates)
 
     @pytest.mark.parametrize("name, line_no, edit, message", [
         ("train.csv", 3, lambda row: row[:2], "line 3: expected domain,user,item,label"),
@@ -656,7 +669,8 @@ def loop_ensure_test_users_trained(train, val, test, rng, types=None):
 
 
 def loop_build_eval_candidates(dataset, test_positives, seed):
-    """(lists, generator after the last draw)."""
+    """((user, positive, candidates, position) per list, generator after
+    the last draw)."""
     rng = np.random.default_rng(seed)
     user_items = dataset.user_items(TARGET)
     out = []
@@ -667,9 +681,7 @@ def loop_build_eval_candidates(dataset, test_positives, seed):
         negatives = rng.choice(eligible, size=data.N_EVAL_NEGATIVES, replace=False)
         items = sorted([pos, *negatives.tolist()], key=lambda j: (int.from_bytes(
             hashlib.sha1(f"{seed}:{u}:{j}".encode()).digest()[:8], "big"), j))
-        out.append(data.CandidateList(user=u, positive_item=pos,
-                                      items=np.array(items, dtype=np.intp),
-                                      positive_position=items.index(pos)))
+        out.append((u, pos, items, items.index(pos)))
     return out, rng
 
 
@@ -751,10 +763,10 @@ class TestArrayFormsMatchLoopForms:
         assert len(made) == 1
         assert made[0].bit_generator.state == want_rng.bit_generator.state
         assert len(got) == len(want)
-        for g, w in zip(got, want):
-            assert (g.user, g.positive_item, g.positive_position) == \
-                (w.user, w.positive_item, w.positive_position)
-            assert g.items.dtype == w.items.dtype and np.array_equal(g.items, w.items)
+        assert all(a.dtype == np.intp for a in (got.users, got.items, got.positions))
+        rows = np.arange(len(got))
+        assert list(zip(got.users.tolist(), got.items[rows, got.positions].tolist(),
+                        got.items.tolist(), got.positions.tolist())) == want
 
 
 # ---------------------------------------------------------------------------

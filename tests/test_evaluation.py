@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from causalcdr import data, diffcore as dc, evaluation, model
-from causalcdr.data import CandidateList
 
 
 def brute_force_rank(scores, positive_position):
@@ -16,22 +15,22 @@ def brute_force_rank(scores, positive_position):
 
 def make_candidates(n_lists, seed):
     rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(n_lists):
-        items = rng.permutation(200)[:100]
-        pos = int(rng.integers(100))
-        out.append(CandidateList(user=0, positive_item=int(items[pos]),
-                                 items=items.astype(np.intp),
-                                 positive_position=pos))
-    return out
+    items = np.stack([rng.permutation(200)[:100] for _ in range(n_lists)]).astype(np.intp)
+    return data.CandidateLists(users=np.zeros(n_lists, dtype=np.intp), items=items,
+                               positions=rng.integers(100, size=n_lists).astype(np.intp))
 
 
-def score_alone(params, adjacency, cand):
+def one_list(lists, r):
+    """Row r of a block of candidate lists as a block of its own."""
+    return data.CandidateLists(users=lists.users[r:r + 1], items=lists.items[r:r + 1],
+                               positions=lists.positions[r:r + 1])
+
+
+def score_alone(params, adjacency, user, items):
     """The model's scores for one candidate list, scored as a block of one."""
     tape = dc.Tape(grad=False)
     a_eff = tape.constant(adjacency) if adjacency is not None else None
-    return model.score_candidates(params.register(tape), [cand.user],
-                                  cand.items[None], a_eff)[0]
+    return model.score_candidates(params.register(tape), [user], items[None], a_eff)[0]
 
 
 def small_split_and_params(seed):
@@ -115,10 +114,10 @@ class TestEvaluate:
     def test_oracle_scorer_hits_everything(self):
         candidates = make_candidates(20, seed=1)
         results = []
-        for cand in candidates:
-            def scorer(users, items, pos=cand.positive_item):
+        for r, position in enumerate(candidates.positions):
+            def scorer(users, items, pos=candidates.items[r, position]):
                 return (items == pos).astype(float)
-            results.append(evaluation.evaluate_candidates([cand], scorer))
+            results.append(evaluation.evaluate_candidates(one_list(candidates, r), scorer))
         merged = evaluation.aggregate_runs(results)
         for key in merged.mean:
             assert merged.mean[key] == 1.0
@@ -135,16 +134,15 @@ class TestEvaluate:
 
     def test_hand_built_instance(self):
         # five users; positive of user u sits at rank u+1 by construction
-        candidates = []
+        candidates = data.CandidateLists(
+            users=np.arange(5, dtype=np.intp),
+            items=np.tile(np.arange(100, dtype=np.intp), (5, 1)),
+            positions=np.full(5, 50, dtype=np.intp))
         scores_by_user = {}
         for u in range(5):
-            items = np.arange(100, dtype=np.intp)
-            pos = 50
             scores = np.zeros(100)
             scores[:u] = 10.0      # u candidates strictly above
-            scores[pos] = 5.0
-            candidates.append(CandidateList(user=u, positive_item=50,
-                                            items=items, positive_position=pos))
+            scores[50] = 5.0
             scores_by_user[u] = scores
 
         def scorer(users, items):
@@ -182,10 +180,11 @@ class TestEvaluate:
         got = evaluation.evaluate(params, adjacency, split)
 
         totals = {k: 0.0 for k in got}
-        for cand in split.eval_candidates:
-            scores = score_alone(params, adjacency, cand)
+        lists = split.eval_candidates
+        for user, items, position in zip(lists.users, lists.items, lists.positions):
+            scores = score_alone(params, adjacency, user, items)
             order = sorted(range(100), key=lambda i: (-scores[i], i))
-            rank = order.index(cand.positive_position) + 1
+            rank = order.index(position) + 1
             for k in (5, 10):
                 hit = 1 if rank <= k else 0
                 totals[f"HR@{k}"] += hit
@@ -212,26 +211,29 @@ class TestEvaluate:
         assert [len(b) for b in blocks[:-1]] == [evaluation.EVAL_BLOCK_LISTS] * (
             len(blocks) - 1)
         block_rows = np.concatenate(blocks)
-        for cand, row in zip(candidates, block_rows, strict=True):
-            alone = score_alone(params, adjacency, cand)
-            assert brute_force_rank(row, cand.positive_position) == \
-                brute_force_rank(alone, cand.positive_position)
+        for user, items, position, row in zip(candidates.users, candidates.items,
+                                              candidates.positions, block_rows, strict=True):
+            alone = score_alone(params, adjacency, user, items)
+            assert brute_force_rank(row, position) == brute_force_rank(alone, position)
 
     def test_unknown_part_rejected(self):
         split, params = small_split_and_params(seed=32)
         with pytest.raises(ValueError, match="unknown part 'tset'"):
             evaluation.evaluate(params, None, split, part="tset")
 
-    def test_list_of_wrong_length_names_the_user(self):
+    @pytest.mark.parametrize("items", [lambda items: items[:, :99],
+                                       lambda items: items[:2],
+                                       lambda items: items.ravel()],
+                             ids=["99_wide", "fewer_rows_than_users", "flat"])
+    def test_block_of_wrong_shape_rejected(self, items):
         candidates = make_candidates(3, seed=31)
-        candidates[1] = CandidateList(user=17, positive_item=0,
-                                      items=candidates[1].items[:99],
-                                      positive_position=0)
+        candidates.items = items(candidates.items)
 
         def scorer(users, items):
             raise AssertionError("malformed lists must be rejected before scoring")
 
-        with pytest.raises(ValueError, match="user 17 has 99 items"):
+        with pytest.raises(ValueError, match=r"3 candidate lists hold items of shape "
+                                             r"\(\d+,( \d+)?\), expected \(3, 100\)"):
             evaluation.evaluate_candidates(candidates, scorer)
 
     def test_evaluate_leaves_no_reference_cycles(self):

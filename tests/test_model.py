@@ -409,6 +409,17 @@ class TestEndToEndGradient:
         assert not report.passed
         assert report.failing_blocks() == ["disc_h1"]
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"corrupt_block": "fusion_tt"}, "unknown parameter block 'fusion_tt'"),
+        ({"grl_scale": -1.0}, "grl_scale must be finite and >= 0"),
+        ({"grl_scale": float("nan")}, "grl_scale must be finite and >= 0"),
+    ], ids=["unknown_block", "negative_grl_scale", "nan_grl_scale"])
+    def test_bad_request_rejected(self, kwargs, message):
+        from causalcdr import gradcheck
+
+        with pytest.raises(ValueError, match=message):
+            gradcheck.run_gradient_check(seed=0, **kwargs)
+
     def test_reversed_blocks_reported_separately(self):
         from causalcdr import gradcheck
 
@@ -437,6 +448,16 @@ class TestCheckpoint:
         for name in model.PARAM_SHAPES:
             if name != "adjacency":
                 assert name in str(err.value)
+
+    @pytest.mark.parametrize("flag", ["x", "2", "true", ""])
+    def test_strict_mask_flag_other_than_0_or_1_named(self, tmp_path, flag):
+        path = tmp_path / "model.nmc"
+        matrixio.write_container(path, make_params(seed=44).matrices,
+                                 {"strict_causal_mask": flag})
+        with pytest.raises(matrixio.ContainerError,
+                           match=f"model.nmc: strict_causal_mask is '{flag}', "
+                                 f"expected '0' or '1'"):
+            model.ModelParams.load(path)
 
     def test_wrong_shapes_named(self, tmp_path):
         params = make_params(seed=43)
