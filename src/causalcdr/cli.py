@@ -78,6 +78,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.seeds:
             raise ConfigError("seeds must be nonempty")
+        if min(self.seeds) < 0:
+            raise ConfigError(f"seeds must be >= 0, got {min(self.seeds)}")
         if min(self.eval_ks, default=0) < 1:
             raise ConfigError("eval.ks must be a nonempty list of cutoffs >= 1")
         if not (0.0 < self.sparsity_fraction <= 1.0):
@@ -484,6 +486,13 @@ def _config_from_args(args) -> ExperimentConfig:
     return config
 
 
+def _seed(text: str) -> int:
+    value = int(text)  # argparse reports a ValueError as an invalid value
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return value
+
+
 def _grl_scale(text: str) -> float:
     value = float(text)  # argparse reports a ValueError as an invalid value
     if not 0 <= value < np.inf:
@@ -501,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=needs_config,
                        help="flat key=value config file")
         p.add_argument("--out", help="output directory override")
-        p.add_argument("--seed", type=int, help="single-seed override")
+        p.add_argument("--seed", type=_seed, help="single-seed override")
 
     common(sub.add_parser("prepare", help="build dataset and splits"))
     common(sub.add_parser("train", help="train all seeds (or one with --seed)"))
@@ -514,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(report)
     report.add_argument("--iid-dir", help="paired IID run for degradation")
     grad = sub.add_parser("gradcheck", help="finite-difference gradient check")
-    grad.add_argument("--seed", type=int, default=0)
+    grad.add_argument("--seed", type=_seed, default=0)
     grad.add_argument("--grl-scale", type=_grl_scale, default=model.LossConfig.grl_scale)
     grad.add_argument("--corrupt-block", choices=sorted(model.PARAM_SHAPES),
                       metavar="BLOCK", help="test hook: corrupt one parameter block's "

@@ -132,6 +132,8 @@ class SplitSpec:
     def __post_init__(self):
         if self.kind not in ("iid", "ood_degree", "ood_attribute"):
             raise SplitError(f"unknown split kind {self.kind!r}")
+        if self.seed < 0:
+            raise SplitError(f"seed must be >= 0, got {self.seed}")
         ratios = np.asarray(self.ratios, dtype=np.float64)
         if ratios.shape != (3,) or np.any(ratios < 0) or not 0 < ratios.sum() < np.inf:
             raise SplitError("ratios must be three finite nonnegative shares (train, "
@@ -622,6 +624,8 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0, got {self.seed}")
         for name in ("n_users", "n_source_items", "n_target_items", "k"):
             if not 1 <= getattr(self, name) <= np.iinfo(np.intp).max:
                 raise DataError(f"{name} must lie in [1, {np.iinfo(np.intp).max}], "

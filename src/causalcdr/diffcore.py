@@ -7,7 +7,8 @@ norms, a weighted sum, the summed negative log of column L1 masses, a
 gradient-reversal node, and the trace-exponential acyclicity scalar. A
 tape records operations in execution order; the backward pass replays
 them in reverse and accumulates exact analytic gradients into
-per-parameter buffers.
+per-parameter buffers. Parameters packed into one vector (see pack) are
+registered in one call, and their gradients share one flat buffer.
 
 The engine holds no global state and draws no randomness; a Tape is
 single-use and confined to one thread.
@@ -15,6 +16,7 @@ single-use and confined to one thread.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -43,8 +45,33 @@ def _as_array(value) -> np.ndarray:
 
 
 def _check_finite(op: str, value: np.ndarray) -> None:
-    if not np.all(np.isfinite(value)):
+    finite = math.isfinite(value) if value.ndim == 0 else np.isfinite(value).all()
+    if not finite:
         raise NonFiniteError(f"{op} produced a non-finite value")
+
+
+def _views(flat: np.ndarray, shapes: Mapping[str, tuple]) -> dict[str, np.ndarray]:
+    """Consecutive reshaped views of flat, one per (name, shape), in order."""
+    views = {}
+    start = 0
+    for name, shape in shapes.items():
+        stop = start + math.prod(shape)
+        views[name] = flat[start:stop].reshape(shape)
+        start = stop
+    if start != flat.size:
+        raise ShapeError(f"shapes hold {start} entries, the vector {flat.size}")
+    return views
+
+
+def pack(matrices: Mapping[str, np.ndarray]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Copy matrices into one new contiguous float64 vector, in mapping
+    order; returns (vector, {name: reshaped view of the vector})."""
+    arrays = {name: _as_array(m) for name, m in matrices.items()}
+    flat = np.empty(sum(a.size for a in arrays.values()))
+    views = _views(flat, {name: a.shape for name, a in arrays.items()})
+    for name, a in arrays.items():
+        views[name][...] = a
+    return flat, views
 
 
 class Node:
@@ -68,7 +95,9 @@ class Tape:
 
     Single-use: once backward() has run, recording further operations or
     running backward again raises. Registered parameter values are treated
-    as read-only snapshots; gradients accumulate in tape-local buffers.
+    as read-only snapshots; gradients accumulate in tape-local buffers,
+    except those of packed parameters (see params), which accumulate into
+    grad_buffer when one is given.
 
     Tape(grad=False) is a value-only tape for forward passes that need no
     gradient (scoring, probes): it keeps no record and no parameter node,
@@ -76,22 +105,61 @@ class Tape:
     backward() raises.
     """
 
-    def __init__(self, grad: bool = True):
+    def __init__(self, grad: bool = True, grad_buffer: np.ndarray | None = None):
         self._records: list[tuple[Node, Callable[[np.ndarray], None]]] | None = (
             [] if grad else None)
         self._params: dict[str, Node | None] = {}
         self._grads: dict[str, np.ndarray] | None = None
         self._done = False
+        self._grad_buffer = grad_buffer
 
-    def param(self, name: str, value) -> Node:
+    def _claim(self, names) -> None:
         if self._done:
             raise TapeStateError("tape already consumed by backward()")
-        if name in self._params:
-            raise TapeStateError(f"duplicate parameter name {name!r}")
+        for name in names:
+            if name in self._params:
+                raise TapeStateError(f"duplicate parameter name {name!r}")
+
+    def param(self, name: str, value) -> Node:
+        self._claim((name,))
         node = Node(self, _as_array(value), "param")
         _check_finite(f"param {name!r}", node.value)
         self._params[name] = node if self._records is not None else None
         return node
+
+    def params(self, flat: np.ndarray, views: Mapping[str, np.ndarray]) -> dict[str, Node]:
+        """Register every matrix of one packed vector, as pack returns it.
+
+        One finite scan covers the vector; its error names the first
+        non-finite matrix. On a gradient tape the parameters' gradients
+        accumulate into matching views of one flat buffer: the tape's
+        grad_buffer, zeroed here, or a new one. The first call takes the
+        grad_buffer; a later call gets a new one.
+        """
+        self._claim(views)
+        for name, view in views.items():
+            if view.base is not flat:
+                raise ShapeError(f"param {name!r} is not a view of the packed vector")
+        if not np.isfinite(flat).all():
+            bad = next(name for name, view in views.items()
+                       if not np.isfinite(view).all())
+            raise NonFiniteError(f"param {bad!r} produced a non-finite value")
+        nodes = {name: Node(self, view, "param") for name, view in views.items()}
+        if self._records is None:
+            self._params.update(dict.fromkeys(nodes))
+            return nodes
+        grad, self._grad_buffer = self._grad_buffer, None
+        if grad is None:
+            grad = np.zeros_like(flat)
+        elif grad.shape != flat.shape:
+            raise ShapeError(f"grad_buffer shape {grad.shape} != packed shape {flat.shape}")
+        else:
+            grad.fill(0.0)
+        grads = _views(grad, {name: view.shape for name, view in views.items()})
+        for name, node in nodes.items():
+            node.grad = grads[name]
+        self._params.update(nodes)
+        return nodes
 
     def constant(self, value) -> Node:
         node = Node(self, _as_array(value), "const")
@@ -142,8 +210,9 @@ class Tape:
 
 def _accum(node: Node, g: np.ndarray) -> None:
     if node.grad is None:
-        node.grad = np.zeros_like(node.value)
-    node.grad += g
+        node.grad = np.add(g, 0.0)  # the bits of zeros + g, signed zeros included
+    else:
+        node.grad += g
 
 
 def _tape_of(*nodes: Node) -> Tape:
@@ -414,7 +483,9 @@ def l2_norm(*xs: Node) -> Node:
 
     def backward(g):
         for x in xs:
-            _accum(x, g * x.value / denom)
+            step = np.multiply(g, x.value)
+            np.divide(step, denom, out=step)
+            _accum(x, step)
 
     return tape.record("l2_norm", np.asarray(value), backward)
 

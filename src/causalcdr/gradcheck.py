@@ -98,7 +98,7 @@ def toy_instance(seed: int = 0, k: int = 4, n_users: int = 6, n_items: int = 8,
         sub_seed = seed * 1000 + attempt
         params = model.ModelParams.init(dims, seed=sub_seed, init_scale=0.5)
         rng = np.random.default_rng(sub_seed)
-        params.matrices["adjacency"] = (
+        params.matrices["adjacency"][...] = (
             rng.uniform(0.05, 0.2, size=(2 * k, 2 * k))
             * rng.choice([-1.0, 1.0], size=(2 * k, 2 * k)))
         margin = _min_relu_preactivation(params, [("target", target),
@@ -126,7 +126,7 @@ def run_gradient_check(seed: int = 0,
     def evaluate(values):
         p = params.copy()
         for name, v in values.items():
-            p.matrices[name] = np.asarray(v, dtype=np.float64).copy()
+            p.matrices[name][...] = v
         tape = dc.Tape()
         total, breakdown = model.total_loss(tape, p, target, source, config)
         tape.backward(total)

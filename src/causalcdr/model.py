@@ -17,7 +17,7 @@ a value-only tape.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -56,9 +56,18 @@ PARAM_SHAPES = {
 
 @dataclass
 class ModelParams:
+    """Every matrix of the model. Each constructor copies the matrices it is
+    given into one contiguous float64 vector, flat, in mapping order;
+    matrices then maps each name to a reshaped view of flat. Write into a
+    view to change a parameter: a rebound name is rejected by register."""
+
     dims: ModelDims
     matrices: dict
     strict_causal_mask: bool = False
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.flat, self.matrices = dc.pack(self.matrices)
 
     @classmethod
     def init(cls, dims: ModelDims, seed: int, init_scale: float = 0.1,
@@ -77,11 +86,10 @@ class ModelParams:
                    strict_causal_mask=strict_causal_mask)
 
     def register(self, tape: dc.Tape) -> dict:
-        return {name: tape.param(name, value)
-                for name, value in self.matrices.items()}
+        return tape.params(self.flat, self.matrices)
 
     def copy(self) -> "ModelParams":
-        return replace(self, matrices={k: v.copy() for k, v in self.matrices.items()})
+        return replace(self, matrices=self.matrices)
 
     def effective_adjacency_matrix(self) -> np.ndarray:
         return causal.effective_matrix(self.matrices["adjacency"], self.dims.k,

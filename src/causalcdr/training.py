@@ -41,6 +41,8 @@ class TrainConfig(model.LossConfig):
         for name in ("k", "epochs", "batch_size", "n_neg_per_positive", "patience"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         for name in ("learning_rate", "init_scale"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be finite and positive, got "
@@ -90,22 +92,56 @@ def history_to_csv(history, path, header_meta: str | None = None) -> None:
 # ---------------------------------------------------------------------------
 # optimizers
 
-class Sgd:
+# Entries per in-place pass of an optimizer: long enough to amortise the
+# ufunc calls, short enough that the pass's operands stay in cache.
+OPTIMIZER_CHUNK = 32768
+
+
+def _pieces(params: dict, grads: dict):
+    """(name, entries, x, g) for each OPTIMIZER_CHUNK-entry piece of every
+    parameter: x is a view of the parameter, so updates land in place,
+    and g the matching piece of its gradient."""
+    for name, matrix in params.items():
+        x = np.reshape(matrix, -1, copy=False)
+        g = np.reshape(grads[name], -1)
+        if g.size != x.size:
+            raise ValueError(f"gradient of {name!r} has {g.size} entries, "
+                             f"the parameter {x.size}")
+        for lo in range(0, x.size, OPTIMIZER_CHUNK):
+            part = slice(lo, lo + OPTIMIZER_CHUNK)
+            yield name, part, x[part], g[part]
+
+
+class _InPlaceOptimizer:
+    """Holds the scratch rows an in-place update writes its temporaries to."""
+
     def __init__(self, learning_rate: float):
         self.learning_rate = learning_rate
+        self._buffer = np.empty((2, 0))
 
+    def _scratch(self, n: int) -> np.ndarray:
+        if self._buffer.shape[1] < n:
+            self._buffer = np.empty((2, n))
+        return self._buffer[:, :n]
+
+
+class Sgd(_InPlaceOptimizer):
     def step(self, params: dict, grads: dict) -> None:
-        for name, matrix in params.items():
-            matrix -= self.learning_rate * grads[name]
+        for _, _, x, g in _pieces(params, grads):
+            s = self._scratch(x.size)[0]
+            np.multiply(g, self.learning_rate, out=s)
+            np.subtract(x, s, out=x)
 
 
-class Adam:
+class Adam(_InPlaceOptimizer):
     """Per-parameter moment estimation with the usual decay pair and a
-    small denominator guard."""
+    small denominator guard. Every entry is updated in the arithmetic
+    order b1*m + (1-b1)*g, b2*v + ((1-b2)*g)*g, x - lr*(m/c1) /
+    (sqrt(v/c2) + eps)."""
 
     def __init__(self, learning_rate: float, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
-        self.learning_rate = learning_rate
+        super().__init__(learning_rate)
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m: dict = {}
@@ -113,16 +149,28 @@ class Adam:
 
     def step(self, params: dict, grads: dict) -> None:
         self.t += 1
-        for name, matrix in params.items():
-            g = grads[name]
+        c1 = 1 - self.beta1 ** self.t
+        c2 = 1 - self.beta2 ** self.t
+        for name, part, x, g in _pieces(params, grads):
             if name not in self.m:
-                self.m[name] = np.zeros_like(matrix)
-                self.v[name] = np.zeros_like(matrix)
-            self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * g * g
-            m_hat = self.m[name] / (1 - self.beta1 ** self.t)
-            v_hat = self.v[name] / (1 - self.beta2 ** self.t)
-            matrix -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+                self.m[name] = np.zeros(np.size(params[name]))
+                self.v[name] = np.zeros(np.size(params[name]))
+            m, v = self.m[name][part], self.v[name][part]
+            s1, s2 = self._scratch(x.size)
+            np.multiply(m, self.beta1, out=m)
+            np.multiply(g, 1 - self.beta1, out=s1)
+            np.add(m, s1, out=m)
+            np.multiply(v, self.beta2, out=v)
+            np.multiply(g, 1 - self.beta2, out=s1)
+            np.multiply(s1, g, out=s1)
+            np.add(v, s1, out=v)
+            np.divide(m, c1, out=s1)
+            np.multiply(s1, self.learning_rate, out=s1)
+            np.divide(v, c2, out=s2)
+            np.sqrt(s2, out=s2)
+            np.add(s2, self.eps, out=s2)
+            np.divide(s1, s2, out=s1)
+            np.subtract(x, s1, out=x)
 
 
 OPTIMIZERS = {"adam": Adam, "sgd": Sgd}
@@ -193,6 +241,7 @@ def train(dataset: data.CrossDomainDataset, split: data.SplitResult,
     use_causal = config.ablation != "no_causal"
     has_validation = bool(split.val_candidates)
 
+    grad = np.empty_like(params.flat)  # each step's tape zeroes and fills it
     history: list = []
     best = params.copy()
     best_epoch = 0
@@ -222,7 +271,7 @@ def train(dataset: data.CrossDomainDataset, split: data.SplitResult,
                 source_batch = model.Batch(users=source_examples.users[picks],
                                            items=source_examples.items[picks],
                                            labels=source_examples.labels[picks])
-            tape = dc.Tape()
+            tape = dc.Tape(grad_buffer=grad)
             try:
                 total, breakdown = model.total_loss(tape, params, target_batch,
                                                     source_batch, config)
@@ -230,7 +279,7 @@ def train(dataset: data.CrossDomainDataset, split: data.SplitResult,
                 raise TrainingError(
                     f"non-finite loss at epoch {epoch} step {steps}: {exc}") from exc
             tape.backward(total)
-            optimizer.step(params.matrices, tape.grads())
+            optimizer.step({"params": params.flat}, {"params": grad})
             sums["t"] += breakdown.interaction_target
             sums["s"] += breakdown.interaction_source
             sums["c"] += breakdown.domain

@@ -162,6 +162,8 @@ class TestConfigParsing:
         "train.init_scale=nan", "train.init_scale=0", "train.grl_scale=-1",
         "train.grl_scale=nan", "train.lambda_domain=nan", "train.lambda_source=-0.5",
         "train.gamma_dag=inf", "train.gamma_sparsity=-1",
+        # seeds numpy's generators refuse
+        "split.seed=-3", "synth.seed=-1", "train.seed=-2", "seeds=1,-2",
     ], ids=lambda line: line[:40])
     def test_malformed_value_exits_1(self, tmp_path, capsys, line):
         path = write_config(tmp_path, out_dir=str(tmp_path / "run"))
@@ -257,8 +259,9 @@ class TestCommands:
         (["--grl-scale", "nan"], "argument --grl-scale: expected a finite number >= 0"),
         (["--grl-scale", "inf"], "argument --grl-scale: expected a finite number >= 0"),
         (["--grl-scale", "x"], "argument --grl-scale: invalid"),
+        (["--seed", "-1"], "argument --seed: expected an integer >= 0, got '-1'"),
     ], ids=["block_typo", "negative_grl_scale", "nan_grl_scale", "inf_grl_scale",
-            "grl_scale_not_a_number"])
+            "grl_scale_not_a_number", "negative_seed"])
     def test_gradcheck_bad_flag_is_a_usage_error(self, capsys, monkeypatch, flags, message):
         def no_check(**kwargs):
             raise AssertionError("a bad flag must be rejected before the check runs")
@@ -268,6 +271,15 @@ class TestCommands:
             cli.main(["gradcheck", *flags])
         assert exit_info.value.code == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_negative_seed_flag_is_a_usage_error(self, tmp_path, capsys, command):
+        path = write_config(tmp_path, out_dir=str(tmp_path / "run"))
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([command, "--config", str(path), "--seed", "-1"])
+        assert exit_info.value.code == 2
+        assert "argument --seed: expected an integer >= 0, got '-1'" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_strict_causal_mask_run(self, tmp_path):
         path = write_config(tmp_path, out_dir=str(tmp_path / "strict"), seeds="1",

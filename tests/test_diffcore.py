@@ -353,6 +353,114 @@ class TestTapeLifetime:
         assert param_probe() is None
 
 
+class TestPackedParams:
+    @staticmethod
+    def packed():
+        rng = np.random.default_rng(31)
+        return dc.pack({"w": rng.normal(size=(3, 4)), "b": rng.normal(size=(2, 1)),
+                        "a": rng.normal(size=(4, 4))})
+
+    def test_pack_copies_into_consecutive_views(self):
+        source = {"w": np.arange(6.0).reshape(2, 3), "v": np.array([[7.0], [8.0]])}
+        flat, views = dc.pack(source)
+        assert np.array_equal(flat, [0, 1, 2, 3, 4, 5, 7, 8])
+        assert list(views) == ["w", "v"]
+        for name, view in views.items():
+            assert view.base is flat and np.array_equal(view, source[name])
+        source["w"][0, 0] = 9.0
+        assert flat[0] == 0.0
+
+    def test_grads_are_views_of_the_flat_buffer(self):
+        flat, views = self.packed()
+        buffer = np.full_like(flat, np.nan)   # the tape zeroes it
+        tape = dc.Tape(grad_buffer=buffer)
+        nodes = tape.params(flat, views)
+        loss = dc.weighted_sum([dc.sq_l2(dc.matmul(nodes["w"], nodes["a"])),
+                                dc.l1(nodes["b"])], [1.0, 0.5])
+        tape.backward(loss)
+        grads = tape.grads()
+        start = 0
+        for name, view in views.items():
+            stop = start + view.size
+            assert grads[name].base is buffer
+            assert np.array_equal(grads[name], buffer[start:stop].reshape(view.shape))
+            start = stop
+        assert np.array_equal(grads["b"], 0.5 * np.sign(views["b"]))
+
+    def test_packed_grads_equal_separate_params(self):
+        flat, views = self.packed()
+
+        def run(register):
+            tape = dc.Tape()
+            nodes = register(tape)
+            loss = dc.weighted_sum([dc.sq_l2(dc.matmul(nodes["w"], nodes["a"])),
+                                    dc.l2_norm(*nodes.values())], [1.0, 0.1])
+            tape.backward(loss)
+            return tape.grads()
+
+        packed = run(lambda tape: tape.params(flat, views))
+        separate = run(lambda tape: {name: tape.param(name, v.copy())
+                                     for name, v in views.items()})
+        for name in views:
+            assert np.array_equal(packed[name], separate[name]), name
+
+    @pytest.mark.parametrize("grad", [True, False], ids=["recording", "value_only"])
+    def test_non_finite_matrix_is_named(self, grad):
+        flat, views = self.packed()
+        views["b"][1, 0] = np.nan
+        views["a"][0, 0] = np.inf
+        with pytest.raises(dc.NonFiniteError,
+                           match="param 'b' produced a non-finite value"):
+            dc.Tape(grad=grad).params(flat, views)
+
+    def test_a_rebound_matrix_is_rejected(self):
+        flat, views = self.packed()
+        views["a"] = views["a"].copy()
+        with pytest.raises(dc.ShapeError, match="param 'a' is not a view"):
+            dc.Tape().params(flat, views)
+
+    def test_buffer_of_another_shape_is_rejected(self):
+        flat, views = self.packed()
+        with pytest.raises(dc.ShapeError, match="grad_buffer"):
+            dc.Tape(grad_buffer=np.zeros(flat.size + 1)).params(flat, views)
+
+    def test_duplicate_names_are_rejected(self):
+        flat, views = self.packed()
+        tape = dc.Tape()
+        tape.param("a", np.ones(2))
+        with pytest.raises(dc.TapeStateError, match="duplicate parameter name 'a'"):
+            tape.params(flat, views)
+
+
+class TestNonFiniteChecks:
+    @pytest.mark.parametrize("value, factor", [
+        (0.0, np.inf),                       # 0-d NaN
+        (1e308, 10.0),                       # 0-d inf
+        (np.full((2, 2), 1e308), 10.0),      # inf in an array
+        (np.array([[1.0, np.nan]]), 1.0),    # NaN in an array (via a constant)
+    ], ids=["scalar_nan", "scalar_inf", "array_inf", "array_nan"])
+    def test_each_is_named_by_its_op(self, value, factor):
+        tape = dc.Tape()
+        if np.all(np.isfinite(value)):
+            x = tape.param("x", value)
+            with np.errstate(invalid="ignore", over="ignore"):
+                with pytest.raises(dc.NonFiniteError, match="scale produced"):
+                    dc.scale(x, factor)
+        else:
+            with pytest.raises(dc.NonFiniteError, match="constant produced"):
+                tape.constant(value)
+
+    def test_first_gradient_write_turns_negative_zero_positive(self):
+        # the first gradient a node receives is zeros + g, so -0.0 reads +0.0
+        tape = dc.Tape()
+        p = tape.param("p", np.array([[-1.0, 2.0]]))
+        h = dc.scale(p, 1.0)
+        loss = dc.scale(dc.sq_l2(dc.relu(h)), -1.0)
+        tape.backward(loss)
+        assert h.grad[0, 0] == 0.0 and not np.signbit(h.grad[0, 0])
+        assert h.grad[0, 1] == -4.0
+
+
 class TestValueTape:
     @staticmethod
     def forward(tape):

@@ -40,7 +40,7 @@ def small_split_and_params(seed):
     dims = model.ModelDims(k=4, n_users=40, n_source_items=130,
                            n_target_items=120)
     params = model.ModelParams.init(dims, seed=seed + 1)
-    params.matrices["adjacency"] = np.random.default_rng(seed + 2).normal(
+    params.matrices["adjacency"][...] = np.random.default_rng(seed + 2).normal(
         size=(8, 8)) * 0.3
     return data.generate_split(dataset, data.SplitSpec(seed=seed + 3)), params
 

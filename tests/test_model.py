@@ -57,7 +57,7 @@ class TestEncoders:
 
     def test_domain_specific_is_linear_map(self):
         params = make_params()
-        params.matrices["user_map_t"] = np.eye(DIMS.k)
+        params.matrices["user_map_t"][...] = np.eye(DIMS.k)
         tape = dc.Tape()
         nodes = params.register(tape)
         u_att = tape.constant(np.array([1.0, -2.0, 0.5, 0.0]).reshape(4, 1))
@@ -75,7 +75,7 @@ class TestEncoders:
 
     def test_shared_encoder_relu(self):
         params = make_params()
-        params.matrices["shared_encoder"] = -np.eye(DIMS.k)
+        params.matrices["shared_encoder"][...] = -np.eye(DIMS.k)
         tape = dc.Tape()
         nodes = params.register(tape)
         x = np.abs(np.random.default_rng(2).normal(size=(4, 1)))
@@ -97,7 +97,7 @@ class TestDiscriminator:
     def test_zero_weights_give_half(self):
         params = make_params()
         for name in ("disc_h1", "disc_h2", "disc_out"):
-            params.matrices[name] = np.zeros_like(params.matrices[name])
+            params.matrices[name][...] = np.zeros_like(params.matrices[name])
         tape = dc.Tape()
         nodes = params.register(tape)
         out = model.discriminate(nodes, tape.constant(np.ones((4, 3))), 1.0)
@@ -183,7 +183,7 @@ class TestLosses:
 class TestPredict:
     def test_zero_predictor_gives_half(self):
         params = make_params()
-        params.matrices["predictor_t"] = np.zeros((2, DIMS.k))
+        params.matrices["predictor_t"][...] = np.zeros((2, DIMS.k))
         tape = dc.Tape()
         nodes = params.register(tape)
         rng = np.random.default_rng(10)
@@ -221,7 +221,7 @@ class TestPredict:
 
     def test_scorer_matches_tape_predict(self):
         params = make_params(seed=15)
-        params.matrices["adjacency"] = np.random.default_rng(16).normal(
+        params.matrices["adjacency"][...] = np.random.default_rng(16).normal(
             size=(8, 8)) * 0.3
         adjacency = params.effective_adjacency_matrix()
         items = np.arange(DIMS.n_target_items)
@@ -241,7 +241,7 @@ class TestPredict:
     def test_permutation_equivariance_in_k(self):
         params = make_params(seed=17)
         rng = np.random.default_rng(18)
-        params.matrices["adjacency"] = rng.normal(size=(8, 8)) * 0.2
+        params.matrices["adjacency"][...] = rng.normal(size=(8, 8)) * 0.2
         adjacency = params.effective_adjacency_matrix()
         perm = rng.permutation(DIMS.k)
         p = np.eye(DIMS.k)[perm]
@@ -250,15 +250,15 @@ class TestPredict:
         permuted = params.copy()
         mats = permuted.matrices
         for name in ("item_emb_t", "item_emb_s", "user_att_t", "user_att_s"):
-            mats[name] = p @ mats[name]
+            mats[name][...] = p @ mats[name]
         for name in ("user_map_t", "user_map_s", "shared_encoder"):
-            mats[name] = p @ mats[name] @ p.T
-        mats["disc_h1"] = mats["disc_h1"] @ p.T
+            mats[name][...] = p @ mats[name] @ p.T
+        mats["disc_h1"][...] = mats["disc_h1"] @ p.T
         for name in ("fusion_t", "fusion_s"):
-            mats[name] = p @ mats[name] @ block.T
+            mats[name][...] = p @ mats[name] @ block.T
         for name in ("predictor_t", "predictor_s"):
-            mats[name] = mats[name] @ p.T
-        mats["adjacency"] = block @ mats["adjacency"] @ block.T
+            mats[name][...] = mats[name] @ p.T
+        mats["adjacency"][...] = block @ mats["adjacency"] @ block.T
         adjacency_perm = permuted.effective_adjacency_matrix()
 
         users = np.arange(DIMS.n_users)
@@ -272,7 +272,7 @@ class TestPredict:
         users = np.array([0, 3, 3])
         items = np.random.default_rng(38).integers(0, DIMS.n_target_items, (3, 5))
         base = score_block(params, None, users, items)
-        params.matrices["adjacency"] = np.ones((8, 8))
+        params.matrices["adjacency"][...] = np.ones((8, 8))
         assert np.array_equal(score_block(params, None, users, items), base)
         assert base.shape == (3, 5)
 
@@ -290,7 +290,7 @@ class TestTotalLoss:
     def test_breakdown_sums_to_total(self):
         target, source = make_batches(seed=20)
         params = make_params(seed=21)
-        params.matrices["adjacency"] = np.random.default_rng(22).normal(size=(8, 8)) * 0.1
+        params.matrices["adjacency"][...] = np.random.default_rng(22).normal(size=(8, 8)) * 0.1
         config = model.LossConfig()
         tape = dc.Tape()
         total, b = model.total_loss(tape, params, target, source, config)
@@ -307,14 +307,14 @@ class TestTotalLoss:
     def test_no_causal_equals_zeroed_causal_path(self):
         target, source = make_batches(seed=23)
         params = make_params(seed=24)
-        params.matrices["adjacency"] = np.random.default_rng(25).normal(size=(8, 8))
+        params.matrices["adjacency"][...] = np.random.default_rng(25).normal(size=(8, 8))
         ablated = model.LossConfig(ablation="no_causal")
         tape = dc.Tape()
         _, b_ablated = model.total_loss(tape, params, target, source, ablated)
         assert b_ablated.causal == 0.0
         # manual control: zero adjacency + zero causal weight reproduces it
         control_params = params.copy()
-        control_params.matrices["adjacency"] = np.zeros((8, 8))
+        control_params.matrices["adjacency"][...] = np.zeros((8, 8))
         control = model.LossConfig(lambda_causal=0.0)
         tape = dc.Tape()
         _, b_control = model.total_loss(tape, control_params, target, source, control)
@@ -354,14 +354,14 @@ class TestTotalLoss:
         step = 1e-4
         grad = tape.grad("shared_encoder")
         stepped = params.copy()
-        stepped.matrices["shared_encoder"] = (
+        stepped.matrices["shared_encoder"][...] = (
             params.matrices["shared_encoder"] - step * grad)
         assert domain_term(stepped) > domain_term(params)
 
         disc_grads = {name: tape.grad(name) for name in ("disc_h1", "disc_h2", "disc_out")}
         stepped_disc = params.copy()
         for name, g in disc_grads.items():
-            stepped_disc.matrices[name] = params.matrices[name] - step * g
+            stepped_disc.matrices[name][...] = params.matrices[name] - step * g
         assert domain_term(stepped_disc) < domain_term(params)
 
 
@@ -386,7 +386,7 @@ class TestTotalLoss:
     def test_value_tape_gives_the_recorded_values(self):
         target, source = make_batches(seed=39)
         params = make_params(seed=40)
-        params.matrices["adjacency"] = np.random.default_rng(41).normal(size=(8, 8)) * 0.1
+        params.matrices["adjacency"][...] = np.random.default_rng(41).normal(size=(8, 8)) * 0.1
         recorded = model.total_loss(dc.Tape(), params, target, source, model.LossConfig())
         value_only = model.total_loss(dc.Tape(grad=False), params, target, source,
                                       model.LossConfig())
@@ -429,6 +429,33 @@ class TestEndToEndGradient:
         assert report.grl_scale == 0.5
 
 
+class TestPackedLayout:
+    def test_every_constructor_packs_in_mapping_order(self):
+        params = make_params(seed=3)
+        direct = model.ModelParams(DIMS, dict(sorted(params.matrices.items())))
+        for p, names in ((params, list(model.PARAM_SHAPES)),
+                         (direct, sorted(model.PARAM_SHAPES))):
+            assert list(p.matrices) == names
+            assert p.flat.flags.c_contiguous
+            assert np.array_equal(p.flat, np.concatenate(
+                [p.matrices[name].ravel() for name in names]))
+            assert all(m.base is p.flat for m in p.matrices.values())
+        assert direct.flat is not params.flat
+
+    @pytest.mark.parametrize("grad", [True, False], ids=["recording", "value_only"])
+    def test_nan_in_one_matrix_is_named_by_register(self, grad):
+        params = make_params(seed=4)
+        params.matrices["fusion_t"][1, 2] = np.nan
+        with pytest.raises(dc.NonFiniteError, match="param 'fusion_t'"):
+            params.register(dc.Tape(grad=grad))
+
+    def test_a_rebound_matrix_is_rejected_by_register(self):
+        params = make_params(seed=5)
+        params.matrices["disc_h1"] = np.eye(DIMS.k)
+        with pytest.raises(dc.ShapeError, match="param 'disc_h1' is not a view"):
+            params.register(dc.Tape())
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         params = make_params(seed=35)
@@ -438,6 +465,21 @@ class TestCheckpoint:
         assert loaded.dims == params.dims
         for name, matrix in params.matrices.items():
             assert np.array_equal(loaded.matrices[name], matrix)
+
+    def test_load_then_copy_keeps_the_matrices_packed(self, tmp_path):
+        params = make_params(seed=38)
+        path = tmp_path / "model.nmc"
+        params.save(path)
+        loaded = model.ModelParams.load(path)
+        copied = loaded.copy()
+        for p in (loaded, copied):
+            assert np.array_equal(p.flat, np.concatenate(
+                [m.ravel() for m in p.matrices.values()]))
+            for name, matrix in p.matrices.items():
+                assert matrix.base is p.flat
+                assert np.array_equal(matrix, params.matrices[name]), name
+        copied.matrices["adjacency"][0, 0] = 5.0
+        assert loaded.matrices["adjacency"][0, 0] == params.matrices["adjacency"][0, 0]
 
     def test_missing_matrices_named(self, tmp_path):
         params = make_params(seed=42)
@@ -460,11 +502,11 @@ class TestCheckpoint:
             model.ModelParams.load(path)
 
     def test_wrong_shapes_named(self, tmp_path):
-        params = make_params(seed=43)
-        params.matrices["disc_h2"] = np.zeros((DIMS.k, DIMS.k + 1))
-        params.matrices["fusion_s"] = np.zeros((DIMS.k, DIMS.k))
+        matrices = dict(make_params(seed=43).matrices)
+        matrices["disc_h2"] = np.zeros((DIMS.k, DIMS.k + 1))
+        matrices["fusion_s"] = np.zeros((DIMS.k, DIMS.k))
         path = tmp_path / "model.nmc"
-        params.save(path)
+        matrixio.write_container(path, matrices, {"strict_causal_mask": "0"})
         with pytest.raises(matrixio.ContainerError,
                            match=r"disc_h2 \(4, 5\) \(expected \(4, 4\)\), "
                                  r"fusion_s \(4, 4\) \(expected \(4, 8\)\)"):

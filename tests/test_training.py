@@ -1,7 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from causalcdr import causal, data, diffcore as dc, evaluation, model, training
+from causalcdr import causal, cli, data, diffcore as dc, evaluation, model, training
 
 
 @pytest.fixture(scope="module")
@@ -47,6 +49,44 @@ class TestOptimizers:
             opt.step(params, {"w": 2 * (params["w"] - target)})
         assert np.allclose(params["w"], target, atol=1e-3)
 
+    @staticmethod
+    def textbook_step(name, matrices, grads, moments, t, lr):
+        """Step t of every matrix as the textbook writes it, in place."""
+        for key, x in matrices.items():
+            g = grads[key]
+            if name == "sgd":
+                x -= lr * g
+                continue
+            m, v = moments.setdefault(key, [np.zeros_like(x), np.zeros_like(x)])
+            m[...] = 0.9 * m + (1 - 0.9) * g
+            v[...] = 0.999 * v + (1 - 0.999) * g * g
+            m_hat = m / (1 - 0.9 ** t)
+            v_hat = v / (1 - 0.999 ** t)
+            x -= lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+
+    @pytest.mark.parametrize("chunk", [None, 7], ids=["real_chunk", "chunk_7"])
+    @pytest.mark.parametrize("name", ["adam", "sgd"])
+    def test_flat_update_matches_the_textbook_per_matrix(self, monkeypatch, name, chunk):
+        # 30000 + 10000 entries: the first chunk boundary falls inside "small"
+        assert 30000 < training.OPTIMIZER_CHUNK < 40000
+        if chunk is not None:
+            monkeypatch.setattr(training, "OPTIMIZER_CHUNK", chunk)
+        rng = np.random.default_rng(12)
+        reference = {"big": rng.normal(size=(3, 10000)), "small": rng.normal(size=(5, 2000))}
+        flat, views = dc.pack(reference)
+        optimizer = training.OPTIMIZERS[name](0.01)
+        moments = {}
+        for t in range(1, 4):
+            grads = {key: rng.normal(size=x.shape) * 10.0 ** -t
+                     for key, x in reference.items()}
+            optimizer.step({"params": flat}, {"params": dc.pack(grads)[0]})
+            self.textbook_step(name, reference, grads, moments, t, 0.01)
+            for key, x in reference.items():
+                assert np.array_equal(views[key], x), (key, t)
+
+    def test_update_rejects_a_gradient_of_another_size(self):
+        with pytest.raises(ValueError, match="gradient of 'w' has 3 entries"):
+            training.Adam(0.01).step({"w": np.zeros(2)}, {"w": np.zeros(3)})
 
     def test_train_config_rejects_unknown_optimizer(self):
         with pytest.raises(ValueError, match="adamw"):
@@ -184,7 +224,7 @@ class TestGrlBlocks:
         def run(p_mats):
             p = params.copy()
             for name, v in p_mats.items():
-                p.matrices[name] = np.asarray(v).copy()
+                p.matrices[name][...] = np.asarray(v).copy()
             tape = dc.Tape()
             total, b = model.total_loss(tape, p, target, source, config)
             tape.backward(total)
@@ -214,7 +254,7 @@ class TestProbe:
         dims = model.ModelDims(k=4, n_users=10, n_source_items=5, n_target_items=5)
         params = model.ModelParams.init(dims, seed=1)
         for name in ("disc_h1", "disc_h2", "disc_out"):
-            params.matrices[name] = np.zeros_like(params.matrices[name])
+            params.matrices[name][...] = np.zeros_like(params.matrices[name])
         probe = training.discriminator_probe(params)
         assert probe.accuracy == 0.5
         assert probe.tie_fraction == 1.0
@@ -223,12 +263,12 @@ class TestProbe:
         dims = model.ModelDims(k=2, n_users=4, n_source_items=3, n_target_items=3)
         params = model.ModelParams.init(dims, seed=2)
         # source attributes activate unit 0, target attributes unit 1
-        params.matrices["user_att_s"] = np.vstack([np.ones(4), np.zeros(4)])
-        params.matrices["user_att_t"] = np.vstack([np.zeros(4), np.ones(4)])
-        params.matrices["shared_encoder"] = np.eye(2)
-        params.matrices["disc_h1"] = np.eye(2)
-        params.matrices["disc_h2"] = np.eye(2)
-        params.matrices["disc_out"] = np.array([[5.0, -5.0], [-5.0, 5.0]])
+        params.matrices["user_att_s"][...] = np.vstack([np.ones(4), np.zeros(4)])
+        params.matrices["user_att_t"][...] = np.vstack([np.zeros(4), np.ones(4)])
+        params.matrices["shared_encoder"][...] = np.eye(2)
+        params.matrices["disc_h1"][...] = np.eye(2)
+        params.matrices["disc_h2"][...] = np.eye(2)
+        params.matrices["disc_out"][...] = np.array([[5.0, -5.0], [-5.0, 5.0]])
         probe = training.discriminator_probe(params)
         assert probe.accuracy == 1.0
 
@@ -286,3 +326,31 @@ class TestFitAdjacency:
         adjacency[np.abs(adjacency) < 1e-12] = 0.0
         assert np.all(adjacency[:, :k] == 0.0)
         assert np.all(adjacency[k:, :] == 0.0)
+
+
+# ---------------------------------------------------------------------------
+# The bytes train_seed writes for a tiny two-epoch run. A change to the
+# training step that moves a single float of the trajectory (summation
+# order, an RNG stream, the optimizer's arithmetic) changes a digest.
+
+GOLDEN_TRAIN_CONFIG = cli.ExperimentConfig(
+    synth=data.SynthConfig(n_users=100, n_source_items=160, n_target_items=140,
+                           k=4, target_density=0.03, source_density=0.05,
+                           attribute_shift=1.0, seed=3),
+    split=data.SplitSpec(seed=3),
+    train=training.TrainConfig(k=4, epochs=2, batch_size=64),
+    seeds=(1,))
+GOLDEN_TRAIN = {
+    "checkpoint.nmc": "0266f8963b95f0bd82c8bec117f35f609ee575a70d434bcd2443f3bd32d24960",
+    "history.csv": "a613ee7c6042fc6523b2cac7ef48f88f80f0f2e9fc9f7307d5ee41836597299f",
+    "metrics_seed.csv": "118bcbad44449e49f1128cb0bcfc0b1d0ba1cd8f6e057e53a38a537ab51af5db",
+}
+
+
+def test_train_seed_bytes_are_pinned(tmp_path):
+    config = GOLDEN_TRAIN_CONFIG
+    dataset, _, split = cli.prepare(config, tmp_path)
+    cli.train_seed(config, dataset, split, 1, tmp_path)
+    written = {name: hashlib.sha256((tmp_path / "seed_1" / name).read_bytes()).hexdigest()
+               for name in GOLDEN_TRAIN}
+    assert written == GOLDEN_TRAIN
