@@ -187,11 +187,20 @@ def config_canonical_text(config: ExperimentConfig) -> str:
 
 
 def config_hash(config: ExperimentConfig) -> str:
-    """Digest of the canonical text and, for a csv dataset, of the CSVs."""
-    digest = hashlib.sha256(config_canonical_text(config).encode())
+    """Digest of the canonical text and, for a csv dataset, of the CSVs.
+
+    A csv dataset is identified by the contents of its files, not by where
+    they lie: its source_path and target_path lines are left out of the
+    hashed text, so the same files in another directory give the same hash."""
+    lines = config_canonical_text(config).splitlines(keepends=True)
+    csv_files = []
     if config.dataset.kind == "csv":
-        for path in (config.dataset.source_path, config.dataset.target_path):
-            digest.update(hashlib.sha256(Path(path).read_bytes()).digest())
+        lines = [line for line in lines
+                 if not line.startswith(("dataset.source_path=", "dataset.target_path="))]
+        csv_files = [config.dataset.source_path, config.dataset.target_path]
+    digest = hashlib.sha256("".join(lines).encode())
+    for path in csv_files:
+        digest.update(hashlib.sha256(Path(path).read_bytes()).digest())
     return digest.hexdigest()[:16]
 
 
@@ -357,6 +366,11 @@ def run_experiment(config: ExperimentConfig) -> evaluation.MetricsReport:
 # ---------------------------------------------------------------------------
 # entry points
 
+def _print_report(report: evaluation.MetricsReport) -> None:
+    for key in sorted(report.mean):
+        print(f"{key}: {report.mean[key]:.4f} (±{report.std[key]:.4f})")
+
+
 def _cmd_prepare(args) -> int:
     config = _config_from_args(args)
     out = Path(config.out_dir)
@@ -376,9 +390,7 @@ def _cmd_train(args) -> int:
         print(f"seed {args.seed}: " +
               " ".join(f"{k}={v:.4f}" for k, v in sorted(metrics.items())))
         return 0
-    report = run_experiment(config)
-    for key in sorted(report.mean):
-        print(f"{key}: {report.mean[key]:.4f} (±{report.std[key]:.4f})")
+    _print_report(run_experiment(config))
     return 0
 
 
@@ -396,9 +408,7 @@ def _cmd_evaluate(args) -> int:
             f"{out / 'splits' / 'candidates_test.csv'} holds no candidate lists"))
     seeds = [args.seed] if args.seed is not None else config.seeds
     runs = [evaluate_seed(config, None, split, seed, out) for seed in seeds]
-    report = evaluation.aggregate_runs(runs)
-    for key in sorted(report.mean):
-        print(f"{key}: {report.mean[key]:.4f} (±{report.std[key]:.4f})")
+    _print_report(evaluation.aggregate_runs(runs))
     return 0
 
 
@@ -406,9 +416,7 @@ def _cmd_ablate(args) -> int:
     config = _config_from_args(args)
     config.train = replace(config.train, ablation=args.mode)
     config.out_dir = str(Path(config.out_dir) / f"ablate_{args.mode}")
-    report = run_experiment(config)
-    for key in sorted(report.mean):
-        print(f"{key}: {report.mean[key]:.4f} (±{report.std[key]:.4f})")
+    _print_report(run_experiment(config))
     return 0
 
 
@@ -470,11 +478,10 @@ def _cmd_synth(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     dataset, truth = data.synth_generate(config.synth)
     data.save_dataset_csv(dataset, out / "source.csv", out / "target.csv")
-    if truth is not None:
-        lines = ["i,j,weight"]
-        for i, j in sorted(truth.edges):
-            lines.append(f"{i},{j},{truth.weight_matrix[i, j - config.synth.k]:.12g}")
-        (out / "true_edges.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    lines = ["i,j,weight"]
+    for i, j in sorted(truth.edges):
+        lines.append(f"{i},{j},{truth.weight_matrix[i, j - config.synth.k]:.12g}")
+    (out / "true_edges.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"synthetic dataset written to {out}")
     return 0
 

@@ -6,9 +6,9 @@ contiguous slicing, ReLU, sigmoid, two-way softmax, binary cross-entropy,
 norms, a weighted sum, the summed negative log of column L1 masses, a
 gradient-reversal node, and the trace-exponential acyclicity scalar. A
 tape records operations in execution order; the backward pass replays
-them in reverse and accumulates exact analytic gradients into
-per-parameter buffers. Parameters packed into one vector (see pack) are
-registered in one call, and their gradients share one flat buffer.
+them in reverse and accumulates exact analytic gradients. Parameters
+are packed into one vector (see pack) and registered in one call; their
+gradients are views of one preallocated flat buffer.
 
 The engine holds no global state and draws no randomness; a Tape is
 single-use and confined to one thread.
@@ -95,9 +95,8 @@ class Tape:
 
     Single-use: once backward() has run, recording further operations or
     running backward again raises. Registered parameter values are treated
-    as read-only snapshots; gradients accumulate in tape-local buffers,
-    except those of packed parameters (see params), which accumulate into
-    grad_buffer when one is given.
+    as read-only snapshots; their gradients accumulate into views of one
+    flat buffer per registered vector (see params).
 
     Tape(grad=False) is a value-only tape for forward passes that need no
     gradient (scoring, probes): it keeps no record and no parameter node,
@@ -113,19 +112,9 @@ class Tape:
         self._done = False
         self._grad_buffer = grad_buffer
 
-    def _claim(self, names) -> None:
-        if self._done:
-            raise TapeStateError("tape already consumed by backward()")
-        for name in names:
-            if name in self._params:
-                raise TapeStateError(f"duplicate parameter name {name!r}")
-
     def param(self, name: str, value) -> Node:
-        self._claim((name,))
-        node = Node(self, _as_array(value), "param")
-        _check_finite(f"param {name!r}", node.value)
-        self._params[name] = node if self._records is not None else None
-        return node
+        """Register a packed copy of one matrix (see params)."""
+        return self.params(*pack({name: value}))[name]
 
     def params(self, flat: np.ndarray, views: Mapping[str, np.ndarray]) -> dict[str, Node]:
         """Register every matrix of one packed vector, as pack returns it.
@@ -136,8 +125,11 @@ class Tape:
         grad_buffer, zeroed here, or a new one. The first call takes the
         grad_buffer; a later call gets a new one.
         """
-        self._claim(views)
+        if self._done:
+            raise TapeStateError("tape already consumed by backward()")
         for name, view in views.items():
+            if name in self._params:
+                raise TapeStateError(f"duplicate parameter name {name!r}")
             if view.base is not flat:
                 raise ShapeError(f"param {name!r} is not a view of the packed vector")
         if not np.isfinite(flat).all():
@@ -194,9 +186,7 @@ class Tape:
         # form cycles with it; keeping only the gradients frees the nodes
         # and their buffers now instead of at the next cyclic collection.
         self._records = []
-        self._grads = {name: node.grad if node.grad is not None
-                       else np.zeros_like(node.value)
-                       for name, node in self._params.items()}
+        self._grads = {name: node.grad for name, node in self._params.items()}
         self._params = {}
 
     def grad(self, name: str) -> np.ndarray:

@@ -102,8 +102,9 @@ class ModelParams:
 
     @classmethod
     def load(cls, path) -> "ModelParams":
-        """Read a checkpoint; ContainerError names every missing matrix and
-        every matrix whose shape does not fit the dims the file implies."""
+        """Read a checkpoint; ContainerError names every missing matrix,
+        every matrix whose shape does not fit the dims the file implies,
+        and every matrix holding a NaN or an infinity."""
         matrices, meta = matrixio.read_container(path)
         missing = [name for name in PARAM_SHAPES if name not in matrices]
         if missing:
@@ -120,6 +121,10 @@ class ModelParams:
         if wrong:
             raise matrixio.ContainerError(
                 f"{path}: matrices of the wrong shape for k={k}: {', '.join(wrong)}")
+        non_finite = [name for name in PARAM_SHAPES if not np.isfinite(matrices[name]).all()]
+        if non_finite:
+            raise matrixio.ContainerError(
+                f"{path}: non-finite values in matrices {', '.join(non_finite)}")
         strict = meta.get("strict_causal_mask", "0")
         if strict not in ("0", "1"):
             raise matrixio.ContainerError(

@@ -97,23 +97,17 @@ def history_to_csv(history, path, header_meta: str | None = None) -> None:
 OPTIMIZER_CHUNK = 32768
 
 
-def _pieces(params: dict, grads: dict):
-    """(name, entries, x, g) for each OPTIMIZER_CHUNK-entry piece of every
-    parameter: x is a view of the parameter, so updates land in place,
-    and g the matching piece of its gradient."""
-    for name, matrix in params.items():
-        x = np.reshape(matrix, -1, copy=False)
-        g = np.reshape(grads[name], -1)
-        if g.size != x.size:
-            raise ValueError(f"gradient of {name!r} has {g.size} entries, "
-                             f"the parameter {x.size}")
-        for lo in range(0, x.size, OPTIMIZER_CHUNK):
-            part = slice(lo, lo + OPTIMIZER_CHUNK)
-            yield name, part, x[part], g[part]
+def _pieces(x: np.ndarray, g: np.ndarray) -> list:
+    """(entries, x[entries], g[entries]) for each OPTIMIZER_CHUNK-entry
+    piece of the vector x; the views of x take the updates in place."""
+    if x.ndim != 1 or g.shape != x.shape:
+        raise ValueError(f"gradient of shape {g.shape} for a vector of shape {x.shape}")
+    parts = [slice(lo, lo + OPTIMIZER_CHUNK) for lo in range(0, x.size, OPTIMIZER_CHUNK)]
+    return [(part, x[part], g[part]) for part in parts]
 
 
 class _InPlaceOptimizer:
-    """Holds the scratch rows an in-place update writes its temporaries to."""
+    """Steps one flat vector in place, with scratch rows for temporaries."""
 
     def __init__(self, learning_rate: float):
         self.learning_rate = learning_rate
@@ -126,15 +120,15 @@ class _InPlaceOptimizer:
 
 
 class Sgd(_InPlaceOptimizer):
-    def step(self, params: dict, grads: dict) -> None:
-        for _, _, x, g in _pieces(params, grads):
+    def step(self, x: np.ndarray, g: np.ndarray) -> None:
+        for _, x, g in _pieces(x, g):
             s = self._scratch(x.size)[0]
             np.multiply(g, self.learning_rate, out=s)
             np.subtract(x, s, out=x)
 
 
 class Adam(_InPlaceOptimizer):
-    """Per-parameter moment estimation with the usual decay pair and a
+    """Per-entry moment estimation with the usual decay pair and a
     small denominator guard. Every entry is updated in the arithmetic
     order b1*m + (1-b1)*g, b2*v + ((1-b2)*g)*g, x - lr*(m/c1) /
     (sqrt(v/c2) + eps)."""
@@ -144,18 +138,17 @@ class Adam(_InPlaceOptimizer):
         super().__init__(learning_rate)
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
-        self.m: dict = {}
-        self.v: dict = {}
+        self.m = self.v = None  # allocated on the first step
 
-    def step(self, params: dict, grads: dict) -> None:
+    def step(self, x: np.ndarray, g: np.ndarray) -> None:
+        pieces = _pieces(x, g)  # checks the shapes before any state changes
+        if self.m is None:
+            self.m, self.v = np.zeros_like(x), np.zeros_like(x)
         self.t += 1
         c1 = 1 - self.beta1 ** self.t
         c2 = 1 - self.beta2 ** self.t
-        for name, part, x, g in _pieces(params, grads):
-            if name not in self.m:
-                self.m[name] = np.zeros(np.size(params[name]))
-                self.v[name] = np.zeros(np.size(params[name]))
-            m, v = self.m[name][part], self.v[name][part]
+        for part, x, g in pieces:
+            m, v = self.m[part], self.v[part]
             s1, s2 = self._scratch(x.size)
             np.multiply(m, self.beta1, out=m)
             np.multiply(g, 1 - self.beta1, out=s1)
@@ -279,7 +272,7 @@ def train(dataset: data.CrossDomainDataset, split: data.SplitResult,
                 raise TrainingError(
                     f"non-finite loss at epoch {epoch} step {steps}: {exc}") from exc
             tape.backward(total)
-            optimizer.step({"params": params.flat}, {"params": grad})
+            optimizer.step(params.flat, grad)
             sums["t"] += breakdown.interaction_target
             sums["s"] += breakdown.interaction_source
             sums["c"] += breakdown.domain
@@ -364,17 +357,18 @@ def fit_adjacency(samples: np.ndarray, k: int,
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 2 or samples.shape[0] != 2 * k:
         raise ValueError(f"samples must be {2 * k} x N, got {samples.shape}")
-    adjacency = {"adjacency": np.zeros((2 * k, 2 * k))}
+    flat, adjacency = dc.pack({"adjacency": np.zeros((2 * k, 2 * k))})
+    grad = np.empty_like(flat)  # each step's tape zeroes and fills it
     optimizer = OPTIMIZERS[config.optimizer](config.learning_rate)
     history = []
     for _ in range(config.steps):
-        tape = dc.Tape()
-        a = tape.param("adjacency", adjacency["adjacency"])
+        tape = dc.Tape(grad_buffer=grad)
+        a = tape.params(flat, adjacency)["adjacency"]
         a_eff = causal.effective_adjacency(a, k, config.strict_mask)
         total, terms = causal.causal_loss(a_eff, tape.constant(samples), k,
                                           config.penalty)
         tape.backward(total)
-        optimizer.step(adjacency, tape.grads())
+        optimizer.step(flat, grad)
         history.append((float(total.value), terms.dag))
     final = causal.effective_matrix(adjacency["adjacency"], k, config.strict_mask)
     return final, history

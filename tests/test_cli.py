@@ -346,6 +346,41 @@ class TestCommands:
         assert "runtime failure" in err and "missing matrices" in err
         assert "user_map_t" in err
 
+    def test_moved_csvs_keep_the_run_hash(self, tmp_path, capsys):
+        rng = np.random.default_rng(8)
+        (tmp_path / "data").mkdir()
+        for name, n_items in (("source", 90), ("target", 200)):
+            rows = [f"u{rng.integers(40)},{rng.integers(n_items)},{rng.integers(1, 6)}"
+                    for _ in range(400)]
+            (tmp_path / "data" / f"{name}.csv").write_text(
+                "\n".join(["user,item,rating"] + rows) + "\n")
+
+        def csv_config(directory):
+            return write_config(tmp_path, "dataset.kind=csv\nsplit.seed=11\n"
+                                "train.k=4\ntrain.epochs=1\nseeds=1",
+                                out_dir=str(tmp_path / "run"),
+                                **{"dataset.source_path": str(directory / "source.csv"),
+                                   "dataset.target_path": str(directory / "target.csv")})
+
+        path = csv_config(tmp_path / "data")
+        assert cli.main(["train", "--config", str(path)]) == 0
+        trained = cli.load_config(path)
+        shutil.copytree(tmp_path / "data", tmp_path / "moved")
+        path = csv_config(tmp_path / "moved")
+        moved = cli.load_config(path)
+        assert cli.config_canonical_text(moved) != cli.config_canonical_text(trained)
+        assert cli.config_hash(moved) == cli.config_hash(trained)
+        shutil.rmtree(tmp_path / "data")
+        capsys.readouterr()
+        assert cli.main(["evaluate", "--config", str(path)]) == 0
+        assert "HR@10" in capsys.readouterr().out
+        target = tmp_path / "moved" / "target.csv"
+        content = target.read_bytes()
+        target.write_bytes(content[:-2] + bytes([content[-2] ^ 1]) + content[-1:])
+        assert cli.main(["evaluate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runtime failure") and "splits/train.csv" in err
+
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("nonsense.key=1\n")
@@ -485,6 +520,18 @@ class TestEvaluateStoredRun:
         err = capsys.readouterr().err
         assert err.startswith("runtime failure") and str(checkpoint) in err
         assert named in err
+        assert digests(run) == before
+
+    def test_non_finite_checkpoint_exits_2(self, tmp_path, run, capsys):
+        checkpoint = run / "seed_1" / "checkpoint.nmc"
+        matrices, meta = matrixio.read_container(checkpoint)
+        matrices["disc_h1"][1, 2] = np.nan
+        matrixio.write_container(checkpoint, matrices, meta)
+        before = digests(run)
+        assert self.evaluate(tmp_path, run) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runtime failure") and str(checkpoint) in err
+        assert "non-finite values in matrices disc_h1" in err
         assert digests(run) == before
 
     def test_split_file_from_another_seed_exits_2(self, tmp_path, run, capsys):

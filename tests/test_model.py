@@ -512,6 +512,17 @@ class TestCheckpoint:
                                  r"fusion_s \(4, 4\) \(expected \(4, 8\)\)"):
             model.ModelParams.load(path)
 
+    def test_non_finite_matrices_named(self, tmp_path):
+        params = make_params(seed=45)
+        params.matrices["disc_h1"][0, 1] = np.nan
+        params.matrices["item_emb_t"][2, 0] = -np.inf
+        path = tmp_path / "model.nmc"
+        params.save(path)
+        with pytest.raises(matrixio.ContainerError,
+                           match=r"model.nmc: non-finite values in matrices "
+                                 r"item_emb_t, disc_h1$"):
+            model.ModelParams.load(path)
+
     def test_byte_identical_writes(self, tmp_path):
         params = make_params(seed=36)
         a, b = tmp_path / "a.nmc", tmp_path / "b.nmc"
