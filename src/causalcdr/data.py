@@ -12,6 +12,7 @@ import csv
 import hashlib
 import math
 from bisect import bisect_left
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -691,25 +692,52 @@ def _positive_count(density: float, cells: int) -> int:
     return int(round(density * cells))
 
 
-def _positives_from_affinity(affinity: np.ndarray, density: float) -> set:
-    """The `count` highest-affinity cells, ties taken in flat-index order:
-    the first `count` of a stable descending sort.
+POSITIVE_BLOCK_CELLS = 1 << 20
 
-    np.partition finds the cut-off, the count-th largest value. Fewer than
-    `count` cells lie above it and at least `count` lie at or above it, so
-    a stable sort takes every cell above the cut-off, then the cells at the
-    cut-off in flat-index order until it has `count`. Only those cells are
-    then sorted, to insert them into the set in the stable sort's order.
+
+def _top_positions(values: np.ndarray, count: int) -> np.ndarray:
+    """Ascending positions of the first `count` values of a stable
+    descending sort: every value above the cut-off (the count-th largest
+    value), then the values at it in position order."""
+    if values.size <= count:
+        return np.arange(values.size)
+    cutoff = np.partition(values, values.size - count)[values.size - count]
+    top = values > cutoff
+    ties = np.flatnonzero(values == cutoff)
+    top[ties[:count - np.count_nonzero(top)]] = True
+    return np.flatnonzero(top)
+
+
+def _top_cells(affinity: np.ndarray, density: float) -> np.ndarray:
+    """Flat indices of the `count` highest-affinity cells, ties taken in
+    flat-index order: the first `count` of a stable descending sort, in
+    that sort's order.
+
+    The table is read in blocks of POSITIVE_BLOCK_CELLS cells (at least
+    `count`), so no copy or mask of the whole table is made. A stable sort
+    ranks finite cells by (-value, flat index), a total order, and a cell
+    among the first `count` of the whole table is among the first `count`
+    of any part that holds it. So the candidates, kept in flat-index
+    order, are cut to their own first `count` after each block, and the
+    last cut is the answer.
     """
     count = _positive_count(density, affinity.size)
     flat = affinity.ravel()
-    cutoff = np.partition(flat, flat.size - count)[flat.size - count]
-    above = np.flatnonzero(flat > cutoff)
-    ties = np.flatnonzero(flat == cutoff)[:count - len(above)]
-    top = np.concatenate([above, ties])
-    top = top[np.argsort(-flat[top], kind="stable")]
-    rows, cols = np.unravel_index(top, affinity.shape)
-    return set(zip(rows.tolist(), cols.tolist()))
+    step = max(POSITIVE_BLOCK_CELLS, count)
+    top = np.empty(0, dtype=np.intp)
+    for start in range(0, flat.size, step):
+        top = np.concatenate([top, start + _top_positions(flat[start:start + step], count)])
+        top = top[_top_positions(flat[top], count)]
+    return top[np.argsort(-flat[top], kind="stable")]
+
+
+@contextmanager
+def _allocating(what: str):
+    """Raise an allocation refusal while building `what` as a DataError."""
+    try:
+        yield
+    except MemoryError as exc:
+        raise DataError(f"cannot allocate {what}: {exc}") from None
 
 
 def synth_generate(config: SynthConfig) -> tuple[CrossDomainDataset, GroundTruth]:
@@ -723,38 +751,46 @@ def synth_generate(config: SynthConfig) -> tuple[CrossDomainDataset, GroundTruth
     rng = np.random.default_rng(config.seed)
     m, k = config.n_users, config.k
 
-    labels = rng.integers(0, 2, size=m).astype(np.int8)
-    attributes = rng.normal(size=(m, k))
-    if config.attribute_shift:
-        attributes[labels == 1, 0] += config.attribute_shift
+    with _allocating(f"the {m} x {k} user attribute and preference tables"):
+        labels = rng.integers(0, 2, size=m).astype(np.int8)
+        attributes = rng.normal(size=(m, k))
+        if config.attribute_shift:
+            attributes[labels == 1, 0] += config.attribute_shift
 
-    if config.weight_matrix is not None:
-        b = np.asarray(config.weight_matrix, dtype=np.float64)
-    else:
-        b = _random_weight_matrix(k, config.n_edges, rng)
+        if config.weight_matrix is not None:
+            b = np.asarray(config.weight_matrix, dtype=np.float64)
+        else:
+            b = _random_weight_matrix(k, config.n_edges, rng)
 
-    noise_t = rng.normal(size=(m, k)) * config.noise_scale
-    target_prefs = attributes @ b + noise_t
+        noise_t = rng.normal(size=(m, k)) * config.noise_scale
+        target_prefs = attributes @ b + noise_t
 
-    corr = config.source_map_correlation
-    c = corr * b + (1.0 - corr) * _random_weight_matrix(k, config.n_edges, rng)
-    noise_s = rng.normal(size=(m, k)) * config.noise_scale
-    source_prefs = attributes @ c + noise_s
+        corr = config.source_map_correlation
+        c = corr * b + (1.0 - corr) * _random_weight_matrix(k, config.n_edges, rng)
+        noise_s = rng.normal(size=(m, k)) * config.noise_scale
+        source_prefs = attributes @ c + noise_s
 
-    target_items = rng.normal(size=(config.n_target_items, k))
-    source_items = rng.normal(size=(config.n_source_items, k))
-    spread = config.degree_spread
-    target_positives = _positives_from_affinity(
-        _temper_norms(target_prefs, spread) @ target_items.T, config.target_density)
-    source_positives = _positives_from_affinity(
-        _temper_norms(source_prefs, spread) @ source_items.T, config.source_density)
+    domains = ((TARGET, target_prefs, config.n_target_items, config.target_density),
+               (SOURCE, source_prefs, config.n_source_items, config.source_density))
+    items = {}
+    for domain, _, n_items, _ in domains:
+        with _allocating(f"the {domain} domain's {m} x {n_items} affinity table"):
+            items[domain] = rng.normal(size=(n_items, k))
+    positives = {}
+    for domain, prefs, n_items, density in domains:
+        with _allocating(f"the {domain} domain's {m} x {n_items} affinity table"):
+            # the table is gone once _top_cells returns, before the set is built
+            top = _top_cells(_temper_norms(prefs, config.degree_spread) @ items[domain].T,
+                             density)
+            rows, cols = np.unravel_index(top, (m, n_items))
+            positives[domain] = set(zip(rows.tolist(), cols.tolist()))
 
     dataset = CrossDomainDataset(
         n_users=m,
         n_source_items=config.n_source_items,
         n_target_items=config.n_target_items,
-        source_positives=source_positives,
-        target_positives=target_positives,
+        source_positives=positives[SOURCE],
+        target_positives=positives[TARGET],
         user_attribute=labels,
         attribute_names=("0", "1"),
     )

@@ -352,7 +352,8 @@ def fit_adjacency(samples: np.ndarray, k: int,
                   config: AdjacencyFitConfig | None = None) -> tuple:
     """Gradient descent of the causal loss over a fixed 2k x N sample
     batch, starting from the zero matrix. Returns the masked adjacency and
-    a per-step (loss, acyclicity) history."""
+    a per-step (loss, acyclicity) history; TrainingError names the step
+    whose loss is non-finite."""
     config = config or AdjacencyFitConfig()
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 2 or samples.shape[0] != 2 * k:
@@ -361,12 +362,15 @@ def fit_adjacency(samples: np.ndarray, k: int,
     grad = np.empty_like(flat)  # each step's tape zeroes and fills it
     optimizer = OPTIMIZERS[config.optimizer](config.learning_rate)
     history = []
-    for _ in range(config.steps):
+    for step in range(config.steps):
         tape = dc.Tape(grad_buffer=grad)
-        a = tape.params(flat, adjacency)["adjacency"]
-        a_eff = causal.effective_adjacency(a, k, config.strict_mask)
-        total, terms = causal.causal_loss(a_eff, tape.constant(samples), k,
-                                          config.penalty)
+        try:
+            a = tape.params(flat, adjacency)["adjacency"]
+            a_eff = causal.effective_adjacency(a, k, config.strict_mask)
+            total, terms = causal.causal_loss(a_eff, tape.constant(samples), k,
+                                              config.penalty)
+        except dc.NonFiniteError as exc:
+            raise TrainingError(f"non-finite loss at step {step}: {exc}") from exc
         tape.backward(total)
         optimizer.step(flat, grad)
         history.append((float(total.value), terms.dag))

@@ -398,6 +398,18 @@ class TestCommands:
         ds = data.ingest_csv(out / "source.csv", out / "target.csv")
         assert ds.n_users > 0
 
+    def test_synth_request_too_large_for_memory_exits_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, text="synth.n_users=10\n"
+                                           f"synth.n_source_items={2**40}\n"
+                                           "synth.n_target_items=30\n"
+                                           "synth.source_density=1e-9",
+                            out_dir=str(tmp_path / "synthout"))
+        assert cli.main(["synth", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runtime failure: cannot allocate the source domain's "
+                              f"10 x {2**40} affinity table: ")
+        assert not (tmp_path / "synthout" / "source.csv").exists()
+
     def test_report_pairs_an_iid_run_that_differs_in_its_split_only(self, tmp_path,
                                                                      capsys):
         ood_config, runs = report_runs(tmp_path)

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -443,6 +444,43 @@ class TestSynth:
             data.synth_generate(data.SynthConfig(n_users=10, n_target_items=10,
                                                  target_density=1e-5))
 
+    @pytest.mark.parametrize("shape, refused", [
+        # the item draw is refused
+        (dict(n_users=10, n_source_items=2**40, n_target_items=30, source_density=1e-9),
+         f"the source domain's 10 x {2**40} affinity table"),
+        # the items fit and the table is refused
+        (dict(n_users=2**20, n_target_items=2**20, k=1, n_edges=1),
+         f"the target domain's {2**20} x {2**20} affinity table"),
+        (dict(n_users=2**40, n_source_items=2, n_target_items=2),
+         f"the {2**40} x 4 user attribute and preference tables"),
+    ])
+    def test_allocation_refusal_is_a_data_error(self, shape, refused):
+        config = data.SynthConfig(**shape)
+        with pytest.raises(data.DataError, match=f"^cannot allocate {refused}: "):
+            data.synth_generate(config)
+
+    def test_blocks_do_not_change_the_dataset(self, monkeypatch):
+        want, _ = data.synth_generate(GOLDEN_SYNTH)
+        # 64-cell blocks against one block per table
+        assert GOLDEN_SYNTH.n_users * GOLDEN_SYNTH.n_source_items < data.POSITIVE_BLOCK_CELLS
+        monkeypatch.setattr(data, "POSITIVE_BLOCK_CELLS", 64)
+        got, _ = data.synth_generate(GOLDEN_SYNTH)
+        for domain in data.DOMAINS:
+            assert list(got.positives(domain)) == list(want.positives(domain))
+
+    def test_peak_memory_is_one_table_and_blocks(self, monkeypatch):
+        # the 9.6 MB source table plus block-sized work: a copy of the table,
+        # or its positive set built while it lives, goes past 1.5 tables
+        monkeypatch.setattr(data, "POSITIVE_BLOCK_CELLS", 1 << 16)
+        config = data.SynthConfig(n_users=600, n_source_items=2000, seed=0)
+        tracemalloc.start()
+        try:
+            data.synth_generate(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * (600 * 2000 * 8)
+
     def test_positive_rate_monotone_in_preference_norm(self):
         cfg = data.SynthConfig(n_users=300, n_source_items=200, n_target_items=250,
                                k=4, noise_scale=0.0, attribute_shift=0.0,
@@ -634,11 +672,10 @@ class TestSplitReaderFuzz:
 # array work. Each array form must return what its loop form returns and
 # consume the generator's stream the same way.
 
-def loop_positives_from_affinity(affinity, density):
+def loop_top_cells(affinity, density):
+    """The positives' cells, in the order synth_generate inserts them."""
     count = data._positive_count(density, affinity.size)
-    top = np.argsort(-affinity.ravel(), kind="stable")[:count]
-    rows, cols = np.unravel_index(top, affinity.shape)
-    return {(int(u), int(i)) for u, i in zip(rows, cols)}
+    return np.argsort(-affinity.ravel(), kind="stable")[:count]
 
 
 def loop_ensure_test_users_trained(train, val, test, rng, types=None):
@@ -700,7 +737,7 @@ def random_parts(seed, train_share, n_users=40, n_items=30, n_pairs=130):
 class TestArrayFormsMatchLoopForms:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("values", ["normal", "few_integers", "signed_zeros"])
-    def test_positives_from_affinity(self, seed, values):
+    def test_positives_from_affinity(self, seed, values, monkeypatch):
         rng = np.random.default_rng(seed)
         shape = (37, 53)
         affinity = {
@@ -711,14 +748,30 @@ class TestArrayFormsMatchLoopForms:
             "signed_zeros": lambda: rng.choice([-0.0, 0.0, 1.0], size=shape),
         }[values]()
         cells = affinity.size
-        for count in (1, 2, cells // 50, cells // 3, cells - 1):
-            density = count / cells
-            assert data._positive_count(density, cells) == count
-            got = data._positives_from_affinity(affinity, density)
-            want = loop_positives_from_affinity(affinity, density)
-            assert got == want
-            # inserted in the same order, so they also iterate alike
-            assert list(got) == list(want)
+        # 1961 cells: most counts exceed the smaller blocks and set the
+        # step, and most steps leave a short last block
+        for block in (1, 7, 64, data.POSITIVE_BLOCK_CELLS):
+            monkeypatch.setattr(data, "POSITIVE_BLOCK_CELLS", block)
+            for count in (1, 2, cells // 50, cells // 3, cells - 1):
+                density = count / cells
+                assert data._positive_count(density, cells) == count
+                got = data._top_cells(affinity, density)
+                assert got.dtype == np.intp
+                assert np.array_equal(got, loop_top_cells(affinity, density)), (block, count)
+
+    @pytest.mark.parametrize("block", [1, 4, 7, 64])
+    def test_top_cells_across_block_boundaries(self, block, monkeypatch):
+        monkeypatch.setattr(data, "POSITIVE_BLOCK_CELLS", block)
+        # runs of tied 1.0s and of mixed -0.0/0.0 cross every block boundary
+        affinity = np.array([1.0, -0.0, 0.0, 1.0, 1.0, -0.0, 2.0, 0.0, 0.0, -0.0] * 3)
+        affinity = affinity.reshape(3, 10)
+        want = {1: [6], 4: [6, 16, 26, 0], 11: [6, 16, 26, 0, 3, 4, 10, 13, 14, 20, 23],
+                15: [6, 16, 26, 0, 3, 4, 10, 13, 14, 20, 23, 24, 1, 2, 5]}
+        for count, cells in want.items():
+            # a count above the block sets the step; steps 4, 7, 11 and 64
+            # leave a short last block
+            got = data._top_cells(affinity, count / 30)
+            assert got.tolist() == cells == loop_top_cells(affinity, count / 30).tolist()
 
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("train_share", [0.15, 0.4, 0.7])

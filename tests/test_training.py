@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -321,6 +322,25 @@ class TestFitAdjacency:
         truth = {(int(i), int(k + j)) for i, j in zip(*np.nonzero(b))}
         ext = causal.extract_graph(adjacency, 0.3, reference_edges=truth)
         assert ext.f1 >= 0.9
+
+    def test_diverging_fit_names_its_step(self):
+        # plain Sgd at the default rate overflows under the dag weight of 500
+        rng = np.random.default_rng(6)
+        k = 4
+        b = data._random_weight_matrix(k, 6, rng)
+        a = rng.normal(size=(300, k))
+        h = np.vstack([a.T, (a @ b + 0.1 * rng.normal(size=(300, k))).T])
+        config = training.AdjacencyFitConfig(optimizer="sgd")
+        with np.errstate(all="ignore"):
+            with pytest.raises(training.TrainingError,
+                               match=r"^non-finite loss at step \d+: ") as raised:
+                training.fit_adjacency(h, k, config)
+            step = int(re.search(r"step (\d+)", str(raised.value)).group(1))
+            # the steps before it all have finite losses
+            config.steps = step
+            _, history = training.fit_adjacency(h, k, config)
+        assert len(history) == step > 0
+        assert all(np.isfinite(loss) for loss, _ in history)
 
     def test_strict_mask_confines_support(self):
         rng = np.random.default_rng(7)
