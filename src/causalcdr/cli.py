@@ -375,8 +375,15 @@ def _cmd_prepare(args) -> int:
     config = _config_from_args(args)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    prepare(config, out)
+    dataset, _, split = prepare(config, out)
     print(f"splits written to {out / 'splits'}")
+    stats, section = dataset.stats, config.dataset
+    files = [] if stats is None else [
+        f"{section.source_path}: {stats.source_rows} positive rows, "
+        f"{stats.source_users_dropped} users dropped",
+        f"{section.target_path}: {stats.target_rows} positive rows, "
+        f"{stats.target_users_dropped} users dropped"]
+    print("; ".join(files + [f"forced train moves: {split.forced_train_moves}"]))
     return 0
 
 

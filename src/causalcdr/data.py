@@ -14,6 +14,7 @@ import math
 from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import chain, compress, repeat
 from pathlib import Path
 
 import numpy as np
@@ -154,52 +155,86 @@ class SplitSpec:
 # ingestion
 
 def _sort_key(key: str):
+    """Integer keys first, in numeric order; keys that parse to the same
+    integer ("7", "07") and all other keys in string order."""
     try:
-        return (0, int(key), "")
+        return (0, int(key), key)
     except ValueError:
         return (1, 0, key)
 
 
+def _kept(path, line_no: int, text, threshold: float) -> bool:
+    """Whether a row rated `text` is a positive; DataError on a rating
+    that is missing, not a number or not finite."""
+    try:
+        rating = float(text)
+    except (TypeError, ValueError):
+        raise DataError(f"{path}: bad rating at line {line_no}") from None
+    if not math.isfinite(rating):
+        raise DataError(f"{path}: non-finite rating {text!r} at line {line_no}")
+    return not rating < threshold
+
+
 def _read_rows(path, user_column: str, item_column: str, rating_column: str,
-               attribute_column: str, threshold: float):
-    """Yield (user key, item key, attribute or None) per positive row of
-    one domain's file."""
+               attribute_column: str, threshold: float) -> tuple:
+    """(user keys, item keys, attributes) of one domain's positive rows, in
+    file order. An attribute is None where its cell is empty or missing,
+    and every attribute is None when the file has no attribute column.
+
+    Columns are found by position in the header; a repeated name means its
+    last column. Blank lines are skipped, a short row reads None in the
+    columns it lacks, and errors name the file line on which the row
+    starts.
+    """
+    users, items, attributes = [], [], []
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
                 raise DataError(f"{path}: empty file")
+            position = {name: j for j, name in enumerate(header)}
             for col in (user_column, item_column) + ((rating_column,) if rating_column else ()):
-                if col not in reader.fieldnames:
+                if col not in position:
                     raise DataError(f"{path}: missing column {col!r}")
-            if attribute_column not in reader.fieldnames:
-                attribute_column = ""  # attribute is optional per file
-            for line_no, row in enumerate(reader, start=2):
-                user = row[user_column]
-                item = row[item_column]
-                if user is None or item is None or user == "" or item == "":
-                    raise DataError(f"{path}: malformed row at line {line_no}")
-                if rating_column:
-                    try:
-                        rating = float(row[rating_column])
-                    except (TypeError, ValueError):
-                        raise DataError(f"{path}: bad rating at line {line_no}") from None
-                    if not math.isfinite(rating):
-                        raise DataError(f"{path}: non-finite rating {row[rating_column]!r} "
-                                        f"at line {line_no}")
-                    if rating < threshold:
+            u, i = position[user_column], position[item_column]
+            r = position[rating_column] if rating_column else None
+            # the attribute is optional per file
+            a = position.get(attribute_column) if attribute_column else None
+            width = 1 + max(j for j in (u, i, r, a) if j is not None)
+            kept = {}  # rating text -> whether the row is a positive
+            end = reader.line_num
+            for row in reader:
+                line_no, end = end + 1, reader.line_num
+                if len(row) < width:
+                    if not row:
                         continue
-                attr = row[attribute_column] if attribute_column else None
-                yield user, item, attr or None
+                    row += [None] * (width - len(row))
+                user, item = row[u], row[i]
+                if not user or not item:
+                    raise DataError(f"{path}: malformed row at line {line_no}")
+                if r is not None:
+                    keep = kept.get(row[r])
+                    if keep is None:
+                        keep = kept[row[r]] = _kept(path, line_no, row[r], threshold)
+                    if not keep:
+                        continue
+                users.append(user)
+                items.append(item)
+                attributes.append((row[a] or None) if a is not None else None)
+    except csv.Error as exc:
+        raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"{path}: cannot read CSV file: {exc}") from None
+    return users, items, attributes
 
 
 def ingest_csv(source_path, target_path, *, user_column: str = "user",
                item_column: str = "item", rating_column: str = "rating",
                attribute_column: str = "attribute",
                positive_threshold: float = 4.0) -> CrossDomainDataset:
-    """Build the shared-user dataset from two delimiter-separated files.
+    """Build the shared-user dataset from two comma-separated files with a
+    header row (see _read_rows for how rows are read).
 
     Rows with rating >= positive_threshold become positives (all rows when
     rating_column is ""; no attribute when attribute_column is "" or absent
@@ -213,18 +248,14 @@ def ingest_csv(source_path, target_path, *, user_column: str = "user",
     raw = {}
     attrs: dict[str, str] = {}
     for domain, path in ((SOURCE, source_path), (TARGET, target_path)):
-        rows = []
-        for user, item, attribute in _read_rows(path, *columns, positive_threshold):
-            rows.append((user, item))
-            if attribute is not None:
-                if attrs.get(user, attribute) != attribute:
-                    raise DataError(f"user {user!r} has conflicting "
-                                    f"attribute labels")
-                attrs[user] = attribute
-        raw[domain] = rows
+        users, items, attributes = _read_rows(path, *columns, positive_threshold)
+        for user, attribute in zip(users, attributes):
+            if attribute is not None and attrs.setdefault(user, attribute) != attribute:
+                raise DataError(f"user {user!r} has conflicting attribute labels")
+        raw[domain] = users, items
 
-    source_users = {u for u, _ in raw[SOURCE]}
-    target_users = {u for u, _ in raw[TARGET]}
+    source_users = set(raw[SOURCE][0])
+    target_users = set(raw[TARGET][0])
     shared = source_users & target_users
     if not shared:
         raise DataError("no users shared between the source and target files")
@@ -234,18 +265,23 @@ def ingest_csv(source_path, target_path, *, user_column: str = "user",
     stats = IngestStats(
         source_users_dropped=len(source_users - shared),
         target_users_dropped=len(target_users - shared),
-        source_rows=len(raw[SOURCE]),
-        target_rows=len(raw[TARGET]),
+        source_rows=len(raw[SOURCE][0]),
+        target_rows=len(raw[TARGET][0]),
     )
 
     n_items = {}
     positives = {}
-    for domain in DOMAINS:
-        kept = [(u, i) for u, i in raw[domain] if u in shared]
-        keys = sorted({i for _, i in kept}, key=_sort_key)
+    for domain, domain_users in ((SOURCE, source_users), (TARGET, target_users)):
+        users, items = raw[domain]
+        if len(domain_users) > len(shared):
+            rows = list(map(shared.__contains__, users))
+            users, items = list(compress(users, rows)), list(compress(items, rows))
+        keys = sorted(set(items), key=_sort_key)
         index = {key: j for j, key in enumerate(keys)}
         n_items[domain] = len(keys)
-        positives[domain] = {(user_index[u], index[i]) for u, i in kept}
+        # each tuple holds the one int object of its user's and item's index
+        positives[domain] = set(zip(map(user_index.__getitem__, users),
+                                    map(index.__getitem__, items)))
 
     attribute = None
     names = None
@@ -300,9 +336,19 @@ def _apportion(n: int, ratios) -> tuple:
     return tuple(int(c) for c in counts)
 
 
+def _pair_order(pairs: list) -> np.ndarray:
+    """The permutation that sorts distinct (user, item) index pairs as
+    sorted() would, found by np.lexsort instead of tuple comparisons."""
+    flat = np.fromiter(chain.from_iterable(pairs), dtype=np.intp, count=2 * len(pairs))
+    return np.lexsort((flat[1::2], flat[::2]))
+
+
 def _partition_domain(positives, ratios, rng) -> tuple:
-    pool = sorted(positives)
-    rng.shuffle(pool)
+    pool = list(positives)
+    # shuffling sorted(pool)'s positions draws what shuffling that list would
+    order = _pair_order(pool)
+    rng.shuffle(order)
+    pool = list(map(pool.__getitem__, order.tolist()))
     n_train, n_val, n_test = _apportion(len(pool), ratios)
     train = set(pool[:n_train])
     val = set(pool[n_train:n_train + n_val])
@@ -557,6 +603,13 @@ CANDIDATE_BLOCK_LISTS = 64
 _DIGEST_KEY = np.dtype({"names": ["key"], "formats": [">u8"], "itemsize": 20})
 
 
+def _add_id_text(table: dict, rows: list, form) -> None:
+    """Add form % id to table for each id in rows (lists of ints) that it
+    lacks, so a table grows with the ids present, not with the largest."""
+    ids = set(chain.from_iterable(rows)).difference(table)
+    table.update(zip(ids, map(form.__mod__, ids)))
+
+
 def _candidate_lists(seed: int, users, items: np.ndarray) -> CandidateLists:
     """The candidate lists of the rows of `items` (L, 1 + N_EVAL_NEGATIVES
     intp, the positive in column 0), each row sorted in place into
@@ -566,13 +619,19 @@ def _candidate_lists(seed: int, users, items: np.ndarray) -> CandidateLists:
     seed."""
     users = np.asarray(users, dtype=np.intp)
     positives = items[:, :1].copy()
+    id_bytes = {}
     for start in range(0, len(items), CANDIDATE_BLOCK_LISTS):
         stop = start + CANDIDATE_BLOCK_LISTS
         block = items[start:stop]
+        rows = block.tolist()
+        _add_id_text(id_bytes, rows, b"%d")
         digests = []
-        for user, row in zip(users[start:stop].tolist(), block.tolist()):
-            prefix = b"%d:%d:" % (seed, user)
-            digests += [hashlib.sha1(prefix + b"%d" % j).digest() for j in row]
+        for user, row in zip(users[start:stop].tolist(), rows):
+            prefix = hashlib.sha1(b"%d:%d:" % (seed, user))
+            for j in row:
+                key = prefix.copy()
+                key.update(id_bytes[j])
+                digests.append(key.digest())
         keys = np.frombuffer(b"".join(digests), _DIGEST_KEY)["key"].reshape(block.shape)
         block[:] = np.take_along_axis(block, np.lexsort((block, keys), axis=1), axis=1)
     return CandidateLists(users=users, items=items,
@@ -589,10 +648,12 @@ def build_eval_candidates(dataset: CrossDomainDataset, test_positives,
     n_items = dataset.n_target_items
     pairs = sorted(test_positives)
     items = np.empty((len(pairs), 1 + N_EVAL_NEGATIVES), dtype=np.intp)
+    mask = np.ones(n_items, dtype=bool)
     for r, (u, pos) in enumerate(pairs):
-        mask = np.ones(n_items, dtype=bool)
-        mask[list(user_items.get(u, ()))] = False
+        known = list(user_items.get(u, ()))
+        mask[known] = False
         eligible = np.flatnonzero(mask)
+        mask[known] = True
         if len(eligible) < N_EVAL_NEGATIVES:
             raise SplitError(
                 f"user {u} has only {len(eligible)} eligible negatives; "
@@ -638,6 +699,17 @@ class SynthConfig:
         if self.weight_matrix is not None and np.shape(self.weight_matrix) != (k, k):
             raise DataError(f"weight matrix must be {k}x{k}, "
                             f"got {np.shape(self.weight_matrix)}")
+        # a NaN or an infinity here leaves the affinity tables without positives
+        for name in ("attribute_shift", "noise_scale", "source_map_correlation"):
+            if not math.isfinite(getattr(self, name)):
+                raise DataError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.weight_matrix is not None:
+            try:
+                finite = np.isfinite(np.asarray(self.weight_matrix, dtype=np.float64)).all()
+            except (TypeError, ValueError):
+                finite = False
+            if not finite:
+                raise DataError("weight matrix entries must be finite numbers")
         if not 0 < self.degree_spread < np.inf:
             raise DataError(f"degree_spread must be positive and finite, got "
                             f"{self.degree_spread}")
@@ -822,17 +894,26 @@ def save_split(split: SplitResult, directory, extra_meta: str = "") -> None:
             fh.write("domain,user,item,label\n")
             part = split.part(name)
             for domain in DOMAINS:
-                for u, i in sorted(part[domain]):
+                pairs = list(part[domain])
+                for u, i in map(pairs.__getitem__, _pair_order(pairs).tolist()):
                     fh.write(f"{domain},{u},{i},1\n")
     for name, lists in (("candidates_test", split.eval_candidates),
                         ("candidates_validation", split.val_candidates)):
+        text = {}
         with open(directory / f"{name}.csv", "w", encoding="utf-8") as fh:
             fh.write(header + "\n")
-            for user, row, position in zip(lists.users.tolist(), lists.items,
-                                           lists.positions.tolist()):
-                negatives = row.tolist()
-                positive = negatives.pop(position)
-                fh.write(",".join(map(str, [user, positive, *negatives])) + "\n")
+            for start in range(0, len(lists), CANDIDATE_BLOCK_LISTS):
+                stop = start + CANDIDATE_BLOCK_LISTS
+                rows = lists.items[start:stop].tolist()
+                _add_id_text(text, rows, "%d")
+                for user, row, position in zip(lists.users[start:stop].tolist(), rows,
+                                               lists.positions[start:stop].tolist()):
+                    negatives = list(map(text.__getitem__, row))
+                    positive = negatives.pop(position)
+                    fh.write(f"{user},{positive}," + ",".join(negatives) + "\n")
+
+
+_MAX_ID = np.iinfo(np.intp).max
 
 
 def _split_ints(path, line_no: int, fields) -> list:
@@ -840,10 +921,9 @@ def _split_ints(path, line_no: int, fields) -> list:
         values = [int(x) for x in fields]
     except ValueError:
         values = [-1]
-    if min(values) < 0 or max(values) > np.iinfo(np.intp).max:
+    if min(values) < 0 or max(values) > _MAX_ID:
         raise DataError(f"{path}: line {line_no}: expected integer user and "
-                        f"item ids in [0, {np.iinfo(np.intp).max}], got "
-                        f"{','.join(fields)!r}")
+                        f"item ids in [0, {_MAX_ID}], got {','.join(fields)!r}")
     return values
 
 
@@ -860,12 +940,80 @@ def _split_header(path, line: str) -> tuple:
 
 
 def _split_lines(path) -> list:
-    """(line number, stripped line) pairs of one split file."""
+    """The stripped lines of one split file; line n is item n - 1."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"{path}: cannot read split file: {exc}") from None
-    return [(n, line.strip()) for n, line in enumerate(text.split("\n"), start=1)]
+    return list(map(str.strip, text.split("\n")))
+
+
+def _part_rows(path, lines) -> dict:
+    """{domain: set of (user, item)} of a train, validation or test file,
+    parsed in bulk. Input that does not parse is read again line by line,
+    which raises the DataError naming the first bad line."""
+    body = [line for line in lines[1:] if line and not line.startswith("domain,")]
+    rows = list(map(str.split, body, repeat(",")))
+    try:
+        if set(map(len, rows)) - {4}:
+            raise ValueError
+        domains, users, items, labels = zip(*rows) if rows else ((),) * 4
+        users, items = list(map(int, users)), list(map(int, items))
+        if (set(domains) - set(DOMAINS) or set(labels) - {"1"}
+                or min(users + items, default=0) < 0
+                or max(users + items, default=0) > _MAX_ID):
+            raise ValueError
+    except ValueError:
+        return _part_rows_by_line(path, lines)
+    pairs = list(zip(users, items))
+    return {domain: set(compress(pairs, map(domain.__eq__, domains)))
+            for domain in DOMAINS}
+
+
+def _part_rows_by_line(path, lines) -> dict:
+    part = {SOURCE: set(), TARGET: set()}
+    for line_no, line in enumerate(lines[1:], start=2):
+        if not line or line.startswith("domain,"):
+            continue
+        row = line.split(",")
+        if len(row) != 4 or row[0] not in part or row[3] != "1":
+            raise DataError(f"{path}: line {line_no}: expected "
+                            f"domain,user,item,label with domain source "
+                            f"or target and label 1, got {line!r}")
+        part[row[0]].add(tuple(_split_ints(path, line_no, row[1:3])))
+    return part
+
+
+def _candidate_rows(path, rows) -> tuple:
+    """(users (L,), items (L, 1 + N_EVAL_NEGATIVES)) of a candidate file's
+    (line number, line) rows, parsed in bulk. Input that does not parse is
+    read again line by line, which raises the DataError naming the first
+    bad line."""
+    lines = [line for _, line in rows]
+    try:
+        if set(map(str.count, lines, repeat(","))) - {1 + N_EVAL_NEGATIVES}:
+            raise ValueError
+        values = np.array(list(map(int, ",".join(lines).split(","))), dtype=np.intp)
+        if values.min() < 0:
+            raise ValueError
+    except (ValueError, OverflowError):
+        return _candidate_rows_by_line(path, rows)
+    values = values.reshape(len(lines), 2 + N_EVAL_NEGATIVES)
+    return values[:, 0].copy(), values[:, 1:].copy()
+
+
+def _candidate_rows_by_line(path, rows) -> tuple:
+    items = np.empty((len(rows), 1 + N_EVAL_NEGATIVES), dtype=np.intp)
+    users = []
+    for r, (line_no, line) in enumerate(rows):
+        values = _split_ints(path, line_no, line.split(","))
+        negatives = values[2:]
+        if len(negatives) != N_EVAL_NEGATIVES:
+            raise DataError(f"{path}: line {line_no} has {len(negatives)} "
+                            f"negatives, expected {N_EVAL_NEGATIVES}")
+        users.append(values[0])
+        items[r] = values[1:]
+    return np.array(users, dtype=np.intp), items
 
 
 def load_split(directory) -> SplitResult:
@@ -873,46 +1021,27 @@ def load_split(directory) -> SplitResult:
     of any row that does not parse. All five files must open with the
     same header line."""
     directory = Path(directory)
-    rows, first = {}, None
+    lines, first = {}, None
     for name in ("train", "validation", "test", "candidates_test",
                  "candidates_validation"):
         path = directory / f"{name}.csv"
-        (_, header), *rows[name] = _split_lines(path)
+        lines[name] = _split_lines(path)
+        header = lines[name][0]
         seed, tiebreak_seed, meta = _split_header(path, header)
         first = first or header
         if header != first:
             raise DataError(f"{path}: header {header!r} differs from "
                             f"{directory / 'train.csv'}'s {first!r}")
 
-    parts = {}
-    for name in ("train", "validation", "test"):
-        part = {SOURCE: set(), TARGET: set()}
-        path = directory / f"{name}.csv"
-        for line_no, line in rows[name]:
-            if not line or line.startswith("domain,"):
-                continue
-            row = line.split(",")
-            if len(row) != 4 or row[0] not in part or row[3] != "1":
-                raise DataError(f"{path}: line {line_no}: expected "
-                                f"domain,user,item,label with domain source "
-                                f"or target and label 1, got {line!r}")
-            part[row[0]].add(tuple(_split_ints(path, line_no, row[1:3])))
-        parts[name] = part
+    parts = {name: _part_rows(directory / f"{name}.csv", lines[name])
+             for name in ("train", "validation", "test")}
 
     candidates = {}
     for name in ("candidates_test", "candidates_validation"):
         path = directory / f"{name}.csv"
-        numbered = [(line_no, line) for line_no, line in rows[name] if line]
-        items = np.empty((len(numbered), 1 + N_EVAL_NEGATIVES), dtype=np.intp)
-        users = []
-        for r, (line_no, line) in enumerate(numbered):
-            values = _split_ints(path, line_no, line.split(","))
-            negatives = values[2:]
-            if len(negatives) != N_EVAL_NEGATIVES:
-                raise DataError(f"{path}: line {line_no} has {len(negatives)} "
-                                f"negatives, expected {N_EVAL_NEGATIVES}")
-            users.append(values[0])
-            items[r] = values[1:]
+        numbered = [(line_no, line) for line_no, line
+                    in enumerate(lines[name][1:], start=2) if line]
+        users, items = _candidate_rows(path, numbered)
         candidates[name] = _candidate_lists(tiebreak_seed, users, items)
         # sorted rows hold a repeated item in adjacent columns
         repeats = np.flatnonzero(np.any(items[:, 1:] == items[:, :-1], axis=1))

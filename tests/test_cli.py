@@ -149,6 +149,9 @@ class TestConfigParsing:
         "split.kind=ood_degree", "synth.k=0", "synth.n_edges=100",
         "synth.degree_spread=0", "synth.target_density=0.9999999", "split.kind=bogus",
         "split.ratios=-1,1,1", "split.ratios=nan,1,1", "split.train_mix=0.5,0.7",
+        # non-finite synthetic settings that would leave the data without positives
+        "synth.attribute_shift=nan", "synth.noise_scale=inf",
+        "synth.source_map_correlation=nan",
         # second spellings that are no longer keys
         "eval_ks=5", "sparsity_fraction=0.5",
         # dataset columns that cannot name a column, and a threshold that is not finite
@@ -300,6 +303,35 @@ class TestCommands:
         (seed_dir / "metrics_seed.csv").unlink()
         assert cli.main(["evaluate", "--config", str(path)]) == 0
         assert (seed_dir / "metrics_seed.csv").read_bytes() == stored
+
+    def test_prepare_prints_ingest_and_split_diagnostics(self, tmp_path, capsys):
+        # user 9 rates only source items, user 8 only target items
+        (tmp_path / "source.csv").write_text(
+            "user,item,rating\n" + "".join(f"{u},{i},5\n" for u in range(8) for i in range(4))
+            + "1,4,2\n9,0,5\n")
+        (tmp_path / "target.csv").write_text(
+            "user,item,rating\n" + "".join(f"{u},{15 * u + i},5\n" for u in range(8)
+                                            for i in range(15)) + "8,0,5\n")
+        path = write_config(tmp_path, "dataset.kind=csv", out_dir=str(tmp_path / "run"),
+                            **{"dataset.source_path": str(tmp_path / "source.csv"),
+                               "dataset.target_path": str(tmp_path / "target.csv"),
+                               "split.ratios": "0.05,0.05,0.9"})
+        config = cli.load_config(path)
+        dataset, _ = cli.build_dataset(config)
+        moves = data.generate_split(dataset, config.split).forced_train_moves
+        assert moves > 0
+        assert cli.main(["prepare", "--config", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == [f"splits written to {tmp_path / 'run' / 'splits'}",
+                         f"{tmp_path / 'source.csv'}: 33 positive rows, 1 users dropped; "
+                         f"{tmp_path / 'target.csv'}: 121 positive rows, 1 users dropped; "
+                         f"forced train moves: {moves}"]
+        # a synthetic dataset reads no CSV file
+        path = write_config(tmp_path, out_dir=str(tmp_path / "synth"))
+        config = cli.load_config(path)
+        moves = data.generate_split(cli.build_dataset(config)[0], config.split).forced_train_moves
+        assert cli.main(["prepare", "--config", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [f"forced train moves: {moves}"]
 
     def test_undecodable_csv_exits_2(self, tmp_path, capsys):
         (tmp_path / "source.csv").write_bytes(b"user,item,rating\n1,\xe92,5\n")

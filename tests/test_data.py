@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import math
 import tracemalloc
 
 import numpy as np
@@ -116,6 +118,43 @@ class TestIngest:
         write_csv(tgt, ["a,p,5,M"], header="user,item,rating,attribute")
         with pytest.raises(data.DataError, match="conflicting"):
             data.ingest_csv(src, tgt)
+
+    @pytest.mark.parametrize("rows, line_no", [
+        # two blank lines before the bad row: the physical line, not the row count
+        (["a,x,5", "", "", "a,y,bad"], 5),
+        # a quoted item key spanning lines 2-3
+        (['a,"x', 'y",5', "a,z,bad"], 4),
+        # the bad row itself spans lines 3-4; the line it starts on
+        (["a,x,5", 'a,"p', 'q",bad'], 3),
+    ], ids=["blank_lines", "quoted_newline_before", "quoted_newline_in_row"])
+    def test_errors_name_the_file_line(self, tmp_path, rows, line_no):
+        src = tmp_path / "src.csv"
+        tgt = tmp_path / "tgt.csv"
+        write_csv(src, rows)
+        write_csv(tgt, ["a,p,5"])
+        with pytest.raises(data.DataError, match=rf"src\.csv: bad rating at line {line_no}$"):
+            data.ingest_csv(src, tgt)
+
+    def test_csv_parser_error_is_a_data_error(self, tmp_path):
+        src = tmp_path / "src.csv"
+        tgt = tmp_path / "tgt.csv"
+        write_csv(src, ["a,x,5", "a," + "y" * 200_000 + ",5"])
+        write_csv(tgt, ["a,p,5"])
+        with pytest.raises(data.DataError, match=r"src\.csv: line 3: field larger"):
+            data.ingest_csv(src, tgt)
+
+    def test_integer_keys_that_tie_order_by_text(self, tmp_path):
+        # "7", "07", "007" and " 7" are the same integer; their order must
+        # not depend on the set iteration order of one process
+        src = tmp_path / "src.csv"
+        tgt = tmp_path / "tgt.csv"
+        keys = ["7", "07", "u", "007", " 7"]
+        write_csv(src, [f"{key},x{j},5" for j, key in enumerate(keys)])
+        write_csv(tgt, [f"{key},p,5" for key in keys])
+        ds = data.ingest_csv(src, tgt)
+        # users " 7", "007", "07", "7", "u"; items x0..x4
+        order = [" 7", "007", "07", "7", "u"]
+        assert ds.source_positives == {(order.index(key), j) for j, key in enumerate(keys)}
 
     def test_reingest_is_idempotent(self, tmp_path, synth_dataset):
         # first ingest may drop users absent from one domain; from then on
@@ -245,6 +284,13 @@ class TestRequestsCheckThemselves:
         {"degree_spread": float("nan")}, {"target_density": float("nan")},
         {"target_density": 1e999}, {"source_density": 0.9999999},
         {"target_density": 1e-9},
+        {"attribute_shift": float("nan")}, {"attribute_shift": float("inf")},
+        {"noise_scale": float("nan")}, {"noise_scale": float("inf")},
+        {"source_map_correlation": float("nan")},
+        {"source_map_correlation": -float("inf")},
+        {"weight_matrix": np.diag([1.0, 1.0, float("nan"), 1.0])},
+        {"weight_matrix": np.diag([1.0, float("inf"), 1.0, 1.0]), "seed": 1},
+        {"weight_matrix": [["a"] * 4] * 4, "n_edges": 9},
     ], ids=kwargs_id)
     def test_synth_config_rejects(self, kwargs):
         with pytest.raises(data.DataError):
@@ -569,6 +615,25 @@ class TestSplitSerialization:
         with pytest.raises(data.DataError, match=f"{name}: {message}"):
             data.load_split(tmp_path / "split")
 
+    @pytest.mark.parametrize("name, column, value", [
+        ("candidates_test.csv", 0, "-1"), ("candidates_validation.csv", 1, "-3"),
+        ("candidates_test.csv", 100, "-0x1"), ("validation.csv", 2, "+-1"),
+    ])
+    def test_id_below_zero_names_the_line(self, tmp_path, synth_dataset, name, column,
+                                          value):
+        # the bulk parse must refuse what the line-by-line reader refuses
+        data.save_split(data.generate_split(synth_dataset, data.SplitSpec(seed=14)),
+                        tmp_path / "split")
+        path = tmp_path / "split" / name
+        lines = path.read_text().splitlines()
+        line_no = 3 if name == "validation.csv" else 2
+        row = lines[line_no - 1].split(",")
+        row[column] = value
+        lines[line_no - 1] = ",".join(row)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(data.DataError, match=f"{name}: line {line_no}: expected integer"):
+            data.load_split(tmp_path / "split")
+
     def test_round_trip_keeps_extra_meta(self, tmp_path, synth_dataset):
         split = data.generate_split(synth_dataset, data.SplitSpec(seed=13))
         data.save_split(split, tmp_path / "split", extra_meta="config_hash=ab12 note=x")
@@ -722,6 +787,137 @@ def loop_build_eval_candidates(dataset, test_positives, seed):
     return out, rng
 
 
+def loop_read_rows(path, user_column, item_column, rating_column, attribute_column,
+                   threshold):
+    """One csv.DictReader dict per row; line numbers count parsed rows."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None:
+                raise data.DataError(f"{path}: empty file")
+            for col in (user_column, item_column) + ((rating_column,) if rating_column else ()):
+                if col not in reader.fieldnames:
+                    raise data.DataError(f"{path}: missing column {col!r}")
+            if attribute_column not in reader.fieldnames:
+                attribute_column = ""
+            for line_no, row in enumerate(reader, start=2):
+                user = row[user_column]
+                item = row[item_column]
+                if user is None or item is None or user == "" or item == "":
+                    raise data.DataError(f"{path}: malformed row at line {line_no}")
+                if rating_column:
+                    try:
+                        rating = float(row[rating_column])
+                    except (TypeError, ValueError):
+                        raise data.DataError(f"{path}: bad rating at line {line_no}") from None
+                    if not math.isfinite(rating):
+                        raise data.DataError(f"{path}: non-finite rating "
+                                             f"{row[rating_column]!r} at line {line_no}")
+                    if rating < threshold:
+                        continue
+                attr = row[attribute_column] if attribute_column else None
+                yield user, item, attr or None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise data.DataError(f"{path}: cannot read CSV file: {exc}") from None
+
+
+def loop_ingest_csv(source_path, target_path, *, user_column="user", item_column="item",
+                    rating_column="rating", attribute_column="attribute",
+                    positive_threshold=4.0):
+    columns = (user_column, item_column, rating_column, attribute_column)
+    raw = {}
+    attrs = {}
+    for domain, path in ((SOURCE, source_path), (TARGET, target_path)):
+        rows = []
+        for user, item, attribute in loop_read_rows(path, *columns, positive_threshold):
+            rows.append((user, item))
+            if attribute is not None:
+                if attrs.get(user, attribute) != attribute:
+                    raise data.DataError(f"user {user!r} has conflicting attribute labels")
+                attrs[user] = attribute
+        raw[domain] = rows
+    source_users = {u for u, _ in raw[SOURCE]}
+    target_users = {u for u, _ in raw[TARGET]}
+    shared = source_users & target_users
+    if not shared:
+        raise data.DataError("no users shared between the source and target files")
+    user_keys = sorted(shared, key=data._sort_key)
+    user_index = {u: i for i, u in enumerate(user_keys)}
+    stats = data.IngestStats(
+        source_users_dropped=len(source_users - shared),
+        target_users_dropped=len(target_users - shared),
+        source_rows=len(raw[SOURCE]), target_rows=len(raw[TARGET]))
+    n_items, positives = {}, {}
+    for domain in data.DOMAINS:
+        kept = [(u, i) for u, i in raw[domain] if u in shared]
+        keys = sorted({i for _, i in kept}, key=data._sort_key)
+        index = {key: j for j, key in enumerate(keys)}
+        n_items[domain] = len(keys)
+        positives[domain] = {(user_index[u], index[i]) for u, i in kept}
+    attribute = names = None
+    if attrs:
+        labels = sorted({attrs[u] for u in user_keys if u in attrs})
+        if len(labels) == 2 and all(u in attrs for u in user_keys):
+            names = (labels[0], labels[1])
+            attribute = np.array([labels.index(attrs[u]) for u in user_keys], dtype=np.int8)
+    return data.CrossDomainDataset(
+        n_users=len(user_keys), n_source_items=n_items[SOURCE],
+        n_target_items=n_items[TARGET], source_positives=positives[SOURCE],
+        target_positives=positives[TARGET], user_attribute=attribute,
+        attribute_names=names, stats=stats)
+
+
+def random_csv_pair(directory, seed=None):
+    """Two CSV files with a seeded mix of the features ingest_csv must read
+    as csv.DictReader does; with no seed, every feature is on."""
+    rng = np.random.default_rng(seed)
+    on = rng.random(8) < 0.6 if seed is not None else np.ones(8, dtype=bool)
+    users = [f"u{j}" if j % 3 else str(j) for j in range(30)]       # mixed keys
+    labels = {u: "fm"[j % 2] for j, u in enumerate(users)}
+    end = "\r\n" if on[0] else "\n"                                  # CRLF
+    # users present in only one file
+    absent = {"source": users[:3], "target": users[25:]} if on[1] else {}
+    paths = []
+    for name, n_items in (("source", 25), ("target", 20)):
+        # a repeated header name reads its last column
+        header = ["user", "item", "rating", "attribute"] + (["item"] if on[2] else [])
+        if name == "target" and on[3]:
+            header.remove("attribute")           # an attribute column in one file only
+        lines = []
+        for _ in range(120):
+            u = users[int(rng.integers(len(users)))]
+            if u in absent.get(name, ()):
+                continue
+            item = str(rng.integers(n_items))
+            if on[4] and rng.random() < 0.3:
+                item = f'"i,{item}"'              # a quoted field holding a comma
+            cells = [u, "x" if on[2] else item, str(rng.integers(1, 6))]
+            if "attribute" in header:
+                cells.append("" if on[5] and rng.random() < 0.2 else labels[u])
+            if on[2]:
+                cells.append(item)
+            if on[6] and rng.random() < 0.1:
+                cells.append("extra")             # an extra field
+            if on[7] and not on[2] and rng.random() < 0.1:
+                cells = cells[:3]                 # a short row: no attribute cell
+            lines.append(",".join(cells))
+        path = directory / f"{name}.csv"
+        path.write_bytes((end.join([",".join(header)] + lines) + end).encode())
+        paths.append(path)
+    return paths
+
+
+def assert_same_dataset(got, want):
+    for name in ("n_users", "n_source_items", "n_target_items", "source_positives",
+                 "target_positives", "attribute_names", "stats"):
+        assert getattr(got, name) == getattr(want, name), name
+    if want.user_attribute is None:
+        assert got.user_attribute is None
+    else:
+        assert got.user_attribute.dtype == want.user_attribute.dtype
+        assert np.array_equal(got.user_attribute, want.user_attribute)
+
+
 def random_parts(seed, train_share, n_users=40, n_items=30, n_pairs=130):
     """Random disjoint (train, validation, test) pairs, about three per
     user, so that many users hold nothing in train."""
@@ -787,6 +983,75 @@ class TestArrayFormsMatchLoopForms:
         assert got_moves == want_moves > 0
         assert got == want
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    @pytest.mark.parametrize("seed", [None, *range(12)])
+    def test_ingest_csv(self, tmp_path, seed):
+        source, target = random_csv_pair(tmp_path, seed)
+        assert_same_dataset(data.ingest_csv(source, target),
+                            loop_ingest_csv(source, target))
+        for kwargs in ({"rating_column": "", "attribute_column": ""},
+                       {"positive_threshold": 2.5},
+                       {"user_column": "item", "item_column": "user",
+                        "attribute_column": ""}):
+            assert_same_dataset(data.ingest_csv(source, target, **kwargs),
+                                loop_ingest_csv(source, target, **kwargs))
+
+    @pytest.mark.parametrize("source, target", [
+        ("user,item,rating\na,x,5\na,y,bad\n", "user,item,rating\na,p,5\n"),
+        ("user,item,rating\na,x,5\na,y,-inf\n", "user,item,rating\na,p,5\n"),
+        ("user,item,rating\na,x,5\na,y\n", "user,item,rating\na,p,5\n"),
+        ("user,item,rating\na,x,5\n,y,5\n", "user,item,rating\na,p,5\n"),
+        ("user,item,rating\na,x,5\na,,5\n", "user,item,rating\na,p,5\n"),
+        ("user,item,rating\na\n", "user,item,rating\na,p,5\n"),
+        ("user,rating\na,5\n", "user,item,rating\na,p,5\n"),
+        ("", "user,item,rating\na,p,5\n"),
+        ("\nuser,item,rating\na,x,5\n", "user,item,rating\na,p,5\n"),
+        ("user,item,rating,attribute\na,x,5,f\n", "user,item,rating,attribute\na,p,5,m\n"),
+        ("user,item,rating,attribute\na,x,5,f\na,y,5,m\n", "user,item,rating\na,p,5\n"),
+        ("user,item,rating\na,x,5\n", "user,item,rating\nb,p,5\n"),
+        ("user,item,rating\na,x,1\n", "user,item,rating\na,p,5\n"),
+    ], ids=["bad_rating", "non_finite_rating", "short_row_no_rating", "empty_user",
+            "empty_item", "user_only", "missing_item_column", "empty_file",
+            "blank_first_line", "conflicting_attribute_across_files",
+            "conflicting_attribute_in_one_file", "no_shared_user", "no_positive"])
+    def test_ingest_csv_errors(self, tmp_path, source, target):
+        (tmp_path / "source.csv").write_text(source)
+        (tmp_path / "target.csv").write_text(target)
+        with pytest.raises(data.DataError) as want:
+            loop_ingest_csv(tmp_path / "source.csv", tmp_path / "target.csv")
+        with pytest.raises(data.DataError) as got:
+            data.ingest_csv(tmp_path / "source.csv", tmp_path / "target.csv")
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("n_pairs", [0, 1, 2, 300])
+    def test_partition_domain(self, n_pairs):
+        rng = np.random.default_rng(n_pairs)
+        cells = rng.choice(40 * 50, size=n_pairs, replace=False)
+        positives = {(int(c) // 50, int(c) % 50) for c in cells}
+        got_rng, want_rng = np.random.default_rng(7), np.random.default_rng(7)
+        got = data._partition_domain(positives, (0.8, 0.1, 0.1), got_rng)
+        pool = sorted(positives)
+        want_rng.shuffle(pool)
+        n_train, n_val, _ = data._apportion(len(pool), (0.8, 0.1, 0.1))
+        want = (set(pool[:n_train]), set(pool[n_train:n_train + n_val]),
+                set(pool[n_train + n_val:]))
+        assert got == want
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_split_readers_agree(self, tmp_path, synth_dataset):
+        # load_split parses in bulk and reads line by line only on failure
+        data.save_split(data.generate_split(synth_dataset, data.SplitSpec(seed=3)), tmp_path)
+        for name in ("train", "validation", "test"):
+            lines = data._split_lines(tmp_path / f"{name}.csv")
+            got = data._part_rows(tmp_path / f"{name}.csv", lines)
+            assert got == data._part_rows_by_line(tmp_path / f"{name}.csv", lines)
+        for name in ("candidates_test", "candidates_validation"):
+            lines = data._split_lines(tmp_path / f"{name}.csv")
+            rows = [(n, line) for n, line in enumerate(lines[1:], start=2) if line]
+            got = data._candidate_rows(tmp_path / f"{name}.csv", rows)
+            want = data._candidate_rows_by_line(tmp_path / f"{name}.csv", rows)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype == np.intp and np.array_equal(a, b)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_build_eval_candidates(self, seed, monkeypatch):
