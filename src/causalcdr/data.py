@@ -14,7 +14,7 @@ import math
 from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import chain, compress, repeat
+from itertools import chain, compress
 from pathlib import Path
 
 import numpy as np
@@ -54,6 +54,7 @@ class CrossDomainDataset:
     user_attribute: np.ndarray | None = None     # per-user label in {0, 1}
     attribute_names: tuple | None = None         # original label strings
     stats: IngestStats | None = None
+    attribute_problem: str | None = None         # why a read attribute column gave none
 
     def positives(self, domain: str) -> set:
         self._check_domain(domain)
@@ -188,7 +189,8 @@ def _read_rows(path, user_column: str, item_column: str, rating_column: str,
     """
     users, items, attributes = [], [], []
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        # utf-8-sig drops the byte-order mark that spreadsheet exports write
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:
@@ -240,7 +242,9 @@ def ingest_csv(source_path, target_path, *, user_column: str = "user",
     rating_column is ""; no attribute when attribute_column is "" or absent
     from a file). Users are restricted to the intersection of the two files'
     user keys; indices are dense and sorted numerically when every key
-    parses as an integer.
+    parses as an integer. The user attribute is kept only when every shared
+    user has one of exactly two labels; otherwise attribute_problem says
+    why it was not.
     """
     if not math.isfinite(positive_threshold):
         raise DataError(f"positive_threshold must be finite, got {positive_threshold}")
@@ -285,9 +289,16 @@ def ingest_csv(source_path, target_path, *, user_column: str = "user",
 
     attribute = None
     names = None
+    problem = None
     if attrs:
         labels = sorted({attrs[u] for u in user_keys if u in attrs})
-        if len(labels) == 2 and all(u in attrs for u in user_keys):
+        unlabelled = next((u for u in user_keys if u not in attrs), None)
+        if unlabelled is not None:
+            problem = f"user {unlabelled!r} has no attribute label"
+        elif len(labels) != 2:
+            shown = ", ".join(map(repr, labels[:5])) + (", ..." if len(labels) > 5 else "")
+            problem = f"expected 2 attribute labels, found {len(labels)}: {shown}"
+        else:
             names = (labels[0], labels[1])
             attribute = np.array([labels.index(attrs[u]) for u in user_keys],
                                  dtype=np.int8)
@@ -301,6 +312,7 @@ def ingest_csv(source_path, target_path, *, user_column: str = "user",
         user_attribute=attribute,
         attribute_names=names,
         stats=stats,
+        attribute_problem=problem,
     )
 
 
@@ -424,6 +436,9 @@ def _user_types_by_degree(dataset: CrossDomainDataset) -> np.ndarray:
 def _user_types_by_attribute(dataset: CrossDomainDataset) -> np.ndarray:
     """1 for users with the first label of the binary attribute, else 0, so
     ood_attribute mix pairs read (first, second label) in sorted order."""
+    if dataset.attribute_problem:
+        raise SplitError(f"dataset has no binary user attribute: "
+                         f"{dataset.attribute_problem}")
     if dataset.user_attribute is None:
         raise SplitError("dataset has no user attribute column")
     labels = np.unique(dataset.user_attribute)
@@ -918,7 +933,7 @@ _MAX_ID = np.iinfo(np.intp).max
 
 def _split_ints(path, line_no: int, fields) -> list:
     try:
-        values = [int(x) for x in fields]
+        values = list(map(int, fields))
     except ValueError:
         values = [-1]
     if min(values) < 0 or max(values) > _MAX_ID:
@@ -949,28 +964,8 @@ def _split_lines(path) -> list:
 
 
 def _part_rows(path, lines) -> dict:
-    """{domain: set of (user, item)} of a train, validation or test file,
-    parsed in bulk. Input that does not parse is read again line by line,
-    which raises the DataError naming the first bad line."""
-    body = [line for line in lines[1:] if line and not line.startswith("domain,")]
-    rows = list(map(str.split, body, repeat(",")))
-    try:
-        if set(map(len, rows)) - {4}:
-            raise ValueError
-        domains, users, items, labels = zip(*rows) if rows else ((),) * 4
-        users, items = list(map(int, users)), list(map(int, items))
-        if (set(domains) - set(DOMAINS) or set(labels) - {"1"}
-                or min(users + items, default=0) < 0
-                or max(users + items, default=0) > _MAX_ID):
-            raise ValueError
-    except ValueError:
-        return _part_rows_by_line(path, lines)
-    pairs = list(zip(users, items))
-    return {domain: set(compress(pairs, map(domain.__eq__, domains)))
-            for domain in DOMAINS}
-
-
-def _part_rows_by_line(path, lines) -> dict:
+    """{domain: set of (user, item)} of a train, validation or test file;
+    DataError on its first bad line."""
     part = {SOURCE: set(), TARGET: set()}
     for line_no, line in enumerate(lines[1:], start=2):
         if not line or line.startswith("domain,"):
@@ -986,34 +981,16 @@ def _part_rows_by_line(path, lines) -> dict:
 
 def _candidate_rows(path, rows) -> tuple:
     """(users (L,), items (L, 1 + N_EVAL_NEGATIVES)) of a candidate file's
-    (line number, line) rows, parsed in bulk. Input that does not parse is
-    read again line by line, which raises the DataError naming the first
-    bad line."""
-    lines = [line for _, line in rows]
-    try:
-        if set(map(str.count, lines, repeat(","))) - {1 + N_EVAL_NEGATIVES}:
-            raise ValueError
-        values = np.array(list(map(int, ",".join(lines).split(","))), dtype=np.intp)
-        if values.min() < 0:
-            raise ValueError
-    except (ValueError, OverflowError):
-        return _candidate_rows_by_line(path, rows)
-    values = values.reshape(len(lines), 2 + N_EVAL_NEGATIVES)
-    return values[:, 0].copy(), values[:, 1:].copy()
-
-
-def _candidate_rows_by_line(path, rows) -> tuple:
-    items = np.empty((len(rows), 1 + N_EVAL_NEGATIVES), dtype=np.intp)
-    users = []
-    for r, (line_no, line) in enumerate(rows):
-        values = _split_ints(path, line_no, line.split(","))
-        negatives = values[2:]
-        if len(negatives) != N_EVAL_NEGATIVES:
-            raise DataError(f"{path}: line {line_no} has {len(negatives)} "
+    (line number, line) rows; DataError on its first bad row."""
+    values = []
+    for line_no, line in rows:
+        ids = _split_ints(path, line_no, line.split(","))
+        if len(ids) != 2 + N_EVAL_NEGATIVES:
+            raise DataError(f"{path}: line {line_no} has {len(ids[2:])} "
                             f"negatives, expected {N_EVAL_NEGATIVES}")
-        users.append(values[0])
-        items[r] = values[1:]
-    return np.array(users, dtype=np.intp), items
+        values.append(ids)
+    values = np.array(values, dtype=np.intp).reshape(len(values), 2 + N_EVAL_NEGATIVES)
+    return values[:, 0].copy(), values[:, 1:].copy()
 
 
 def load_split(directory) -> SplitResult:

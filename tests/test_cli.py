@@ -343,6 +343,20 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("runtime failure") and "source.csv: cannot read CSV file" in err
 
+    def test_attribute_with_three_labels_exits_2(self, tmp_path, capsys):
+        for name in ("source", "target"):
+            (tmp_path / f"{name}.csv").write_text(
+                "user,item,rating,attribute\n1,1,5,a\n2,1,5,b\n3,1,5,c\n")
+        path = write_config(tmp_path, "dataset.kind=csv\ndataset.attribute_column=attribute\n"
+                            "split.kind=ood_attribute\n"
+                            "split.train_mix=0.5,0.5\nsplit.test_mix=0.5,0.5",
+                            out_dir=str(tmp_path / "run"),
+                            **{"dataset.source_path": str(tmp_path / "source.csv"),
+                               "dataset.target_path": str(tmp_path / "target.csv")})
+        assert cli.main(["prepare", "--config", str(path)]) == 2
+        assert ("dataset has no binary user attribute: expected 2 attribute labels, "
+                "found 3: 'a', 'b', 'c'") in capsys.readouterr().err
+
     def test_evaluate_without_checkpoint_exits_2(self, tmp_path, capsys):
         path = write_config(tmp_path, out_dir=str(tmp_path / "noeval"))
         # evaluate reads the stored splits/ first and does not build them

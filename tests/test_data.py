@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -110,6 +111,44 @@ class TestIngest:
         ds = data.ingest_csv(src, tgt)
         assert ds.attribute_names == ("F", "M")
         assert list(ds.user_attribute) == [0, 1]
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        paths = random_csv_pair(tmp_path)
+        want = data.ingest_csv(*paths)
+        for path in paths:
+            path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        got = data.ingest_csv(*paths)
+        assert_same_dataset(got, want)
+        assert got.attribute_problem == want.attribute_problem
+
+    @pytest.mark.parametrize("label, problem", [
+        ("X", "expected 2 attribute labels, found 3: 'F', 'M', 'X'"),
+        ("", "user '11' has no attribute label"),
+    ], ids=["three_labels", "user_without_label"])
+    def test_unusable_attribute_is_named(self, tmp_path, label, problem):
+        labels = ["F"] * 6 + ["M"] * 5 + [label]   # user 11's label
+        # 150 target items, so every user keeps 99 eligible negatives
+        rows = {"src": [f"{u},{i},5" for u in range(12) for i in range(5)],
+                "tgt": [f"{i % 12},{i},5" for i in range(150)]}
+        for name, body in rows.items():
+            write_csv(tmp_path / f"bare_{name}.csv", body)
+            write_csv(tmp_path / f"{name}.csv",
+                      [f"{row},{labels[int(row.split(',')[0])]}" for row in body],
+                      header="user,item,rating,attribute")
+        ds = data.ingest_csv(tmp_path / "src.csv", tmp_path / "tgt.csv")
+        assert ds.user_attribute is None and ds.attribute_problem == problem
+        with pytest.raises(data.SplitError, match="dataset has no binary user attribute: "
+                                                  + re.escape(problem) + "$"):
+            data.generate_split(ds, data.SplitSpec(
+                "ood_attribute", train_mix=(0.5, 0.5), test_mix=(0.5, 0.5)))
+        # an iid split does not read the attribute
+        bare = data.ingest_csv(tmp_path / "bare_src.csv", tmp_path / "bare_tgt.csv")
+        for dataset, directory in ((ds, "labelled"), (bare, "bare")):
+            data.save_split(data.generate_split(dataset, data.SplitSpec(seed=3)),
+                            tmp_path / directory)
+        for name in SPLIT_FILES:
+            assert ((tmp_path / "labelled" / name).read_bytes()
+                    == (tmp_path / "bare" / name).read_bytes())
 
     def test_conflicting_attribute_rejected(self, tmp_path):
         src = tmp_path / "src.csv"
@@ -621,7 +660,7 @@ class TestSplitSerialization:
     ])
     def test_id_below_zero_names_the_line(self, tmp_path, synth_dataset, name, column,
                                           value):
-        # the bulk parse must refuse what the line-by-line reader refuses
+        # an id below zero, however spelled, is an id error on its own line
         data.save_split(data.generate_split(synth_dataset, data.SplitSpec(seed=14)),
                         tmp_path / "split")
         path = tmp_path / "split" / name
@@ -632,6 +671,33 @@ class TestSplitSerialization:
         lines[line_no - 1] = ",".join(row)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(data.DataError, match=f"{name}: line {line_no}: expected integer"):
+            data.load_split(tmp_path / "split")
+
+    @pytest.mark.parametrize("name, edits, message", [
+        ("candidates_test.csv", {2: lambda row: [row[0], "-1"] + row[2:],
+                                 4: lambda row: row[:-1]}, "line 2: expected integer"),
+        ("candidates_test.csv", {2: lambda row: row[:-1],
+                                 4: lambda row: [row[0], "-1"] + row[2:]},
+         "line 2 has 98 negatives"),
+        ("train.csv", {3: lambda row: ["other"] + row[1:],
+                       5: lambda row: [row[0], "x"] + row[2:]},
+         "line 3: expected domain,user,item,label"),
+        ("train.csv", {3: lambda row: [row[0], "x"] + row[2:],
+                       5: lambda row: ["other"] + row[1:]}, "line 3: expected integer"),
+        # one line with both faults: the id error wins
+        ("candidates_validation.csv", {3: lambda row: [row[0], "x"] + row[2:-1]},
+         "line 3: expected integer"),
+    ], ids=["candidate_id_before_short_row", "candidate_short_row_before_id",
+            "part_domain_before_id", "part_id_before_domain", "candidate_id_and_count"])
+    def test_first_bad_line_is_named(self, tmp_path, synth_dataset, name, edits, message):
+        data.save_split(data.generate_split(synth_dataset, data.SplitSpec(seed=14)),
+                        tmp_path / "split")
+        path = tmp_path / "split" / name
+        lines = path.read_text().splitlines()
+        for line_no, edit in edits.items():
+            lines[line_no - 1] = ",".join(edit(lines[line_no - 1].split(",")))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(data.DataError, match=f"{name}: {message}"):
             data.load_split(tmp_path / "split")
 
     def test_round_trip_keeps_extra_meta(self, tmp_path, synth_dataset):
@@ -1037,21 +1103,6 @@ class TestArrayFormsMatchLoopForms:
                 set(pool[n_train + n_val:]))
         assert got == want
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
-
-    def test_split_readers_agree(self, tmp_path, synth_dataset):
-        # load_split parses in bulk and reads line by line only on failure
-        data.save_split(data.generate_split(synth_dataset, data.SplitSpec(seed=3)), tmp_path)
-        for name in ("train", "validation", "test"):
-            lines = data._split_lines(tmp_path / f"{name}.csv")
-            got = data._part_rows(tmp_path / f"{name}.csv", lines)
-            assert got == data._part_rows_by_line(tmp_path / f"{name}.csv", lines)
-        for name in ("candidates_test", "candidates_validation"):
-            lines = data._split_lines(tmp_path / f"{name}.csv")
-            rows = [(n, line) for n, line in enumerate(lines[1:], start=2) if line]
-            got = data._candidate_rows(tmp_path / f"{name}.csv", rows)
-            want = data._candidate_rows_by_line(tmp_path / f"{name}.csv", rows)
-            for a, b in zip(got, want):
-                assert a.dtype == b.dtype == np.intp and np.array_equal(a, b)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_build_eval_candidates(self, seed, monkeypatch):
