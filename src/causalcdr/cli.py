@@ -86,6 +86,11 @@ class ExperimentConfig:
             raise ConfigError("sparsity_fraction must lie in (0, 1]")
         if not (self.graph_threshold > 0.0):
             raise ConfigError("graph_threshold must be positive")
+        # last, so a failing top-level key is named before this rule
+        if (self.dataset.kind == "csv" and self.split.kind == "ood_attribute"
+                and not self.dataset.attribute_column):
+            raise ConfigError("split.kind=ood_attribute on a csv dataset needs "
+                              "dataset.attribute_column, the user attribute column")
 
 
 _SECTION_TYPES = {name: hint for name, hint in get_type_hints(ExperimentConfig).items()
@@ -131,7 +136,8 @@ CONFIG_SCHEMA = _build_schema()
 
 def _construct(cls, settings: dict, label: str, **sections):
     """cls(**values) from settings {attribute: (line, value)}, so its checks
-    run; a failure names the lines whose value fails alone, else all."""
+    run; a failure names the lines whose value fails alone, else all of
+    them, except that a rule across sections names its own keys."""
     try:
         return cls(**sections, **{a: value for a, (_, value) in settings.items()})
     except ValueError as exc:
@@ -141,8 +147,9 @@ def _construct(cls, settings: dict, label: str, **sections):
                 cls(**{attribute: value})
             except ValueError:
                 culprits.append(line_no)
-        lines = sorted(culprits or [n for n, _ in settings.values()])
-        raise ConfigError(f"line {', '.join(map(str, lines))}: {label}: {exc}") from None
+        lines = sorted(culprits or ([] if sections else [n for n, _ in settings.values()]))
+        where = f"line {', '.join(map(str, lines))}: {label}: " if lines else ""
+        raise ConfigError(f"{where}{exc}") from None
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
@@ -255,8 +262,16 @@ def prepare(config: ExperimentConfig, out: Path):
     return dataset, truth, split
 
 
+def _require_test_lists(split: data.SplitResult, out: Path) -> None:
+    """Refuse a split that can score no model, before a seed is trained or loaded."""
+    if not split.eval_candidates:
+        raise data.SplitError(
+            f"{out / 'splits' / 'candidates_test.csv'} holds no candidate lists")
+
+
 def train_seed(config: ExperimentConfig, dataset, split, seed: int,
                out: Path) -> dict:
+    _require_test_lists(split, out)
     seed_dir = out / f"seed_{seed}"
     seed_dir.mkdir(parents=True, exist_ok=True)
     train_config = replace(config.train, seed=seed)
@@ -286,6 +301,7 @@ def _score_seed(config: ExperimentConfig, params, adjacency, split,
 def evaluate_seed(config: ExperimentConfig, dataset, split, seed: int,
                   out: Path) -> dict:
     """Re-score seed's stored checkpoint on split; dataset is not used."""
+    _require_test_lists(split, out)
     seed_dir = out / f"seed_{seed}"
     checkpoint = seed_dir / "checkpoint.nmc"
     if not checkpoint.is_file():
@@ -410,9 +426,6 @@ def _cmd_evaluate(args) -> int:
         raise StageFailure("evaluate", ValueError(
             f"{out / 'splits' / 'train.csv'} was written for config_hash={stored}, "
             f"this config has config_hash={expected}; run prepare or train again"))
-    if not split.eval_candidates:
-        raise StageFailure("evaluate", ValueError(
-            f"{out / 'splits' / 'candidates_test.csv'} holds no candidate lists"))
     seeds = [args.seed] if args.seed is not None else config.seeds
     runs = [evaluate_seed(config, None, split, seed, out) for seed in seeds]
     _print_report(evaluation.aggregate_runs(runs))
@@ -462,7 +475,7 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    report = gradcheck.run_gradient_check(seed=args.seed or 0,
+    report = gradcheck.run_gradient_check(seed=args.seed,
                                           grl_scale=args.grl_scale,
                                           corrupt_block=args.corrupt_block)
     for name in sorted(report.per_block):
@@ -494,8 +507,8 @@ def _cmd_synth(args) -> int:
 
 
 def _config_from_args(args) -> ExperimentConfig:
-    config = load_config(args.config) if args.config else ExperimentConfig()
-    if getattr(args, "out", None):
+    config = load_config(args.config)
+    if args.out:
         config.out_dir = args.out
     return config
 
@@ -520,21 +533,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="cross-domain causal recommender experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_config=True):
-        p.add_argument("--config", required=needs_config,
-                       help="flat key=value config file")
+    def common(p):
+        p.add_argument("--config", required=True, help="flat key=value config file")
         p.add_argument("--out", help="output directory override")
-        p.add_argument("--seed", type=_seed, help="single-seed override")
+        return p
 
     common(sub.add_parser("prepare", help="build dataset and splits"))
-    common(sub.add_parser("train", help="train all seeds (or one with --seed)"))
-    common(sub.add_parser("evaluate", help="re-score stored checkpoints"))
-    ablate = sub.add_parser("ablate", help="run an ablation variant")
-    common(ablate)
+    for command in (common(sub.add_parser("train", help="train all seeds (or one with --seed)")),
+                    common(sub.add_parser("evaluate", help="re-score stored checkpoints"))):
+        command.add_argument("--seed", type=_seed, help="single-seed override")
+    ablate = common(sub.add_parser("ablate", help="run an ablation variant"))
     ablate.add_argument("--mode", choices=("no_causal", "no_source"),
                         required=True)
-    report = sub.add_parser("report", help="re-aggregate stored seed metrics")
-    common(report)
+    report = common(sub.add_parser("report", help="re-aggregate stored seed metrics"))
     report.add_argument("--iid-dir", help="paired IID run for degradation")
     grad = sub.add_parser("gradcheck", help="finite-difference gradient check")
     grad.add_argument("--seed", type=_seed, default=0)

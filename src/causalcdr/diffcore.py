@@ -586,23 +586,22 @@ def acyclicity_term(a: Node) -> Node:
 # ---------------------------------------------------------------------------
 # finite-difference validation
 
-def finite_diff_details(loss_fn: Callable[[Mapping[str, np.ndarray]], tuple],
+def finite_diff_details(loss_fn: Callable[[Mapping[str, np.ndarray]], float],
                         params: Mapping[str, np.ndarray],
+                        grads: Mapping[str, np.ndarray],
                         step: float = 1e-5) -> dict[str, float]:
-    """Per-parameter maximum discrepancy between the analytic gradient and
-    central finite differences.
+    """Per-parameter maximum discrepancy between the analytic gradients
+    grads and central finite differences of loss_fn around params.
 
-    loss_fn maps a {name: matrix} dict to (loss value, {name: gradient});
-    it must be deterministic, which is verified by evaluating it twice.
+    loss_fn maps a {name: matrix} dict to the loss value; it must be
+    deterministic, which is verified by evaluating it twice at params.
     Entries compare relatively except where both magnitudes fall below
     REL_ERR_ABS_SWITCH, where the absolute difference is used.
     """
     if not (0.0 < step <= 1e-2):
         raise ValueError(f"step must lie in (0, 1e-2], got {step}")
     base = {name: _as_array(value).copy() for name, value in params.items()}
-    value_a, grads = loss_fn(base)
-    value_b, _ = loss_fn(base)
-    if value_a != value_b:
+    if loss_fn(base) != loss_fn(base):
         raise ValueError("loss_fn is not deterministic: two evaluations differ")
 
     errors: dict[str, float] = {}
@@ -616,9 +615,9 @@ def finite_diff_details(loss_fn: Callable[[Mapping[str, np.ndarray]], tuple],
         for i in range(flat.size):
             original = flat[i]
             flat[i] = original + step
-            plus, _ = loss_fn(base)
+            plus = loss_fn(base)
             flat[i] = original - step
-            minus, _ = loss_fn(base)
+            minus = loss_fn(base)
             flat[i] = original
             fd = (plus - minus) / (2.0 * step)
             g = grad.reshape(-1)[i]

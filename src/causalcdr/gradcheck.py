@@ -76,12 +76,12 @@ def _min_relu_preactivation(params: model.ModelParams, batches) -> float:
     return float(closest)
 
 
-def toy_instance(seed: int = 0, k: int = 4, n_users: int = 6, n_items: int = 8,
-                 batch_size: int = 8):
+def toy_instance(seed: int):
     """A tiny model whose batches touch every embedding column, so no
     parameter is left with a noise-level regularizer-only gradient, and
     whose ReLU pre-activations all clear KINK_MARGIN (resampling the
     initialization deterministically until they do)."""
+    k, n_users, n_items, batch_size = 4, 6, 8, 8
     dims = model.ModelDims(k=k, n_users=n_users, n_source_items=n_items,
                            n_target_items=n_items)
 
@@ -120,37 +120,33 @@ def run_gradient_check(seed: int = 0,
     """
     if corrupt_block is not None and corrupt_block not in model.PARAM_SHAPES:
         raise ValueError(f"unknown parameter block {corrupt_block!r}")
-    params, target, source = toy_instance(seed=seed)
+    params, target, source = toy_instance(seed)
     config = model.LossConfig(grl_scale=grl_scale, lambda_reg=CHECK_LAMBDA_REG)
 
-    def evaluate(values):
+    tape = dc.Tape()
+    total, _ = model.total_loss(tape, params, target, source, config)
+    tape.backward(total)
+    grads = tape.grads()
+    if corrupt_block is not None:
+        grads[corrupt_block] = grads[corrupt_block] + 0.1
+
+    def breakdown(values) -> model.LossBreakdown:
         p = params.copy()
         for name, v in values.items():
             p.matrices[name][...] = v
-        tape = dc.Tape()
-        total, breakdown = model.total_loss(tape, p, target, source, config)
-        tape.backward(total)
-        grads = tape.grads()
-        if corrupt_block is not None:
-            grads[corrupt_block] = grads[corrupt_block] + 0.1
-        return float(total.value), breakdown, grads
-
-    def loss_plain(values):
-        value, _, grads = evaluate(values)
-        return value, grads
+        return model.total_loss(dc.Tape(grad=False), p, target, source, config)[1]
 
     def loss_compensated(values):
-        value, breakdown, grads = evaluate(values)
-        value -= (1.0 + grl_scale) * config.lambda_domain * breakdown.domain
-        return value, grads
+        b = breakdown(values)
+        return b.total - (1.0 + grl_scale) * config.lambda_domain * b.domain
 
     plain_blocks = {name: matrix for name, matrix in params.matrices.items()
                     if name not in REVERSED_BLOCKS}
     reversed_blocks = {name: params.matrices[name] for name in REVERSED_BLOCKS}
 
-    per_block = {}
-    per_block.update(dc.finite_diff_details(loss_plain, plain_blocks, step=step))
-    per_block.update(dc.finite_diff_details(loss_compensated, reversed_blocks,
+    per_block = dc.finite_diff_details(lambda values: breakdown(values).total,
+                                       plain_blocks, grads, step=step)
+    per_block.update(dc.finite_diff_details(loss_compensated, reversed_blocks, grads,
                                             step=step))
     return GradCheckReport(per_block=per_block, threshold=threshold,
                            grl_scale=grl_scale)

@@ -133,10 +133,10 @@ class Adam(_InPlaceOptimizer):
     order b1*m + (1-b1)*g, b2*v + ((1-b2)*g)*g, x - lr*(m/c1) /
     (sqrt(v/c2) + eps)."""
 
-    def __init__(self, learning_rate: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, learning_rate: float):
         super().__init__(learning_rate)
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m = self.v = None  # allocated on the first step
 

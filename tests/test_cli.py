@@ -284,6 +284,47 @@ class TestCommands:
         assert "argument --seed: expected an integer >= 0, got '-1'" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("command, flags", [
+        ("prepare", []), ("ablate", ["--mode", "no_causal"]), ("report", []), ("synth", [])])
+    def test_seed_flag_is_refused_where_no_seed_is_read(self, tmp_path, capsys, command,
+                                                        flags):
+        path = write_config(tmp_path, out_dir=str(tmp_path / "run"), seeds="1")
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([command, "--config", str(path), *flags, "--seed", "7"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_empty_config_path_is_a_config_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["prepare", "--config", ""]) == 1
+        assert capsys.readouterr().err.startswith("config error: cannot read config")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_train_one_seed(self, tmp_path, capsys):
+        path = write_config(tmp_path, out_dir=str(tmp_path / "run"))
+        assert cli.main(["train", "--config", str(path), "--seed", "2"]) == 0
+        run = tmp_path / "run"
+        metrics = cli.load_seed_metrics(run, [2])[0]
+        assert capsys.readouterr().out == "seed 2: " + " ".join(
+            f"{key}={value:.4f}" for key, value in sorted(metrics.items())) + "\n"
+        assert sorted(path.name for path in run.iterdir()) == ["seed_2", "splits"]
+        assert sorted(path.name for path in (run / "seed_2").iterdir()) == [
+            "checkpoint.nmc", "graph_edges.csv", "history.csv", "metrics_seed.csv"]
+
+    @pytest.mark.parametrize("flags", [[], ["--seed", "1"]], ids=["all_seeds", "one_seed"])
+    def test_train_refuses_a_split_without_test_lists(self, tmp_path, capsys, monkeypatch,
+                                                      flags):
+        calls = []
+        monkeypatch.setattr(cli.training, "train", lambda *args: calls.append(args))
+        path = write_config(tmp_path, out_dir=str(tmp_path / "run"),
+                            **{"split.ratios": "1,0,0"})
+        assert cli.main(["train", "--config", str(path), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runtime failure")
+        assert "splits/candidates_test.csv holds no candidate lists" in err
+        assert calls == [] and not list((tmp_path / "run").glob("seed_*"))
+
     def test_strict_causal_mask_run(self, tmp_path):
         path = write_config(tmp_path, out_dir=str(tmp_path / "strict"), seeds="1",
                             **{"train.strict_causal_mask": "true"})
@@ -356,6 +397,26 @@ class TestCommands:
         assert cli.main(["prepare", "--config", str(path)]) == 2
         assert ("dataset has no binary user attribute: expected 2 attribute labels, "
                 "found 3: 'a', 'b', 'c'") in capsys.readouterr().err
+
+    def test_ood_attribute_on_csv_needs_the_attribute_column(self, tmp_path, capsys):
+        for name in ("source", "target"):
+            (tmp_path / f"{name}.csv").write_text(
+                "user,item,rating,attribute\n1,1,5,a\n2,1,5,b\n")
+        path = write_config(tmp_path, "dataset.kind=csv\nsplit.kind=ood_attribute\n"
+                            "split.train_mix=0.5,0.5\nsplit.test_mix=0.5,0.5",
+                            out_dir=str(tmp_path / "run"),
+                            **{"dataset.source_path": str(tmp_path / "source.csv"),
+                               "dataset.target_path": str(tmp_path / "target.csv")})
+        assert cli.main(["prepare", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "config error: split.kind=ood_attribute on a csv dataset needs "
+            "dataset.attribute_column, the user attribute column\n")
+        assert not (tmp_path / "run").exists()
+        # a top-level line that fails alone is still the one named
+        append(path, "graph_threshold=0\n")
+        with pytest.raises(cli.ConfigError,
+                           match=r"^line 8: top level: graph_threshold must be positive$"):
+            cli.load_config(path)
 
     def test_evaluate_without_checkpoint_exits_2(self, tmp_path, capsys):
         path = write_config(tmp_path, out_dir=str(tmp_path / "noeval"))

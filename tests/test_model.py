@@ -420,6 +420,20 @@ class TestEndToEndGradient:
         with pytest.raises(ValueError, match=message):
             gradcheck.run_gradient_check(seed=0, **kwargs)
 
+    def test_analytic_gradient_takes_one_backward_pass(self, monkeypatch):
+        from causalcdr import gradcheck
+
+        calls = []
+        backward = dc.Tape.backward
+
+        def counted(tape, loss):
+            calls.append(loss)
+            backward(tape, loss)
+
+        monkeypatch.setattr(dc.Tape, "backward", counted)
+        gradcheck.run_gradient_check(seed=0)
+        assert len(calls) == 1
+
     def test_reversed_blocks_reported_separately(self):
         from causalcdr import gradcheck
 

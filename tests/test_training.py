@@ -186,6 +186,34 @@ class TestTrain:
         with pytest.raises(training.TrainingError):
             training.train(dataset, empty, quick_config())
 
+    def test_non_finite_loss_names_epoch_and_step(self, small_setup, monkeypatch):
+        dataset, split, _ = small_setup
+        calls = []
+        total_loss = model.total_loss
+
+        def diverging(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise dc.NonFiniteError("bce_sum produced a non-finite value")
+            return total_loss(*args)
+
+        monkeypatch.setattr(model, "total_loss", diverging)
+        with pytest.raises(training.TrainingError) as raised:
+            training.train(dataset, split, quick_config())
+        assert str(raised.value) == ("non-finite loss at epoch 1 step 2: "
+                                     "bce_sum produced a non-finite value")
+        assert isinstance(raised.value.__cause__, dc.NonFiniteError)
+
+    def test_without_validation_lists_the_last_epoch_is_best(self, small_setup):
+        dataset, _, _ = small_setup
+        split = data.generate_split(dataset, data.SplitSpec(ratios=(0.9, 0.0, 0.1), seed=3))
+        assert not split.val_candidates and split.eval_candidates
+        result = training.train(dataset, split, quick_config(epochs=3, patience=1))
+        assert result.best_epoch == 3
+        assert [r.epoch for r in result.history] == [1, 2, 3]
+        assert all(np.isnan(r.val_hr10) and np.isnan(r.val_ndcg10)
+                   for r in result.history)
+
     def test_early_stopping_respects_patience(self, small_setup):
         dataset, split, _ = small_setup
         result = training.train(dataset, split,
@@ -236,22 +264,22 @@ class TestGrlBlocks:
             tape.backward(total)
             return b.domain, tape.grads()
 
+        grads = run({})[1]
+
         def disc_target(p_mats):
-            domain, grads = run(p_mats)
-            return lambda_domain * domain, grads
+            return lambda_domain * run(p_mats)[0]
 
         err = max(dc.finite_diff_details(
             disc_target, {n: params.matrices[n] for n in
-                          ("disc_h1", "disc_h2", "disc_out")}, step=1e-5).values())
+                          ("disc_h1", "disc_h2", "disc_out")}, grads, step=1e-5).values())
         assert err < 1e-5
 
         def encoder_target(p_mats):
-            domain, grads = run(p_mats)
-            return -lambda_domain * grl_scale * domain, grads
+            return -lambda_domain * grl_scale * run(p_mats)[0]
 
         err = max(dc.finite_diff_details(
             encoder_target, {"shared_encoder": params.matrices["shared_encoder"]},
-            step=1e-5).values())
+            grads, step=1e-5).values())
         assert err < 1e-5
 
 
