@@ -63,10 +63,14 @@ def effective_matrix(a: np.ndarray, k: int, strict: bool = False) -> np.ndarray:
     return np.asarray(a, dtype=np.float64) * adjacency_mask(k, strict)
 
 
-def effective_adjacency(a: Node, k: int, strict: bool = False) -> Node:
-    """Masked adjacency node used by every loss term and inference path."""
+def _require_adjacency(a: Node, k: int) -> None:
     if a.shape != (2 * k, 2 * k):
         raise dc.ShapeError(f"adjacency must be {2 * k}x{2 * k}, got {a.shape}")
+
+
+def effective_adjacency(a: Node, k: int, strict: bool = False) -> Node:
+    """Masked adjacency node used by every loss term and inference path."""
+    _require_adjacency(a, k)
     mask = a.tape.constant(adjacency_mask(k, strict))
     return dc.mul(a, mask)
 
@@ -86,7 +90,7 @@ def causal_loss(a_eff: Node, h: Node, k: int,
 
     rec = dc.scale(dc.sq_l2(dc.sub(h, dc.matmul_t(a_eff, h))), 1.0 / n)
     dag = dc.acyclicity_term(a_eff)
-    direction = dc.l1(dc.slice_cols(dc.slice_rows(a_eff, k, 2 * k), 0, k))
+    direction = dc.l1(dc.block(a_eff, k, 2 * k, 0, k))
     not_root = dc.neg_log_col_l1(a_eff, k, LOG_EPS)
     sparsity = dc.l1(a_eff)
 
@@ -103,16 +107,13 @@ def causal_loss(a_eff: Node, h: Node, k: int,
     return total, terms
 
 
-def infer_causal_preference_node(a_eff: Node, u_att: Node, k: int) -> Node:
-    """Preference block of A^T (u_att || 0): run only the attributes through
-    the learned structure, zeroing the shared input, and keep the posterior
-    k rows of a k x B column batch.
+def preference_block(a_eff: Node, k: int) -> Node:
+    """Attribute->preference block a_eff[:k, k:2k]. The causal-invariant
+    preference of a k x B attribute batch is matmul_t(block, u_att): the
+    attributes alone pushed through the learned edges into the preferences.
     """
-    if u_att.value.ndim != 2 or u_att.shape[0] != k:
-        raise dc.ShapeError(f"attribute input must be {k} x B, got {u_att.shape}")
-    zeros = u_att.tape.constant(np.zeros((k, u_att.shape[1])))
-    h0 = dc.vconcat(u_att, zeros)
-    return dc.slice_rows(dc.matmul_t(a_eff, h0), k, 2 * k)
+    _require_adjacency(a_eff, k)
+    return dc.block(a_eff, 0, k, k, 2 * k)
 
 
 @dataclass

@@ -336,20 +336,29 @@ def write_report(config: ExperimentConfig, runs: list, out: Path,
 
 
 def load_seed_metrics(out: Path, seeds) -> list:
-    """{metric@k: mean} of each seed's metrics_seed.csv; a file that cannot
-    be read or holds a malformed row is a StageFailure that names it."""
+    """{metric@k: mean} of each seed's metrics_seed.csv. A file that cannot
+    be read, a malformed row, a repeated metric@k, or a mean that is not a
+    finite number in [0, 1] is a StageFailure naming the file and line."""
     runs = []
     for seed in seeds:
         path = out / f"seed_{seed}" / "metrics_seed.csv"
+        number = 0
         try:
             run = {}
-            for line in path.read_text(encoding="utf-8").splitlines():
+            lines = path.read_text(encoding="utf-8").splitlines()
+            for number, line in enumerate(lines, 1):
                 if line.startswith("#") or line.startswith("setting,") or not line:
                     continue
                 _, metric, k, mean, _, _ = line.split(",")
-                run[f"{metric}@{k}"] = float(mean)
+                key, value = f"{metric}@{k}", float(mean)
+                if key in run:
+                    raise ValueError(f"{key} appears twice")
+                if not 0.0 <= value <= 1.0:  # also false for nan
+                    raise ValueError(f"mean {mean} of {key} is not a finite number in [0, 1]")
+                run[key] = value
         except (OSError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
-            raise StageFailure("report", ValueError(f"{path}: {exc}")) from None
+            where = f"{path} line {number}" if number else str(path)
+            raise StageFailure("report", ValueError(f"{where}: {exc}")) from None
         runs.append(run)
     return runs
 

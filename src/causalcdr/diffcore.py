@@ -2,7 +2,7 @@
 
 Supplies exactly the primitives the joint recommendation loss needs:
 matrix products, elementwise arithmetic, concatenation and
-contiguous slicing, ReLU, sigmoid, two-way softmax, binary cross-entropy,
+contiguous blocks, ReLU, sigmoid, two-way softmax, binary cross-entropy,
 norms, a weighted sum, the summed negative log of column L1 masses, a
 gradient-reversal node, and the trace-exponential acyclicity scalar. A
 tape records operations in execution order; the backward pass replays
@@ -325,7 +325,7 @@ def gather_cols(w: Node, indices) -> Node:
 
 
 # ---------------------------------------------------------------------------
-# structure: concatenation and contiguous slicing
+# structure: concatenation and contiguous blocks
 
 def vconcat(a: Node, b: Node) -> Node:
     """Concatenate along axis 0: vectors end to end, matrices row-stacked."""
@@ -357,32 +357,20 @@ def hconcat(a: Node, b: Node) -> Node:
     return tape.record("hconcat", np.concatenate([a.value, b.value], axis=1), backward)
 
 
-def slice_rows(x: Node, lo: int, hi: int) -> Node:
-    """Contiguous range along axis 0 (entries of a vector, rows of a matrix)."""
-    if not (0 <= lo <= hi <= x.shape[0]):
-        raise ShapeError(f"slice_rows: range [{lo}, {hi}) invalid for shape {x.shape}")
-
-    def backward(g):
-        if x.grad is None:
-            x.grad = np.zeros_like(x.value)
-        x.grad[lo:hi] += g
-
-    return x.tape.record("slice_rows", x.value[lo:hi].copy(), backward)
-
-
-def slice_cols(x: Node, lo: int, hi: int) -> Node:
-    """Contiguous column range of a matrix."""
+def block(x: Node, r0: int, r1: int, c0: int, c1: int) -> Node:
+    """Contiguous block x[r0:r1, c0:c1] of a matrix."""
     if x.value.ndim != 2:
-        raise ShapeError(f"slice_cols: expected a matrix, got shape {x.shape}")
-    if not (0 <= lo <= hi <= x.shape[1]):
-        raise ShapeError(f"slice_cols: range [{lo}, {hi}) invalid for shape {x.shape}")
+        raise ShapeError(f"block: expected a matrix, got shape {x.shape}")
+    if not (0 <= r0 <= r1 <= x.shape[0] and 0 <= c0 <= c1 <= x.shape[1]):
+        raise ShapeError(f"block: rows [{r0}, {r1}) and columns [{c0}, {c1}) "
+                         f"invalid for shape {x.shape}")
 
     def backward(g):
         if x.grad is None:
             x.grad = np.zeros_like(x.value)
-        x.grad[:, lo:hi] += g
+        x.grad[r0:r1, c0:c1] += g
 
-    return x.tape.record("slice_cols", x.value[:, lo:hi].copy(), backward)
+    return x.tape.record("block", x.value[r0:r1, c0:c1].copy(), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +473,7 @@ def neg_log_col_l1(x: Node, lo: int, eps: float) -> Node:
 
     Each column mass is summed as a contiguous vector and the column terms
     are folded left to right, so the value equals the per-column chain
-    slice_cols -> l1 -> +eps -> log -> *(-1) summed one add at a time, bit
+    block -> l1 -> +eps -> log -> *(-1) summed one add at a time, bit
     for bit. Subgradient 0 at exact zeros; backward adds into columns lo..
     only.
     """

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import data, diffcore as dc, model
+from . import causal, data, diffcore as dc, model
 
 DEFAULT_KS = (5, 10)
 EVAL_BLOCK_LISTS = 16  # candidate lists scored per forward pass
@@ -91,10 +91,11 @@ def evaluate(params: model.ModelParams, adjacency: np.ndarray | None,
         raise ValueError(f"split has no {part} candidates")
     tape = dc.Tape(grad=False)
     nodes = params.register(tape)
-    a_eff = tape.constant(adjacency) if adjacency is not None else None
+    a_pref = (causal.preference_block(tape.constant(adjacency), params.dims.k)
+              if adjacency is not None else None)
 
     def scorer(users, items):
-        return model.score_candidates(nodes, users, items, a_eff)
+        return model.score_candidates(nodes, users, items, a_pref)
 
     return evaluate_candidates(candidates, scorer, ks)
 

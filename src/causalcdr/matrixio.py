@@ -50,8 +50,9 @@ def write_container(path, matrices: dict, meta: dict | None = None) -> None:
 def read_container(path) -> tuple[dict, dict]:
     """(matrices, metadata) of a container file.
 
-    A file that ends early, or holds bytes after its last matrix, raises
-    ContainerError naming the byte offset.
+    A file that ends early, holds bytes after its last matrix, or repeats
+    a metadata key or a matrix name raises ContainerError naming the byte
+    offset.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -82,16 +83,22 @@ def read_container(path) -> tuple[dict, dict]:
     meta = {}
     (n_meta,) = take("<I", "metadata count")
     for _ in range(n_meta):
+        entry = offset
         (klen,) = take("<H", "metadata key length")
         key = take_str(klen, "metadata key")
+        if key in meta:
+            raise ContainerError(f"{path}: metadata key {key!r} repeated at offset {entry}")
         (vlen,) = take("<I", "metadata value length")
         meta[key] = take_str(vlen, f"metadata value {key!r}")
 
     matrices = {}
     (n_matrices,) = take("<I", "matrix count")
     for _ in range(n_matrices):
+        entry = offset
         (nlen,) = take("<H", "matrix name length")
         name = take_str(nlen, "matrix name")
+        if name in matrices:
+            raise ContainerError(f"{path}: matrix {name!r} repeated at offset {entry}")
         rows, cols = take("<II", f"shape of {name!r}")
         count = rows * cols
         start = claim(count * 8, f"values of {name!r}")

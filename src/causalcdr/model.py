@@ -225,32 +225,34 @@ def discriminate(nodes: dict, u_shared: Node, grl_scale: float) -> Node:
     return dc.sigmoid(dc.matmul(nodes["disc_out"], hidden2))
 
 
-def fuse(nodes: dict, domain: str, u_specific: Node, u_causal: Node) -> Node:
+def fuse(nodes: dict, domain: str, u_specific: Node, u_causal: Node | None) -> Node:
     """Fused user preference from the domain-specific and causal-invariant
-    preferences."""
-    return dc.matmul(nodes["fusion" + _suffix(domain)],
-                     dc.vconcat(u_specific, u_causal))
+    preferences. u_causal None (the no-causal ablation) fuses u_specific
+    with the left k columns of fusion_* alone, the ones that read it."""
+    fusion = nodes["fusion" + _suffix(domain)]
+    if u_causal is None:
+        k = u_specific.shape[0]
+        return dc.matmul(dc.block(fusion, 0, fusion.shape[0], 0, k), u_specific)
+    return dc.matmul(fusion, dc.vconcat(u_specific, u_causal))
 
 
 def gate(nodes: dict, domain: str, fused: Node, item_emb: Node) -> Node:
     """Interaction probability: gate the fused preference by the item
     embedding, softmax the two logits, keep the interacted unit."""
     logits = dc.matmul(nodes["predictor" + _suffix(domain)], dc.mul(fused, item_emb))
-    return dc.slice_rows(dc.softmax_pair(logits), 1, 2)
+    return dc.block(dc.softmax_pair(logits), 1, 2, 0, logits.shape[1])
 
 
-def predict(nodes: dict, domain: str, u_specific: Node, u_causal: Node,
+def predict(nodes: dict, domain: str, u_specific: Node, u_causal: Node | None,
             item_emb: Node) -> Node:
     """Interaction probability of each (user preference, item) column."""
     return gate(nodes, domain, fuse(nodes, domain, u_specific, u_causal), item_emb)
 
 
-def _causal_preference(a_eff: Node | None, u_att: Node, k: int) -> Node:
-    """Causal-invariant preference; a_eff None replaces it with zeros (the
-    no-causal ablation)."""
-    if a_eff is None:
-        return u_att.tape.constant(np.zeros((k, u_att.shape[1])))
-    return causal.infer_causal_preference_node(a_eff, u_att, k)
+def _causal_preference(a_pref: Node | None, u_att: Node) -> Node | None:
+    """Causal-invariant preference from the attribute->preference block
+    (causal.preference_block); None in the no-causal ablation."""
+    return None if a_pref is None else dc.matmul_t(a_pref, u_att)
 
 
 def domain_loss(lhat: Node, domains) -> Node:
@@ -266,31 +268,31 @@ def interaction_loss(probs: Node, labels) -> Node:
     return dc.bce_sum(probs, np.asarray(labels, dtype=np.float64).reshape(probs.shape))
 
 
-def forward_batch(nodes: dict, domain: str, batch: Batch, k: int,
-                  a_eff: Node | None) -> ForwardArtifacts:
-    """Full prediction path for one domain; a_eff None replaces the
-    causal-invariant preference with zeros (the no-causal ablation)."""
+def forward_batch(nodes: dict, domain: str, batch: Batch,
+                  a_pref: Node | None) -> ForwardArtifacts:
+    """Full prediction path for one domain; a_pref is the
+    attribute->preference block (causal.preference_block), or None for
+    the no-causal ablation."""
     u_att = embed_user_attributes(nodes, domain, batch.users)
     u_specific = encode_domain_specific(nodes, domain, u_att)
     u_shared = encode_domain_shared(nodes, u_att)
-    u_causal = _causal_preference(a_eff, u_att, k)
+    u_causal = _causal_preference(a_pref, u_att)
     item_emb = embed_item(nodes, domain, batch.items)
     probs = predict(nodes, domain, u_specific, u_causal, item_emb)
     return ForwardArtifacts(u_att=u_att, u_shared=u_shared, probs=probs)
 
 
-def score_candidates(nodes: dict, users, items, a_eff: Node | None) -> np.ndarray:
+def score_candidates(nodes: dict, users, items, a_pref: Node | None) -> np.ndarray:
     """Target-domain interaction probabilities for a block of candidate
     lists: users (L,) and items (L, n) give scores (L, n). The user side
     runs once per list; gather_cols then repeats each fused preference
-    across the list's n items. Meant for a value-only tape; a_eff None
-    scores the no-causal variant."""
+    across the list's n items. Meant for a value-only tape; a_pref is as
+    in forward_batch, None scoring the no-causal variant."""
     items = np.asarray(items)
     n_lists, per_list = items.shape
-    k = nodes["user_map_t"].shape[0]
     u_att = embed_user_attributes(nodes, "target", users)
     u_specific = encode_domain_specific(nodes, "target", u_att)
-    fused = fuse(nodes, "target", u_specific, _causal_preference(a_eff, u_att, k))
+    fused = fuse(nodes, "target", u_specific, _causal_preference(a_pref, u_att))
     fused = dc.gather_cols(fused, np.repeat(np.arange(n_lists), per_list))
     probs = gate(nodes, "target", fused, embed_item(nodes, "target", items.ravel()))
     return probs.value.reshape(n_lists, per_list)
@@ -318,8 +320,9 @@ def total_loss(tape: dc.Tape, params: ModelParams, target_batch: Batch,
     a_eff = (causal.effective_adjacency(nodes["adjacency"], k,
                                         params.strict_causal_mask)
              if use_causal else None)
+    a_pref = causal.preference_block(a_eff, k) if use_causal else None
 
-    target_art = forward_batch(nodes, "target", target_batch, k, a_eff)
+    target_art = forward_batch(nodes, "target", target_batch, a_pref)
     loss_target = interaction_loss(target_art.probs, target_batch.labels)
 
     zero = tape.constant(0.0)
@@ -327,7 +330,7 @@ def total_loss(tape: dc.Tape, params: ModelParams, target_batch: Batch,
     loss_domain = zero
     source_art = None
     if source_batch is not None:
-        source_art = forward_batch(nodes, "source", source_batch, k, a_eff)
+        source_art = forward_batch(nodes, "source", source_batch, a_pref)
         loss_source = interaction_loss(source_art.probs, source_batch.labels)
         shared_all = dc.hconcat(source_art.u_shared, target_art.u_shared)
         lhat = discriminate(nodes, shared_all, config.grl_scale)

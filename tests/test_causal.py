@@ -143,7 +143,7 @@ class TestCausalLoss:
 
 # The causal loss as it was composed before the not-a-root penalty and the
 # weighted total became single nodes: per preference column
-# slice_cols -> l1 -> +eps -> log -> *(-1), summed one add at a time, and
+# block -> l1 -> +eps -> log -> *(-1), summed one add at a time, and
 # a fold of adds over scale() nodes for the total. Each add is a two-term
 # weighted_sum with weights 1.0, which is bit-equal to a plain addition in
 # value and gradient. The fused loss must reproduce the value, terms and
@@ -174,10 +174,10 @@ def _add_n(nodes):
 def reference_causal_loss(a_eff, h, k, weights):
     rec = dc.scale(dc.sq_l2(dc.sub(h, dc.matmul_t(a_eff, h))), 1.0 / h.shape[1])
     dag = dc.acyclicity_term(a_eff)
-    direction = dc.l1(dc.slice_cols(dc.slice_rows(a_eff, k, 2 * k), 0, k))
+    direction = dc.l1(dc.block(a_eff, k, 2 * k, 0, k))
     col_terms = []
     for i in range(k, 2 * k):
-        col_mass = dc.l1(dc.slice_cols(a_eff, i, i + 1))
+        col_mass = dc.l1(dc.block(a_eff, 0, 2 * k, i, i + 1))
         col_terms.append(dc.scale(_log_scalar(_add_scalar(col_mass, causal.LOG_EPS)), -1.0))
     not_root = _add_n(col_terms)
     sparsity = dc.l1(a_eff)
@@ -198,7 +198,8 @@ def run_in_graph(loss_fn, a, h, k, weights):
     tape = dc.Tape()
     a_eff = causal.effective_adjacency(tape.param("a", a), k)
     h_node = tape.param("h", h)
-    upstream = causal.infer_causal_preference_node(a_eff, dc.slice_rows(h_node, 0, k), k)
+    upstream = dc.matmul_t(causal.preference_block(a_eff, k),
+                           dc.block(h_node, 0, k, 0, h.shape[1]))
     total, terms = loss_fn(a_eff, h_node, k, weights)
     tape.backward(dc.weighted_sum([dc.scale(total, 0.7), dc.sq_l2(upstream)], [1.0, 1.0]))
     return total.value, terms, tape.grads()
@@ -237,9 +238,12 @@ class TestFusedLossIsExact:
 
 
 def infer(a, u, k):
-    """The causal-invariant preference of attribute columns u on a value tape."""
+    """The causal-invariant preference of attribute columns u on a value
+    tape, as the model takes it: the attribute->preference block applied
+    to u."""
     tape = dc.Tape(grad=False)
-    return causal.infer_causal_preference_node(tape.constant(a), tape.constant(u), k).value
+    return dc.matmul_t(causal.preference_block(tape.constant(a), k),
+                       tape.constant(u)).value
 
 
 class TestInferCausalPreference:
@@ -281,11 +285,15 @@ class TestInferCausalPreference:
         u = rng.normal(size=(k, 4))
         tape = dc.Tape()
         a_eff = causal.effective_adjacency(tape.param("a", a), k)
-        out = causal.infer_causal_preference_node(a_eff, tape.constant(u), k)
+        block = causal.preference_block(a_eff, k)
+        assert np.array_equal(block.value, a[:k, k:])
+        out = dc.matmul_t(block, tape.constant(u))
         assert np.allclose(out.value, a[:k, k:].T @ u)
         assert np.array_equal(out.value, infer(a_eff.value, u, k))
         with pytest.raises(dc.ShapeError):
-            causal.infer_causal_preference_node(a_eff, tape.constant(u[:, 0]), k)
+            dc.matmul_t(block, tape.constant(u[:, 0]))
+        with pytest.raises(dc.ShapeError, match="adjacency must be 6x6"):
+            causal.preference_block(tape.constant(a[:, :k]), k)
 
 
 class TestExtractGraph:

@@ -550,6 +550,26 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("runtime failure") and named in err
 
+    @pytest.mark.parametrize("mean", ["nan", "1e999", "-3.5", "1.5"])
+    def test_report_refuses_a_stored_mean_outside_0_1(self, tmp_path, capsys, mean):
+        ood_config, runs = report_runs(tmp_path)
+        path = runs / "ood" / "seed_2" / "metrics_seed.csv"
+        path.write_text(path.read_text().replace("HR,10,0.4,", f"HR,10,{mean},"))
+        assert cli.main(["report", "--config", str(ood_config),
+                         "--out", str(runs / "ood")]) == 2
+        err = capsys.readouterr().err
+        assert f"ood/seed_2/metrics_seed.csv line 4: mean {mean} of HR@10" in err
+        assert not (runs / "ood" / "metrics.csv").exists()
+
+    def test_report_refuses_a_repeated_metric_row(self, tmp_path, capsys):
+        ood_config, runs = report_runs(tmp_path)
+        append(runs / "ood" / "seed_1" / "metrics_seed.csv", "iid,HR,10,0.9,0.0,\n")
+        assert cli.main(["report", "--config", str(ood_config),
+                         "--out", str(runs / "ood")]) == 2
+        err = capsys.readouterr().err
+        assert "ood/seed_1/metrics_seed.csv line 7: HR@10 appears twice" in err
+        assert not (runs / "ood" / "metrics.csv").exists()
+
     def test_ablate_command(self, tmp_path):
         path = write_config(tmp_path, out_dir=str(tmp_path / "runab"))
         assert cli.main(["ablate", "--config", str(path), "--mode",

@@ -175,17 +175,17 @@ def test_primitive_gradients_match_finite_differences(seed):
         h = dc.relu(dc.matmul(n["w"], n["v"]))                    # k x b
         s = dc.sigmoid(dc.matmul_t(n["w"], h))                    # k x b
         top = dc.softmax_pair(dc.matmul(n["m"], s))               # 2 x b
-        probs = dc.slice_rows(top, 1, 2)                          # 1 x b
+        probs = dc.block(top, 1, 2, 0, b)                         # 1 x b
         labels = (np.arange(b) % 2).astype(float).reshape(1, b)
         terms = [
             dc.bce_sum(probs, labels),
             dc.scale(dc.sq_l2(dc.sub(h, s)), 0.5),
-            dc.scale(dc.l1(dc.slice_cols(n["a"], 1, 3)), 0.3),
+            dc.scale(dc.l1(dc.block(n["a"], 0, k, 1, 3)), 0.3),
             dc.neg_log_col_l1(dc.matmul(n["a"], n["v"]), 1, 1e-8),
             dc.acyclicity_term(n["a"]),
             dc.scale(dc.l2_norm(n["w"], n["m"]), 0.01),
             dc.sq_l2(dc.mul(n["x"], dc.matmul_t(n["w"], n["x"]))),
-            dc.sq_l2(dc.vconcat(n["x"], dc.slice_rows(n["x"], 0, k))),
+            dc.sq_l2(dc.vconcat(n["x"], dc.block(n["x"], 0, k, 0, 1))),
             dc.sq_l2(dc.hconcat(dc.gather_cols(n["v"], [0, 2, 0]), h)),
             dc.sq_l2(dc.matmul(n["a"], n["x"])),
         ]
@@ -204,6 +204,46 @@ def test_gather_and_scale_gradients(seed):
         return dc.scale(dc.sq_l2(picked), 0.7)
 
     assert fd_check(build, params) < 1e-6
+
+
+class TestBlock:
+    def test_value_is_the_block(self):
+        x = np.arange(20.0).reshape(4, 5)
+        out = dc.block(dc.Tape().constant(x), 1, 3, 2, 5)
+        assert np.array_equal(out.value, x[1:3, 2:5])
+        assert out.op == "block"
+
+    def test_gradient_lands_only_inside_the_block(self):
+        rng = np.random.default_rng(30)
+        x = rng.normal(size=(4, 5))
+        tape = dc.Tape()
+        tape.backward(dc.sq_l2(dc.block(tape.param("x", x), 1, 3, 2, 5)))
+        expected = np.zeros_like(x)
+        expected[1:3, 2:5] = 2.0 * x[1:3, 2:5]
+        assert np.array_equal(tape.grad("x"), expected)
+
+    def test_overlapping_blocks_accumulate(self):
+        rng = np.random.default_rng(31)
+        x = rng.normal(size=(4, 4))
+        tape = dc.Tape()
+        xn = tape.param("x", x)
+        loss = dc.weighted_sum([dc.sq_l2(dc.block(xn, 0, 3, 0, 3)),
+                                dc.l1(dc.block(xn, 1, 4, 1, 4))], [1.0, 1.0])
+        tape.backward(loss)
+        expected = np.zeros_like(x)
+        expected[:3, :3] += 2.0 * x[:3, :3]
+        expected[1:, 1:] += np.sign(x[1:, 1:])
+        assert np.allclose(tape.grad("x"), expected, rtol=0, atol=1e-15)
+
+    def test_vector_input_rejected(self):
+        with pytest.raises(dc.ShapeError, match="expected a matrix"):
+            dc.block(dc.Tape().constant(np.ones(4)), 0, 1, 0, 1)
+
+    @pytest.mark.parametrize("bounds", [(0, 5, 0, 2), (-1, 2, 0, 2), (2, 1, 0, 2),
+                                        (0, 2, 0, 4), (0, 2, 3, 2), (0, 2, -1, 1)])
+    def test_out_of_range_bounds_rejected(self, bounds):
+        with pytest.raises(dc.ShapeError, match="invalid for shape"):
+            dc.block(dc.Tape().constant(np.ones((4, 3))), *bounds)
 
 
 class TestWeightedSum:
@@ -472,7 +512,7 @@ class TestValueTape:
         a = tape.param("a", rng.normal(size=(4, 4)) * 0.3)
         h = dc.relu(dc.matmul(w, dc.gather_cols(v, [0, 5, 5, 2])))
         s = dc.sigmoid(dc.matmul_t(a, dc.grad_reverse(h, 1.0)))
-        p = dc.slice_rows(dc.softmax_pair(dc.slice_rows(s, 0, 2)), 1, 2)
+        p = dc.block(dc.softmax_pair(dc.block(s, 0, 2, 0, 4)), 1, 2, 0, 4)
         both = dc.hconcat(dc.vconcat(h, s), dc.vconcat(dc.mul(dc.sub(h, s), h), h))
         terms = [dc.bce_sum(p, np.ones(p.shape)), dc.sq_l2(both), dc.l1(both),
                  dc.l2_norm(w, v), dc.acyclicity_term(a),

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from causalcdr import data, diffcore as dc, evaluation, model
+from causalcdr import causal, data, diffcore as dc, evaluation, model
 
 
 def brute_force_rank(scores, positive_position):
@@ -29,8 +29,9 @@ def one_list(lists, r):
 def score_alone(params, adjacency, user, items):
     """The model's scores for one candidate list, scored as a block of one."""
     tape = dc.Tape(grad=False)
-    a_eff = tape.constant(adjacency) if adjacency is not None else None
-    return model.score_candidates(params.register(tape), [user], items[None], a_eff)[0]
+    a_pref = (causal.preference_block(tape.constant(adjacency), params.dims.k)
+              if adjacency is not None else None)
+    return model.score_candidates(params.register(tape), [user], items[None], a_pref)[0]
 
 
 def small_split_and_params(seed):
@@ -202,8 +203,8 @@ class TestEvaluate:
 
         def scorer(users, items):
             tape = dc.Tape(grad=False)
-            scores = model.score_candidates(params.register(tape), users, items,
-                                            tape.constant(adjacency))
+            a_pref = causal.preference_block(tape.constant(adjacency), params.dims.k)
+            scores = model.score_candidates(params.register(tape), users, items, a_pref)
             blocks.append(scores)
             return scores
 

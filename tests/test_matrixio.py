@@ -60,6 +60,24 @@ def test_name_that_is_not_utf8_rejected(tmp_path):
         matrixio.read_container(path)
 
 
+def test_repeated_names_rejected_with_their_offset(tmp_path):
+    path = tmp_path / "m.nmc"
+    matrixio.write_container(path, {"m": np.ones((1, 1)), "n": np.ones((1, 1))},
+                             meta={"p": "1", "q": "2"})
+    blob = path.read_bytes()
+    # magic, meta count, entry "p"; then matrix count, matrix "m"
+    second_key = 4 + 4 + (2 + 1 + 4 + 1)
+    second_matrix = second_key + (2 + 1 + 4 + 1) + 4 + (2 + 1 + 8 + 8)
+    path.write_bytes(blob.replace(b"\x01\x00q", b"\x01\x00p"))
+    with pytest.raises(matrixio.ContainerError,
+                       match=f"metadata key 'p' repeated at offset {second_key}$"):
+        matrixio.read_container(path)
+    path.write_bytes(blob.replace(b"\x01\x00n", b"\x01\x00m"))
+    with pytest.raises(matrixio.ContainerError,
+                       match=f"matrix 'm' repeated at offset {second_matrix}$"):
+        matrixio.read_container(path)
+
+
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.lists(st.tuples(st.integers(0, 10**6), st.integers(1, 255)),

@@ -1,3 +1,4 @@
+import collections
 import gc
 
 import numpy as np
@@ -26,8 +27,9 @@ def make_batches(seed=0, n=8):
 
 def score_block(params, adjacency, users, items):
     tape = dc.Tape(grad=False)
-    a_eff = tape.constant(adjacency) if adjacency is not None else None
-    return model.score_candidates(params.register(tape), users, items, a_eff)
+    a_pref = (causal.preference_block(tape.constant(adjacency), params.dims.k)
+              if adjacency is not None else None)
+    return model.score_candidates(params.register(tape), users, items, a_pref)
 
 
 class TestEncoders:
@@ -235,7 +237,8 @@ class TestPredict:
             batch = model.Batch(users=np.full(len(items), user),
                                 items=items,
                                 labels=np.zeros(len(items)))
-            art = model.forward_batch(nodes, "target", batch, DIMS.k, a_eff)
+            art = model.forward_batch(nodes, "target", batch,
+                                      causal.preference_block(a_eff, DIMS.k))
             assert np.allclose(fast, art.probs.value.ravel(), atol=1e-12)
 
     def test_permutation_equivariance_in_k(self):
@@ -392,6 +395,58 @@ class TestTotalLoss:
                                       model.LossConfig())
         assert recorded[0].value == value_only[0].value
         assert recorded[1] == value_only[1]
+
+
+def recorded_ops(monkeypatch, ablation):
+    """How many nodes of each op one total_loss records on a recording tape."""
+    ops = []
+    record = dc.Tape.record
+
+    def spy(tape, op, value, backward):
+        ops.append(op)
+        return record(tape, op, value, backward)
+
+    monkeypatch.setattr(dc.Tape, "record", spy)
+    target, source = make_batches(seed=46)
+    params = make_params(seed=47)
+    model.total_loss(dc.Tape(), params, target, source,
+                     model.LossConfig(ablation=ablation))
+    return collections.Counter(ops)
+
+
+class TestRecordedStep:
+    def test_full_step_records_52_nodes(self, monkeypatch):
+        ops = recorded_ops(monkeypatch, "full")
+        assert sum(ops.values()) == 52
+        assert ops["block"] == 4 and ops["vconcat"] == 4
+        assert ops["slice_rows"] == 0 and ops["slice_cols"] == 0
+
+    def test_no_causal_step_records_35_nodes(self, monkeypatch):
+        ops = recorded_ops(monkeypatch, "no_causal")
+        assert sum(ops.values()) == 35
+        assert ops["block"] == 4 and ops["vconcat"] == 0
+
+
+class TestNoCausalFusion:
+    def test_scores_ignore_the_right_half_of_fusion(self):
+        params = make_params(seed=48)
+        users = np.array([1, 4, 4])
+        items = np.random.default_rng(49).integers(0, DIMS.n_target_items, (3, 6))
+        base = score_block(params, None, users, items)
+        params.matrices["fusion_t"][:, DIMS.k:] += 5.0
+        assert np.array_equal(score_block(params, None, users, items), base)
+
+    def test_right_half_of_fusion_gets_no_gradient(self):
+        # lambda_reg 0: the parameter norm would touch every entry
+        target, source = make_batches(seed=50)
+        tape = dc.Tape()
+        total, _ = model.total_loss(tape, make_params(seed=51), target, source,
+                                    model.LossConfig(ablation="no_causal", lambda_reg=0.0))
+        tape.backward(total)
+        for name in ("fusion_s", "fusion_t"):
+            grad = tape.grad(name)
+            assert np.all(grad[:, DIMS.k:] == 0.0), name
+            assert np.any(grad[:, :DIMS.k] != 0.0), name
 
 
 class TestEndToEndGradient:

@@ -416,7 +416,7 @@ GOLDEN_TRAIN_CONFIG = cli.ExperimentConfig(
     train=training.TrainConfig(k=4, epochs=2, batch_size=64),
     seeds=(1,))
 GOLDEN_TRAIN = {
-    "checkpoint.nmc": "0266f8963b95f0bd82c8bec117f35f609ee575a70d434bcd2443f3bd32d24960",
+    "checkpoint.nmc": "e24b17b673007172243bb83abf23a7a7410055717990b6f4c6da253977587378",
     "history.csv": "a613ee7c6042fc6523b2cac7ef48f88f80f0f2e9fc9f7307d5ee41836597299f",
     "metrics_seed.csv": "118bcbad44449e49f1128cb0bcfc0b1d0ba1cd8f6e057e53a38a537ab51af5db",
 }
