@@ -15,6 +15,7 @@ self-loops all the way to zero on its own.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,10 +46,12 @@ class CausalLossTerms:
     sparsity: float
 
 
+@functools.lru_cache(maxsize=None)
 def adjacency_mask(k: int, strict: bool = False) -> np.ndarray:
     """Trainable-entry mask: zero diagonal always; with strict=True only
     the attribute->preference block stays free (the prose-level reading of
-    the directionality constraint, off by default)."""
+    the directionality constraint, off by default). Built once per
+    (k, strict) and shared, so the array is read-only."""
     d = 2 * k
     if strict:
         mask = np.zeros((d, d))
@@ -56,6 +59,7 @@ def adjacency_mask(k: int, strict: bool = False) -> np.ndarray:
     else:
         mask = np.ones((d, d))
     np.fill_diagonal(mask, 0.0)
+    mask.flags.writeable = False
     return mask
 
 
@@ -84,26 +88,16 @@ def causal_loss(a_eff: Node, h: Node, k: int,
     """
     if h.value.ndim != 2 or h.shape[0] != 2 * k:
         raise dc.ShapeError(f"causal_loss: samples must be {2 * k} x N, got {h.shape}")
-    n = h.shape[1]
-    if n == 0:
+    if h.shape[1] == 0:
         raise ValueError("causal_loss: empty batch")
 
-    rec = dc.scale(dc.sq_l2(dc.sub(h, dc.matmul_t(a_eff, h))), 1.0 / n)
+    rec = dc.reconstruction(a_eff, h)
     dag = dc.acyclicity_term(a_eff)
-    direction = dc.l1(dc.block(a_eff, k, 2 * k, 0, k))
-    not_root = dc.neg_log_col_l1(a_eff, k, LOG_EPS)
-    sparsity = dc.l1(a_eff)
-
-    terms = CausalLossTerms(
-        reconstruction=float(rec.value),
-        dag=float(dag.value),
-        direction=float(direction.value),
-        not_root=float(not_root.value),
-        sparsity=float(sparsity.value),
-    )
-    total = dc.weighted_sum(
-        [rec, dag, direction, not_root, sparsity],
-        [1.0, weights.dag, weights.direction, weights.not_root, weights.sparsity])
+    total, (direction, not_root, sparsity) = dc.penalty_fold(
+        rec, dag, a_eff, k, LOG_EPS,
+        (weights.dag, weights.direction, weights.not_root, weights.sparsity))
+    terms = CausalLossTerms(reconstruction=float(rec.value), dag=float(dag.value),
+                            direction=direction, not_root=not_root, sparsity=sparsity)
     return total, terms
 
 

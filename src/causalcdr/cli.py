@@ -221,9 +221,10 @@ class StageFailure(RuntimeError):
         self.cause = cause
 
 
-def _meta(config: ExperimentConfig, seed=None) -> str:
+def _meta(digest: str, seed=None) -> str:
+    """Header metadata naming a config by its config_hash digest."""
     suffix = f" seed={seed}" if seed is not None else ""
-    return f"config_hash={config_hash(config)}{suffix}"
+    return f"config_hash={digest}{suffix}"
 
 
 def build_dataset(config: ExperimentConfig):
@@ -258,7 +259,7 @@ def prepare(config: ExperimentConfig, out: Path):
     dataset, truth = build_dataset(config)
     split = data.generate_split(dataset, config.split)
     split = apply_sparsity(split, config.sparsity_fraction, config.split.seed)
-    data.save_split(split, out / "splits", extra_meta=_meta(config))
+    data.save_split(split, out / "splits", extra_meta=_meta(config_hash(config)))
     return dataset, truth, split
 
 
@@ -276,9 +277,10 @@ def train_seed(config: ExperimentConfig, dataset, split, seed: int,
     seed_dir.mkdir(parents=True, exist_ok=True)
     train_config = replace(config.train, seed=seed)
     result = training.train(dataset, split, train_config)
-    meta = _meta(config, seed)
+    digest = config_hash(config)
+    meta = _meta(digest, seed)
     result.params.save(seed_dir / "checkpoint.nmc",
-                       meta={"config_hash": config_hash(config), "seed": str(seed)})
+                       meta={"config_hash": digest, "seed": str(seed)})
     training.history_to_csv(result.history, seed_dir / "history.csv",
                             header_meta=meta)
     metrics = _score_seed(config, result.params, result.adjacency, split, seed_dir, meta)
@@ -319,7 +321,8 @@ def evaluate_seed(config: ExperimentConfig, dataset, split, seed: int,
                 f"hold {what} id {largest}"))
     adjacency = (None if config.train.ablation == "no_causal"
                  else params.effective_adjacency_matrix())
-    return _score_seed(config, params, adjacency, split, seed_dir, _meta(config, seed))
+    return _score_seed(config, params, adjacency, split, seed_dir,
+                       _meta(config_hash(config), seed))
 
 
 def write_report(config: ExperimentConfig, runs: list, out: Path,
@@ -328,7 +331,7 @@ def write_report(config: ExperimentConfig, runs: list, out: Path,
     if iid_report is not None:
         report = evaluation.degradation_report(iid_report, report)
     evaluation.write_metrics_csv(report, config.split.kind, out / "metrics.csv",
-                                 header_meta=_meta(config))
+                                 header_meta=_meta(config_hash(config)))
     markdown = evaluation.metrics_markdown({config.split.kind: report},
                                            ks=config.eval_ks)
     (out / "metrics.md").write_text(markdown + "\n", encoding="utf-8")

@@ -559,9 +559,58 @@ class TrainingExamples:
         return len(self.users)
 
 
+@dataclass
+class PositiveGroups:
+    """A split's training positives of one domain grouped by user, in
+    (user, item) order, with the example layout they fix: everything of
+    sample_train_negatives that no seed changes. A training run builds it
+    once (group_train_positives) and passes it to every epoch's sampler.
+    The example arrays are read-only, so the epochs can share them."""
+
+    domain: str
+    n_neg_per_positive: int
+    quotas: list        # (items the user knows, negative slots) per unsaturated user
+    skipped: int        # positives of users who know every item
+    users: np.ndarray   # per example
+    labels: np.ndarray  # per example: 1.0 for a positive, 0.0 for a negative
+    positive_slots: np.ndarray
+    positive_items: np.ndarray
+
+
+def group_train_positives(dataset: CrossDomainDataset, split: SplitResult,
+                          domain: str, n_neg_per_positive: int) -> PositiveGroups:
+    """Each positive is followed by its user's quota of negative slots:
+    n_neg_per_positive, or none for a user who knows every item."""
+    if n_neg_per_positive < 1:
+        raise ValueError("n_neg_per_positive must be >= 1")
+    n_items = dataset.n_items(domain)
+    user_items = dataset.user_items(domain)
+    by_user: dict[int, list] = {}
+    for u, i in sorted(split.train[domain]):
+        by_user.setdefault(u, []).append(i)
+    per_user = [0 if len(user_items.get(u, ())) >= n_items else n_neg_per_positive
+                for u in by_user]
+    quotas = [(user_items.get(u, set()), len(positives) * per)
+              for (u, positives), per in zip(by_user.items(), per_user) if per]
+    skipped = sum(len(p) for p, per in zip(by_user.values(), per_user) if per == 0)
+
+    n_positives = [len(positives) for positives in by_user.values()]
+    run = 1 + np.repeat(np.array(per_user, dtype=np.intp), n_positives)
+    starts = np.cumsum(run) - run
+    users = np.repeat(np.repeat(np.array(list(by_user), dtype=np.intp), n_positives), run)
+    labels = np.zeros(len(users))
+    labels[starts] = 1.0
+    positive_items = np.array([i for positives in by_user.values() for i in positives],
+                              dtype=np.intp)
+    for array in (users, labels):
+        array.flags.writeable = False
+    return PositiveGroups(domain, n_neg_per_positive, quotas, skipped, users, labels,
+                          starts, positive_items)
+
+
 def sample_train_negatives(dataset: CrossDomainDataset, split: SplitResult,
-                           domain: str, n_neg_per_positive: int,
-                           seed: int) -> TrainingExamples:
+                           domain: str, n_neg_per_positive: int, seed: int,
+                           groups: PositiveGroups | None = None) -> TrainingExamples:
     """Pair every training positive with n uniform negatives the user has
     never interacted with in that domain.
 
@@ -571,25 +620,24 @@ def sample_train_negatives(dataset: CrossDomainDataset, split: SplitResult,
     rng.integers(n_items, size=unfilled slots). Every slot needs at least
     one more draw, so a block never runs past the draws that one call per
     draw would consume, and the examples equal that loop's.
+
+    groups, when given, is group_train_positives of the same arguments,
+    built once for many seeds; the examples' users and labels are its
+    read-only arrays.
     """
-    if n_neg_per_positive < 1:
-        raise ValueError("n_neg_per_positive must be >= 1")
+    if groups is None:
+        groups = group_train_positives(dataset, split, domain, n_neg_per_positive)
+    elif (groups.domain, groups.n_neg_per_positive) != (domain, n_neg_per_positive):
+        raise ValueError(f"positives grouped for ({groups.domain!r}, "
+                         f"{groups.n_neg_per_positive}), sampling ({domain!r}, "
+                         f"{n_neg_per_positive})")
     rng = np.random.default_rng(seed)
     n_items = dataset.n_items(domain)
-    user_items = dataset.user_items(domain)
-    by_user: dict[int, list] = {}
-    for u, i in sorted(split.train[domain]):
-        by_user.setdefault(u, []).append(i)
-    per_user = [0 if len(user_items.get(u, ())) >= n_items else n_neg_per_positive
-                for u in by_user]
-    unfilled = sum(len(p) * per for p, per in zip(by_user.values(), per_user))
-    skipped = sum(len(p) for p, per in zip(by_user.values(), per_user) if per == 0)
+    unfilled = sum(need for _, need in groups.quotas)
     negatives: list = []
     block: list = []
     at = 0
-    for (u, positives), per in zip(by_user.items(), per_user):
-        known = user_items.get(u, set())
-        need = len(positives) * per
+    for known, need in groups.quotas:
         while need:
             if at == len(block):
                 block, at = rng.integers(n_items, size=unfilled).tolist(), 0
@@ -601,16 +649,11 @@ def sample_train_negatives(dataset: CrossDomainDataset, split: SplitResult,
             unfilled -= len(kept)
 
     # each positive followed by its negatives, in the order drawn
-    n_positives = [len(positives) for positives in by_user.values()]
-    run = 1 + np.repeat(np.array(per_user, dtype=np.intp), n_positives)
-    starts = np.cumsum(run) - run
-    users = np.repeat(np.repeat(np.array(list(by_user), dtype=np.intp), n_positives), run)
-    labels = np.zeros(len(users))
-    labels[starts] = 1.0
-    items = np.empty(len(users), dtype=np.intp)
-    items[starts] = [i for positives in by_user.values() for i in positives]
-    items[labels == 0.0] = negatives
-    return TrainingExamples(users, items, labels, skipped_saturated_users=skipped)
+    items = np.empty(len(groups.users), dtype=np.intp)
+    items[groups.positive_slots] = groups.positive_items
+    items[groups.labels == 0.0] = negatives
+    return TrainingExamples(groups.users, items, groups.labels,
+                            skipped_saturated_users=groups.skipped)
 
 
 CANDIDATE_BLOCK_LISTS = 64

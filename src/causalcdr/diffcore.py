@@ -4,11 +4,14 @@ Supplies exactly the primitives the joint recommendation loss needs:
 matrix products, elementwise arithmetic, concatenation and
 contiguous blocks, ReLU, sigmoid, two-way softmax, binary cross-entropy,
 norms, a weighted sum, the summed negative log of column L1 masses, a
-gradient-reversal node, and the trace-exponential acyclicity scalar. A
-tape records operations in execution order; the backward pass replays
-them in reverse and accumulates exact analytic gradients. Parameters
-are packed into one vector (see pack) and registered in one call; their
-gradients are views of one preallocated flat buffer.
+gradient-reversal node, and the trace-exponential acyclicity scalar;
+plus four fused nodes, each bit for bit a fixed chain of those: the
+causal reconstruction, the causal penalties' weighted fold, the domain
+discriminator and the gated softmax head. A tape records operations in
+execution order; the backward pass replays them in reverse and
+accumulates exact analytic gradients. Parameters are packed into one
+vector (see pack) and registered in one call; their gradients are views
+of one preallocated flat buffer.
 
 The engine holds no global state and draws no randomness; a Tape is
 single-use and confined to one thread.
@@ -45,7 +48,17 @@ def _as_array(value) -> np.ndarray:
 
 
 def _check_finite(op: str, value: np.ndarray) -> None:
-    finite = math.isfinite(value) if value.ndim == 0 else np.isfinite(value).all()
+    """Raise NonFiniteError naming op iff value holds a NaN or an infinity.
+
+    A finite sum proves every entry finite, so only a non-finite sum (a
+    non-finite entry, or finite entries whose sum overflows) pays for the
+    entry-by-entry scan.
+    """
+    if value.ndim == 0:
+        finite = math.isfinite(value)
+    else:
+        finite = (math.isfinite(np.add.reduce(value, axis=None))
+                  or np.isfinite(value).all())
     if not finite:
         raise NonFiniteError(f"{op} produced a non-finite value")
 
@@ -264,15 +277,21 @@ def weighted_sum(nodes: Sequence[Node], weights: Sequence[float]) -> Node:
         _require_same_shape("weighted_sum", nodes[0], n)
     tape = _tape_of(*nodes)
     weights = [float(w) for w in weights]
-    value = nodes[0].value * weights[0]
-    for n, w in zip(nodes[1:], weights[1:]):
-        value = value + n.value * w
+    value = _fold([n.value for n in nodes], weights)
 
     def backward(g):
         for n, w in zip(nodes, weights):
             _accum(n, g * w)
 
     return tape.record("weighted_sum", value, backward)
+
+
+def _fold(values: Sequence, weights: Sequence[float]):
+    """values[0] * weights[0] + ... + values[n] * weights[n], left to right."""
+    value = values[0] * weights[0]
+    for v, w in zip(values[1:], weights[1:]):
+        value = value + v * w
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -398,15 +417,24 @@ def softmax_pair(z: Node) -> Node:
     """Softmax over exactly two entries: shape (2,) or (2, batch), axis 0."""
     if z.shape[0] != 2 or z.value.ndim not in (1, 2):
         raise ShapeError(f"softmax_pair: expected shape (2,) or (2, n), got {z.shape}")
-    shifted = z.value - z.value.max(axis=0, keepdims=True)
-    e = np.exp(shifted)
-    p = e / e.sum(axis=0, keepdims=True)
+    p = _softmax_pair(z.value)
 
     def backward(g):
-        dot = (p * g).sum(axis=0, keepdims=True)
-        _accum(z, p * (g - dot))
+        _accum(z, _softmax_pair_grad(p, g))
 
     return z.tape.record("softmax_pair", p, backward)
+
+
+def _softmax_pair(z: np.ndarray) -> np.ndarray:
+    shifted = z - z.max(axis=0, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=0, keepdims=True)
+
+
+def _softmax_pair_grad(p: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient at the logits of the softmax p, given g at p."""
+    dot = (p * g).sum(axis=0, keepdims=True)
+    return p * (g - dot)
 
 
 def bce_sum(p: Node, targets) -> Node:
@@ -420,7 +448,7 @@ def bce_sum(p: Node, targets) -> Node:
     if t.shape != p.shape:
         raise ShapeError(f"bce_sum: probability shape {p.shape} vs target shape {t.shape}")
     pc = np.clip(p.value, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    value = -np.sum(t * np.log(pc) + (1.0 - t) * np.log(1.0 - pc))
+    value = -np.add.reduce(t * np.log(pc) + (1.0 - t) * np.log(1.0 - pc), axis=None)
 
     def backward(g):
         _accum(p, g * (pc - t) / (pc * (1.0 - pc)))
@@ -434,7 +462,8 @@ def sq_l2(x: Node) -> Node:
     def backward(g):
         _accum(x, g * 2.0 * x.value)
 
-    return x.tape.record("sq_l2", np.asarray(np.sum(x.value * x.value)), backward)
+    return x.tape.record("sq_l2", np.asarray(np.add.reduce(x.value * x.value, axis=None)),
+                         backward)
 
 
 def l1(x: Node) -> Node:
@@ -443,7 +472,11 @@ def l1(x: Node) -> Node:
     def backward(g):
         _accum(x, g * np.sign(x.value))
 
-    return x.tape.record("l1", np.asarray(np.sum(np.abs(x.value))), backward)
+    return x.tape.record("l1", np.asarray(_l1(x.value)), backward)
+
+
+def _l1(x: np.ndarray):
+    return np.add.reduce(np.abs(x), axis=None)
 
 
 def l2_norm(*xs: Node) -> Node:
@@ -455,7 +488,7 @@ def l2_norm(*xs: Node) -> Node:
     tape = _tape_of(*xs)
     total = 0.0
     for x in xs:
-        total += float(np.sum(x.value * x.value))
+        total += float(np.add.reduce(x.value * x.value, axis=None))
     value = np.sqrt(total)
     denom = max(value, NORM_GUARD)
 
@@ -481,19 +514,28 @@ def neg_log_col_l1(x: Node, lo: int, eps: float) -> Node:
         raise ShapeError(f"neg_log_col_l1: expected a matrix, got shape {x.shape}")
     if not (0 <= lo < x.shape[1]):
         raise ShapeError(f"neg_log_col_l1: start column {lo} invalid for shape {x.shape}")
-    eps = float(eps)
-    cols = np.ascontiguousarray(x.value[:, lo:].T)   # one row per column
-    mass = np.abs(cols).sum(axis=1) + eps
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.log(mass) * -1.0
-    value = np.asarray(np.cumsum(terms)[-1])   # the left fold
+        cols, mass, value = _neg_log_col_l1(x.value, lo, float(eps))
 
     def backward(g):
         if x.grad is None:
             x.grad = np.zeros_like(x.value)
-        x.grad[:, lo:] += np.sign(cols.T) * ((g * -1.0) / mass)
+        x.grad[:, lo:] += _neg_log_col_l1_grad(cols, mass, g)
 
     return x.tape.record("neg_log_col_l1", value, backward)
+
+
+def _neg_log_col_l1(x: np.ndarray, lo: int, eps: float):
+    """(columns lo.. as rows, their L1 masses + eps, the penalty value)."""
+    cols = np.ascontiguousarray(x[:, lo:].T)   # one row per column
+    mass = np.abs(cols).sum(axis=1) + eps
+    terms = np.log(mass) * -1.0
+    return cols, mass, np.asarray(np.cumsum(terms)[-1])   # the left fold
+
+
+def _neg_log_col_l1_grad(cols: np.ndarray, mass: np.ndarray, g) -> np.ndarray:
+    """Gradient at columns lo.. given g at the penalty."""
+    return np.sign(cols.T) * ((g * -1.0) / mass)
 
 
 def grad_reverse(x: Node, scale_factor: float) -> Node:
@@ -529,17 +571,22 @@ def matrix_exp(x: np.ndarray) -> np.ndarray:
         raise ShapeError(f"matrix_exp: expected a square matrix, got shape {x.shape}")
     n = x.shape[0]
     norm = np.linalg.norm(x, 1)
+    if not math.isfinite(norm):
+        raise NonFiniteError("matrix_exp: the matrix holds a non-finite value")
     squarings = 0
     if norm > MATRIX_EXP_TARGET_NORM:
         squarings = int(np.ceil(np.log2(norm / MATRIX_EXP_TARGET_NORM)))
     y = x / (2.0 ** squarings)
     out = np.eye(n)
     term = np.eye(n)
+    product = np.empty((n, n))
     for j in range(1, MATRIX_EXP_TAYLOR_ORDER + 1):
-        term = term @ y / j
-        out = out + term
+        np.matmul(term, y, out=product)
+        np.divide(product, j, out=term)
+        out += term
     for _ in range(squarings):
-        out = out @ out
+        np.matmul(out, out, out=product)
+        out, product = product, out
     return out
 
 
@@ -547,7 +594,9 @@ def _trace_exp_minus_d(op: str, a: np.ndarray) -> tuple[float, np.ndarray]:
     """(trace(exp(a * a)) - d, exp(a * a)) for a d x d matrix a."""
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"{op}: expected a square matrix, got shape {a.shape}")
-    e = matrix_exp(a * a)
+    squared = a * a
+    _check_finite("acyclicity", squared)
+    e = matrix_exp(squared)
     return float(np.trace(e)) - a.shape[0], e
 
 
@@ -569,6 +618,140 @@ def acyclicity_term(a: Node) -> Node:
         _accum(a, g * et_2a)
 
     return a.tape.record("acyclicity", np.asarray(value), backward)
+
+
+# ---------------------------------------------------------------------------
+# fused sub-graphs of the joint objective
+#
+# Each records one node for a fixed chain of the primitives above, and
+# equals that chain bit for bit in its value and every gradient: backward
+# repeats the chain's arithmetic and adds into the inputs in the order the
+# chain's backward closures would. It skips the zeros + g that each
+# intermediate node's first gradient write makes (see _accum): that only
+# turns -0.0 into +0.0, a zero's sign reaches no nonzero result through
+# the sums and products here, and every gradient a node holds starts as
+# zeros + g. The finite checks cover every intermediate value that could
+# be the first non-finite one.
+
+def reconstruction(a: Node, h: Node) -> Node:
+    """sum((h - a.T @ h) ** 2) / N over the N columns of h: the chain
+    scale(sq_l2(sub(h, matmul_t(a, h))), 1 / N)."""
+    if (a.value.ndim != 2 or h.value.ndim != 2 or a.shape[0] != a.shape[1]
+            or a.shape[0] != h.shape[0]):
+        raise ShapeError(f"reconstruction: shapes {a.shape} and {h.shape} incompatible")
+    tape = _tape_of(a, h)
+    c = 1.0 / h.shape[1]
+    residual = h.value - a.value.T @ h.value
+
+    def backward(g):
+        g_residual = g * c * 2.0 * residual
+        _accum(h, g_residual)
+        g_fit = -g_residual
+        _accum(a, h.value @ g_fit.T)
+        _accum(h, a.value @ g_fit)
+
+    value = np.asarray(np.add.reduce(residual * residual, axis=None)) * c
+    return tape.record("reconstruction", value, backward)
+
+
+def penalty_fold(rec: Node, dag: Node, a: Node, k: int, eps: float,
+                 weights: Sequence[float]) -> tuple[Node, tuple[float, float, float]]:
+    """The causal objective's weighted total over a 2k x 2k matrix a: the
+    chain weighted_sum([rec, dag, l1(block(a, k, 2k, 0, k)),
+    neg_log_col_l1(a, k, eps), l1(a)], [1.0, *weights]), weights being
+    the (dag, direction, not-a-root, sparsity) multipliers.
+
+    Returns the node and the unweighted (direction, not-a-root, sparsity)
+    penalty values. Backward adds into a the sparsity, not-a-root and
+    direction gradients, in that order.
+    """
+    if a.value.ndim != 2 or a.shape != (2 * k, 2 * k) or k < 1:
+        raise ShapeError(f"penalty_fold: expected a {2 * k}x{2 * k} matrix, got {a.shape}")
+    if rec.value.ndim != 0 or dag.value.ndim != 0 or len(weights) != 4:
+        raise ShapeError("penalty_fold: needs scalar rec and dag and four weights")
+    tape = _tape_of(rec, dag, a)
+    weights = [1.0] + [float(w) for w in weights]
+    direction = np.asarray(_l1(a.value[k:, :k]))
+    cols, mass, not_root = _neg_log_col_l1(a.value, k, float(eps))
+    sparsity = np.asarray(_l1(a.value))
+    for name, term in (("direction", direction), ("not_root", not_root),
+                       ("sparsity", sparsity)):
+        _check_finite(name, term)
+
+    def backward(g):
+        _accum(rec, g * weights[0])
+        _accum(dag, g * weights[1])
+        g_direction, g_not_root, g_sparsity = (g * w for w in weights[2:])
+        _accum(a, g_sparsity * np.sign(a.value))
+        a.grad[:, k:] += _neg_log_col_l1_grad(cols, mass, g_not_root)
+        a.grad[k:, :k] += g_direction * np.sign(a.value[k:, :k])
+
+    value = _fold([rec.value, dag.value, direction, not_root, sparsity], weights)
+    node = tape.record("penalty_fold", value, backward)
+    return node, (float(direction), float(not_root), float(sparsity))
+
+
+def _require_product(op: str, w: Node, x: Node) -> None:
+    if w.value.ndim != 2 or x.value.ndim != 2 or w.shape[1] != x.shape[0]:
+        raise ShapeError(f"{op}: shapes {w.shape} and {x.shape} incompatible")
+
+
+def discriminator(x: Node, w1: Node, w2: Node, w3: Node, grl_scale: float) -> Node:
+    """sigmoid(w3 @ relu(w2 @ relu(w1 @ grad_reverse(x, grl_scale)))): two
+    ReLU layers and sigmoid outputs behind a gradient-reversal node."""
+    lam = float(grl_scale)
+    if lam < 0:
+        raise ValueError(f"discriminator: grl_scale must be >= 0, got {lam}")
+    _require_product("discriminator", w1, x)
+    _require_product("discriminator", w2, w1)
+    _require_product("discriminator", w3, w2)
+    tape = _tape_of(x, w1, w2, w3)
+    x_in = np.ascontiguousarray(x.value)   # C order, like the reversal node's copy
+    z1 = w1.value @ x_in
+    _check_finite("discriminator", z1)
+    h1 = np.maximum(z1, 0.0)
+    z2 = w2.value @ h1
+    _check_finite("discriminator", z2)
+    h2 = np.maximum(z2, 0.0)
+    z3 = w3.value @ h2
+    _check_finite("discriminator", z3)
+    out = 1.0 / (1.0 + np.exp(-z3))
+
+    def backward(g):
+        g3 = g * out * (1.0 - out)
+        _accum(w3, g3 @ h2.T)
+        g2 = (w3.value.T @ g3) * (z2 > 0)
+        _accum(w2, g2 @ h1.T)
+        g1 = (w2.value.T @ g2) * (z1 > 0)
+        _accum(w1, g1 @ x_in.T)
+        _accum(x, -lam * (w1.value.T @ g1))
+
+    return tape.record("discriminator", out, backward)
+
+
+def gate(w: Node, f: Node, e: Node) -> Node:
+    """Row 1 of the two-way softmax of w @ (f * e) for a 2-row w: the
+    chain block(softmax_pair(matmul(w, mul(f, e))), 1, 2, 0, n)."""
+    _require_same_shape("gate", f, e)
+    _require_product("gate", w, f)
+    if w.shape[0] != 2:
+        raise ShapeError(f"gate: expected 2 output rows, got shape {w.shape}")
+    tape = _tape_of(w, f, e)
+    gated = f.value * e.value
+    logits = w.value @ gated
+    _check_finite("gate", logits)
+    p = _softmax_pair(logits)
+
+    def backward(g):
+        g_p = np.zeros_like(p)
+        g_p[1:2] = g
+        g_logits = _softmax_pair_grad(p, g_p)
+        _accum(w, g_logits @ gated.T)
+        g_gated = w.value.T @ g_logits
+        _accum(f, g_gated * e.value)
+        _accum(e, g_gated * f.value)
+
+    return tape.record("gate", p[1:2].copy(), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -218,11 +218,10 @@ def encode_domain_shared(nodes: dict, u_att: Node) -> Node:
 
 def discriminate(nodes: dict, u_shared: Node, grl_scale: float) -> Node:
     """Domain probabilities from the shared preference, behind the
-    gradient-reversal node; unit 0 is source, unit 1 is target."""
-    reversed_in = dc.grad_reverse(u_shared, grl_scale)
-    hidden1 = dc.relu(dc.matmul(nodes["disc_h1"], reversed_in))
-    hidden2 = dc.relu(dc.matmul(nodes["disc_h2"], hidden1))
-    return dc.sigmoid(dc.matmul(nodes["disc_out"], hidden2))
+    gradient-reversal node; unit 0 is source, unit 1 is target. One
+    dc.discriminator node."""
+    return dc.discriminator(u_shared, nodes["disc_h1"], nodes["disc_h2"],
+                            nodes["disc_out"], grl_scale)
 
 
 def fuse(nodes: dict, domain: str, u_specific: Node, u_causal: Node | None) -> Node:
@@ -238,9 +237,9 @@ def fuse(nodes: dict, domain: str, u_specific: Node, u_causal: Node | None) -> N
 
 def gate(nodes: dict, domain: str, fused: Node, item_emb: Node) -> Node:
     """Interaction probability: gate the fused preference by the item
-    embedding, softmax the two logits, keep the interacted unit."""
-    logits = dc.matmul(nodes["predictor" + _suffix(domain)], dc.mul(fused, item_emb))
-    return dc.block(dc.softmax_pair(logits), 1, 2, 0, logits.shape[1])
+    embedding, softmax the two logits, keep the interacted unit. One
+    dc.gate node."""
+    return dc.gate(nodes["predictor" + _suffix(domain)], fused, item_emb)
 
 
 def predict(nodes: dict, domain: str, u_specific: Node, u_causal: Node | None,
@@ -257,10 +256,18 @@ def _causal_preference(a_pref: Node | None, u_att: Node) -> Node | None:
 
 def domain_loss(lhat: Node, domains) -> Node:
     """Summed binary cross-entropy of discriminator outputs against one-hot
-    domain labels (one example per column)."""
+    domain labels (one example per column). ShapeError unless domains
+    names exactly one domain per column of the 2-row lhat."""
+    domains = list(domains)
+    if lhat.value.ndim != 2 or lhat.shape != (len(DOMAIN_LABEL_UNIT), len(domains)):
+        raise dc.ShapeError(f"domain_loss: {len(domains)} domains for discriminator "
+                            f"outputs of shape {lhat.shape}")
+    try:
+        units = [DOMAIN_LABEL_UNIT[domain] for domain in domains]
+    except KeyError as exc:
+        raise ValueError(f"unknown domain {exc.args[0]!r}") from None
     labels = np.zeros(lhat.shape)
-    for col, domain in enumerate(domains):
-        labels[DOMAIN_LABEL_UNIT[domain], col] = 1.0
+    labels[units, np.arange(len(units))] = 1.0
     return dc.bce_sum(lhat, labels)
 
 

@@ -77,6 +77,9 @@ class TrainResult:
     adjacency: np.ndarray | None
     history: list
     best_epoch: int
+    # per epoch, {domain: training positives sampled without negatives
+    # because their user knows every item}; kept out of every written file
+    skipped_saturated_users: list = field(default_factory=list)
 
 
 def history_to_csv(history, path, header_meta: str | None = None) -> None:
@@ -234,22 +237,29 @@ def train(dataset: data.CrossDomainDataset, split: data.SplitResult,
     use_causal = config.ablation != "no_causal"
     has_validation = bool(split.val_candidates)
 
+    # domain -> the RNG stream of its negative sampler
+    streams = {TARGET: 0, SOURCE: 1} if use_source else {TARGET: 0}
+    groups = {domain: data.group_train_positives(dataset, split, domain,
+                                                 config.n_neg_per_positive)
+              for domain in streams}
     grad = np.empty_like(params.flat)  # each step's tape zeroes and fills it
     history: list = []
+    skipped: list = []
     best = params.copy()
     best_epoch = 0
     best_hr = -1.0
     stale = 0
 
     for epoch in range(1, config.epochs + 1):
-        target_examples = data.sample_train_negatives(
-            dataset, split, TARGET, config.n_neg_per_positive,
-            seed=_epoch_seed(config.seed, epoch, 0))
-        source_examples = None
-        if use_source:
-            source_examples = data.sample_train_negatives(
-                dataset, split, SOURCE, config.n_neg_per_positive,
-                seed=_epoch_seed(config.seed, epoch, 1))
+        examples = {domain: data.sample_train_negatives(
+                        dataset, split, domain, config.n_neg_per_positive,
+                        seed=_epoch_seed(config.seed, epoch, stream),
+                        groups=groups[domain])
+                    for domain, stream in streams.items()}
+        skipped.append({domain: examples[domain].skipped_saturated_users
+                        for domain in streams})
+        target_examples = examples[TARGET]
+        source_examples = examples.get(SOURCE)
         rng = np.random.default_rng(_epoch_seed(config.seed, epoch, 2))
 
         sums = {"t": 0.0, "s": 0.0, "c": 0.0, "cau": 0.0, "reg": 0.0}
@@ -319,7 +329,7 @@ def train(dataset: data.CrossDomainDataset, split: data.SplitResult,
 
     adjacency = best.effective_adjacency_matrix() if use_causal else None
     return TrainResult(params=best, adjacency=adjacency, history=history,
-                       best_epoch=best_epoch)
+                       best_epoch=best_epoch, skipped_saturated_users=skipped)
 
 
 # ---------------------------------------------------------------------------

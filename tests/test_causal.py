@@ -237,6 +237,34 @@ class TestFusedLossIsExact:
                     assert np.array_equal(grads[name], ref_grads[name]), name
 
 
+@pytest.mark.parametrize("strict", [False, True])
+def test_adjacency_mask_is_built_once_and_read_only(strict):
+    mask = causal.adjacency_mask(3, strict)
+    assert causal.adjacency_mask(3, strict) is mask
+    with pytest.raises(ValueError, match="read-only"):
+        mask[0, 1] = 2.0
+    assert np.all(np.diag(mask) == 0.0)
+
+
+class TestDivergentAdjacency:
+    @pytest.mark.parametrize("a_scale, h_scale, term", [
+        (1e100, 1.0, "acyclicity"),      # exp(a * a) overflows; the residual does not
+        (1e160, 1.0, "reconstruction"),  # the squared residual overflows first
+        (1e160, 0.0, "acyclicity"),      # a * a itself overflows
+    ])
+    def test_error_names_the_failing_term(self, a_scale, h_scale, term):
+        k = 4
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=(2 * k, 2 * k)) * a_scale
+        h = rng.normal(size=(2 * k, 7)) * h_scale
+        tape = dc.Tape()
+        a_eff = causal.effective_adjacency(tape.param("a", a), k)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(dc.NonFiniteError,
+                               match=f"^{term} produced a non-finite value$"):
+                causal.causal_loss(a_eff, tape.constant(h), k, model.LossConfig().penalty)
+
+
 def infer(a, u, k):
     """The causal-invariant preference of attribute columns u on a value
     tape, as the model takes it: the attribute->preference block applied

@@ -488,6 +488,35 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("runtime failure") and "splits/train.csv" in err
 
+    def test_each_seed_stage_hashes_the_csvs_once(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(9)
+        data_dir = tmp_path / "data"
+        data_dir.mkdir()
+        for name, n_items in (("source", 90), ("target", 200)):
+            rows = [f"u{rng.integers(40)},{rng.integers(n_items)},{rng.integers(1, 6)}"
+                    for _ in range(400)]
+            (data_dir / f"{name}.csv").write_text("\n".join(["user,item,rating"] + rows) + "\n")
+        config = cli.load_config(write_config(
+            tmp_path, "dataset.kind=csv\nsplit.seed=11\ntrain.k=4\ntrain.epochs=1\nseeds=1",
+            **{"dataset.source_path": str(data_dir / "source.csv"),
+               "dataset.target_path": str(data_dir / "target.csv")}))
+        out = tmp_path / "run"
+        dataset, _, split = cli.prepare(config, out)
+        reads = []
+        read_bytes = Path.read_bytes
+
+        def spy(path):
+            if path.parent == data_dir:
+                reads.append(path.name)
+            return read_bytes(path)
+
+        monkeypatch.setattr(Path, "read_bytes", spy)
+        cli.train_seed(config, dataset, split, 1, out)
+        assert sorted(reads) == ["source.csv", "target.csv"]
+        reads.clear()
+        cli.evaluate_seed(config, None, split, 1, out)
+        assert sorted(reads) == ["source.csv", "target.csv"]
+
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("nonsense.key=1\n")

@@ -443,6 +443,38 @@ def assert_same_examples(got, want):
     assert got.skipped_saturated_users == want.skipped_saturated_users
 
 
+class TestGroupedPositives:
+    @pytest.mark.parametrize("domain", [SOURCE, TARGET])
+    def test_one_grouping_serves_every_seed(self, synth_dataset, domain):
+        split = data.generate_split(synth_dataset, data.SplitSpec(seed=9))
+        groups = data.group_train_positives(synth_dataset, split, domain, 3)
+        for seed in (0, 5, 11):
+            assert_same_examples(
+                data.sample_train_negatives(synth_dataset, split, domain, 3, seed,
+                                            groups=groups),
+                scalar_draw_sampler(synth_dataset, split, domain, 3, seed))
+
+    def test_shared_arrays_are_read_only(self, synth_dataset):
+        split = data.generate_split(synth_dataset, data.SplitSpec(seed=9))
+        examples = data.sample_train_negatives(synth_dataset, split, TARGET, 2, seed=0)
+        for array in (examples.users, examples.labels):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+    @pytest.mark.parametrize("domain, n_neg", [(SOURCE, 3), (TARGET, 4)])
+    def test_a_grouping_for_other_arguments_is_refused(self, synth_dataset, domain, n_neg):
+        split = data.generate_split(synth_dataset, data.SplitSpec(seed=9))
+        groups = data.group_train_positives(synth_dataset, split, TARGET, 3)
+        with pytest.raises(ValueError, match="positives grouped for"):
+            data.sample_train_negatives(synth_dataset, split, domain, n_neg, seed=0,
+                                        groups=groups)
+
+    def test_bad_negative_count_rejected(self, synth_dataset):
+        split = data.generate_split(synth_dataset, data.SplitSpec(seed=9))
+        with pytest.raises(ValueError, match="n_neg_per_positive must be >= 1"):
+            data.group_train_positives(synth_dataset, split, TARGET, 0)
+
+
 class TestBlockSamplerMatchesScalarDraws:
     """The block sampler must consume the generator's stream exactly as one
     scalar draw per call does. If a numpy release maps array draws to the

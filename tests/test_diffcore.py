@@ -491,6 +491,14 @@ class TestNonFiniteChecks:
             with pytest.raises(dc.NonFiniteError, match="constant produced"):
                 tape.constant(value)
 
+    def test_finite_entries_whose_sum_overflows_pass(self):
+        tape = dc.Tape()
+        with np.errstate(over="ignore"):
+            x = tape.constant(np.full((2, 2), 1e308))
+            assert np.array_equal(dc.scale(x, 1.0).value, np.full((2, 2), 1e308))
+            with pytest.raises(dc.NonFiniteError, match="scale produced"):
+                dc.scale(x, -10.0)
+
     def test_first_gradient_write_turns_negative_zero_positive(self):
         # the first gradient a node receives is zeros + g, so -0.0 reads +0.0
         tape = dc.Tape()
@@ -692,6 +700,19 @@ class TestAcyclicity:
     def test_non_square_rejected(self):
         with pytest.raises(dc.ShapeError):
             dc.acyclicity(np.ones((2, 3)))
+
+    def test_overflowing_square_is_a_non_finite_error(self):
+        a = np.array([[0.0, 1e200], [1e-3, 0.0]])
+        with np.errstate(over="ignore"):
+            with pytest.raises(dc.NonFiniteError, match="^acyclicity produced"):
+                dc.acyclicity(a)
+            with pytest.raises(dc.NonFiniteError, match="^acyclicity produced"):
+                dc.acyclicity_term(dc.Tape().param("a", a))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_matrix_exp_rejects_a_non_finite_matrix(self, bad):
+        with pytest.raises(dc.NonFiniteError, match="matrix_exp"):
+            dc.matrix_exp(np.array([[0.0, bad], [0.0, 0.0]]))
 
 
 class TestFiniteDiffCheck:

@@ -166,6 +166,19 @@ class TestLosses:
                 expected -= label[unit] * np.log(p) + (1 - label[unit]) * np.log(1 - p)
         assert float(loss.value) == pytest.approx(expected, rel=1e-12)
 
+    def test_domain_loss_names_an_unknown_domain(self):
+        tape = dc.Tape()
+        lhat = tape.constant(np.full((2, 2), 0.5))
+        with pytest.raises(ValueError, match="unknown domain 'Target'"):
+            model.domain_loss(lhat, ["source", "Target"])
+
+    @pytest.mark.parametrize("n_domains", [0, 2, 4], ids=["empty", "short", "long"])
+    def test_domain_loss_needs_one_domain_per_column(self, n_domains):
+        tape = dc.Tape()
+        lhat = tape.constant(np.full((2, 3), 0.5))
+        with pytest.raises(dc.ShapeError, match=f"{n_domains} domains"):
+            model.domain_loss(lhat, ["source"] * n_domains)
+
     def test_interaction_loss_at_half(self):
         tape = dc.Tape()
         probs = tape.constant(np.full((1, 4), 0.5))
@@ -415,16 +428,179 @@ def recorded_ops(monkeypatch, ablation):
 
 
 class TestRecordedStep:
-    def test_full_step_records_52_nodes(self, monkeypatch):
+    def test_full_step_records_33_nodes(self, monkeypatch):
         ops = recorded_ops(monkeypatch, "full")
-        assert sum(ops.values()) == 52
-        assert ops["block"] == 4 and ops["vconcat"] == 4
-        assert ops["slice_rows"] == 0 and ops["slice_cols"] == 0
+        assert sum(ops.values()) == 33
+        assert ops["acyclicity"] == 1
+        assert ops["reconstruction"] == 1 and ops["penalty_fold"] == 1
+        assert ops["discriminator"] == 1 and ops["gate"] == 2
+        assert ops["block"] == 1 and ops["vconcat"] == 4
+        assert ops["mul"] == 1   # the adjacency mask
+        for op in ("sub", "sq_l2", "scale", "l1", "neg_log_col_l1", "grad_reverse",
+                   "sigmoid", "softmax_pair", "slice_rows", "slice_cols"):
+            assert ops[op] == 0, op
 
-    def test_no_causal_step_records_35_nodes(self, monkeypatch):
+    def test_no_causal_step_records_23_nodes(self, monkeypatch):
         ops = recorded_ops(monkeypatch, "no_causal")
-        assert sum(ops.values()) == 35
-        assert ops["block"] == 4 and ops["vconcat"] == 0
+        assert sum(ops.values()) == 23
+        assert ops["discriminator"] == 1 and ops["gate"] == 2
+        assert ops["block"] == 2 and ops["vconcat"] == 0
+        assert ops["acyclicity"] == 0 and ops["penalty_fold"] == 0
+
+
+# The discriminator and the gated head as the primitive chains that
+# model.discriminate and model.gate each record as one node; the fused
+# nodes must reproduce their values and every gradient bit for bit.
+
+def reference_discriminate(nodes, u_shared, grl_scale):
+    reversed_in = dc.grad_reverse(u_shared, grl_scale)
+    hidden1 = dc.relu(dc.matmul(nodes["disc_h1"], reversed_in))
+    hidden2 = dc.relu(dc.matmul(nodes["disc_h2"], hidden1))
+    return dc.sigmoid(dc.matmul(nodes["disc_out"], hidden2))
+
+
+def reference_gate(nodes, domain, fused, item_emb):
+    predictor = nodes["predictor_s" if domain == "source" else "predictor_t"]
+    logits = dc.matmul(predictor, dc.mul(fused, item_emb))
+    return dc.block(dc.softmax_pair(logits), 1, 2, 0, logits.shape[1])
+
+
+def assert_same_bits(got, want, what):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes(), what
+
+
+def step_with(monkeypatch, params, target, source, config, **replacements):
+    """Loss value, breakdown and gradients of one total_loss, with the
+    named model functions replaced."""
+    with monkeypatch.context() as patch:
+        for name, fn in replacements.items():
+            patch.setattr(model, name, fn)
+        tape = dc.Tape()
+        total, breakdown = model.total_loss(tape, params, target, source, config)
+        tape.backward(total)
+    return total.value, breakdown, tape.grads()
+
+
+def assert_same_step(got, want):
+    assert_same_bits(got[0], want[0], "total")
+    assert got[1] == want[1]
+    assert got[2].keys() == want[2].keys()
+    for name in want[2]:
+        assert_same_bits(got[2][name], want[2][name], name)
+
+
+def zero_laden_params(seed):
+    """Parameters with dead hidden units and all-zero rows, so ReLU masks,
+    zero products and signed zeros all reach the gradients."""
+    params = make_params(seed=seed, init_scale=0.5)
+    m = params.matrices
+    m["disc_h1"][0] = 0.0
+    m["disc_h2"][0] = 0.0
+    m["disc_h2"][1] = -np.abs(m["disc_h2"][1])
+    m["shared_encoder"][2] = 0.0
+    m["predictor_t"][:, 3] = 0.0
+    m["item_emb_t"][:, 0] = 0.0
+    m["adjacency"][...] = np.random.default_rng(seed).uniform(-0.2, 0.2, m["adjacency"].shape)
+    return params
+
+
+class TestFusedDiscriminatorIsExact:
+    @pytest.mark.parametrize("grl_scale", [0.0, 1.0])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_step_matches_the_primitive_chain_bit_for_bit(self, monkeypatch, seed,
+                                                         grl_scale):
+        target, source = make_batches(seed=60 + seed, n=12)
+        config = model.LossConfig(grl_scale=grl_scale)
+        for params in (make_params(seed=70 + seed), zero_laden_params(80 + seed)):
+            assert_same_step(
+                step_with(monkeypatch, params, target, source, config),
+                step_with(monkeypatch, params, target, source, config,
+                          discriminate=reference_discriminate))
+
+    @pytest.mark.parametrize("grl_scale", [0.0, 1.0])
+    def test_node_matches_the_primitive_chain_bit_for_bit(self, grl_scale):
+        x = np.random.default_rng(61).normal(size=(DIMS.k, 9))
+        x[:, 2] = 0.0
+        x[1, 4] = -0.0
+        domains = ["source", "target"] * 4 + ["target"]
+
+        def run(discriminate, grad):
+            tape = dc.Tape(grad=grad)
+            nodes = zero_laden_params(62).register(tape)
+            lhat = discriminate(nodes, tape.param("x", x), grl_scale)
+            if grad:
+                tape.backward(model.domain_loss(lhat, domains))
+                return lhat.value, tape.grads()
+            return lhat.value, {}
+
+        for grad in (True, False):
+            value, grads = run(model.discriminate, grad)
+            ref_value, ref_grads = run(reference_discriminate, grad)
+            assert_same_bits(value, ref_value, "value")
+            assert grads.keys() == ref_grads.keys()
+            for name in ref_grads:
+                assert_same_bits(grads[name], ref_grads[name], name)
+
+    def test_negative_grl_scale_rejected(self):
+        tape = dc.Tape()
+        nodes = make_params().register(tape)
+        with pytest.raises(ValueError, match="grl_scale must be >= 0"):
+            model.discriminate(nodes, tape.constant(np.ones((DIMS.k, 2))), -1.0)
+
+
+class TestFusedGateIsExact:
+    @pytest.mark.parametrize("ablation", ["full", "no_causal"])
+    @pytest.mark.parametrize("grl_scale", [0.0, 1.0])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_step_matches_the_primitive_chain_bit_for_bit(self, monkeypatch, seed,
+                                                         grl_scale, ablation):
+        target, source = make_batches(seed=90 + seed, n=12)
+        config = model.LossConfig(grl_scale=grl_scale, ablation=ablation)
+        for params in (make_params(seed=100 + seed), zero_laden_params(110 + seed)):
+            assert_same_step(
+                step_with(monkeypatch, params, target, source, config),
+                step_with(monkeypatch, params, target, source, config,
+                          gate=reference_gate))
+
+    def test_node_matches_the_primitive_chain_bit_for_bit(self):
+        rng = np.random.default_rng(63)
+        f = rng.normal(size=(DIMS.k, 7))
+        e = rng.normal(size=(DIMS.k, 7))
+        f[0] = 0.0
+        e[:, 5] = -0.0
+        labels = np.array([1.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0])
+
+        def run(gate):
+            tape = dc.Tape()
+            nodes = zero_laden_params(64).register(tape)
+            probs = gate(nodes, "target", tape.param("f", f), tape.param("e", e))
+            tape.backward(model.interaction_loss(probs, labels))
+            return probs.value, tape.grads()
+
+        value, grads = run(model.gate)
+        ref_value, ref_grads = run(reference_gate)
+        assert_same_bits(value, ref_value, "value")
+        for name in ref_grads:
+            assert_same_bits(grads[name], ref_grads[name], name)
+
+    def test_scores_match_the_primitive_chain_bit_for_bit(self, monkeypatch):
+        params = zero_laden_params(65)
+        users = np.array([0, 3, 5, 3])
+        items = np.random.default_rng(66).integers(0, DIMS.n_target_items, (4, 5))
+        adjacency = params.effective_adjacency_matrix()
+        for a in (adjacency, None):
+            fused = score_block(params, a, users, items)
+            with monkeypatch.context() as patch:
+                patch.setattr(model, "gate", reference_gate)
+                assert_same_bits(fused, score_block(params, a, users, items), "scores")
+
+    def test_mismatched_operands_rejected(self):
+        tape = dc.Tape()
+        nodes = make_params().register(tape)
+        with pytest.raises(dc.ShapeError, match="gate"):
+            model.gate(nodes, "target", tape.constant(np.ones((DIMS.k, 3))),
+                       tape.constant(np.ones((DIMS.k, 4))))
 
 
 class TestNoCausalFusion:

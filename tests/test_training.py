@@ -233,6 +233,40 @@ class TestTrain:
         assert len(lines) == 2 + len(result.history)
 
 
+class TestSkippedSaturatedUsers:
+    @staticmethod
+    def saturated_setup():
+        # user 0 knows every target item, user 1 every source item
+        target = {(0, i) for i in range(6)} | {(1, 0), (2, 1), (3, 2)}
+        source = {(u, u) for u in range(4)} | {(1, i) for i in range(5)}
+        ds = data.CrossDomainDataset(n_users=4, n_source_items=5, n_target_items=6,
+                                     source_positives=source, target_positives=target)
+        split = data.SplitResult(
+            train={data.SOURCE: set(source), data.TARGET: set(target)},
+            validation={data.SOURCE: set(), data.TARGET: set()},
+            test={data.SOURCE: set(), data.TARGET: set()},
+            eval_candidates=[], val_candidates=[], seed=0, tiebreak_seed=0)
+        return ds, split
+
+    @pytest.mark.parametrize("ablation, expected", [
+        ("full", {data.TARGET: 6, data.SOURCE: 5}),
+        ("no_source", {data.TARGET: 6}),
+    ])
+    def test_kept_per_epoch_on_the_result(self, ablation, expected):
+        ds, split = self.saturated_setup()
+        result = training.train(ds, split, quick_config(k=2, epochs=3, batch_size=4,
+                                                        ablation=ablation))
+        assert len(result.history) == 3
+        assert result.skipped_saturated_users == [expected] * 3
+
+    def test_history_csv_does_not_carry_them(self, tmp_path):
+        ds, split = self.saturated_setup()
+        result = training.train(ds, split, quick_config(k=2, epochs=2, batch_size=4))
+        training.history_to_csv(result.history, tmp_path / "history.csv")
+        assert (tmp_path / "history.csv").read_text().splitlines()[0] == \
+            training.HISTORY_HEADER
+
+
 class TestGrlBlocks:
     def test_min_max_gradient_blocks(self):
         # the single backward pass must give the discriminator block the
