@@ -91,14 +91,18 @@ class CandidateLists:
     """Test (or validation) positives, one list per row, each with its 99
     sampled negatives.
 
-    Row r of `items` holds list r's 1 + N_EVAL_NEGATIVES candidates in the
-    fixed randomized order used for tie-breaking; its positive is
-    `items[r, positions[r]]`, held out for user `users[r]`.
+    Row r of `items` holds list r's 1 + N_EVAL_NEGATIVES candidates; its
+    positive is `items[r, positions[r]]`, held out for user `users[r]`.
+    Built and loaded lists hold the positive in column 0 and the negatives
+    in the order they were drawn. The column order carries no meaning:
+    candidates that score alike are ordered by
+    tiebreak_key(tiebreak_seed, user, item).
     """
 
     users: np.ndarray       # (L,) intp
     items: np.ndarray       # (L, 1 + N_EVAL_NEGATIVES) intp
     positions: np.ndarray   # (L,) intp
+    tiebreak_seed: int
 
     def __len__(self):
         return len(self.users)
@@ -657,8 +661,14 @@ def sample_train_negatives(dataset: CrossDomainDataset, split: SplitResult,
 
 
 CANDIDATE_BLOCK_LISTS = 64
-# the first 8 bytes of each joined 20-byte SHA-1 digest, read big-endian
-_DIGEST_KEY = np.dtype({"names": ["key"], "formats": [">u8"], "itemsize": 20})
+
+
+def tiebreak_key(seed: int, user: int, item: int) -> tuple:
+    """Where item ranks among user's candidates that score alike, smaller
+    first: the first 8 bytes, read big-endian, of
+    sha1(f"{seed}:{user}:{item}"), then the item id."""
+    digest = hashlib.sha1(b"%d:%d:%d" % (seed, user, item)).digest()
+    return int.from_bytes(digest[:8], "big"), item
 
 
 def _add_id_text(table: dict, rows: list, form) -> None:
@@ -668,38 +678,11 @@ def _add_id_text(table: dict, rows: list, form) -> None:
     table.update(zip(ids, map(form.__mod__, ids)))
 
 
-def _candidate_lists(seed: int, users, items: np.ndarray) -> CandidateLists:
-    """The candidate lists of the rows of `items` (L, 1 + N_EVAL_NEGATIVES
-    intp, the positive in column 0), each row sorted in place into
-    tie-break order: by the first 8 bytes, read big-endian, of
-    sha1(f"{seed}:{user}:{item}"), ties by item id. save_split writes the
-    negatives in this order and load_split rebuilds it from the tiebreak
-    seed."""
-    users = np.asarray(users, dtype=np.intp)
-    positives = items[:, :1].copy()
-    id_bytes = {}
-    for start in range(0, len(items), CANDIDATE_BLOCK_LISTS):
-        stop = start + CANDIDATE_BLOCK_LISTS
-        block = items[start:stop]
-        rows = block.tolist()
-        _add_id_text(id_bytes, rows, b"%d")
-        digests = []
-        for user, row in zip(users[start:stop].tolist(), rows):
-            prefix = hashlib.sha1(b"%d:%d:" % (seed, user))
-            for j in row:
-                key = prefix.copy()
-                key.update(id_bytes[j])
-                digests.append(key.digest())
-        keys = np.frombuffer(b"".join(digests), _DIGEST_KEY)["key"].reshape(block.shape)
-        block[:] = np.take_along_axis(block, np.lexsort((block, keys), axis=1), axis=1)
-    return CandidateLists(users=users, items=items,
-                          positions=np.argmax(items == positives, axis=1))
-
-
 def build_eval_candidates(dataset: CrossDomainDataset, test_positives,
                           seed: int) -> CandidateLists:
-    """99 uniform never-interacted negatives per test positive, in the
-    tie-break order of _candidate_lists.
+    """99 uniform never-interacted negatives per test positive; each row
+    holds the positive, then its negatives in the order they were drawn.
+    seed drives the draws and is the lists' tiebreak_seed.
     """
     rng = np.random.default_rng(seed)
     user_items = dataset.user_items(TARGET)
@@ -718,7 +701,9 @@ def build_eval_candidates(dataset: CrossDomainDataset, test_positives,
                 f"{N_EVAL_NEGATIVES} required")
         items[r, 0] = pos
         items[r, 1:] = rng.choice(eligible, size=N_EVAL_NEGATIVES, replace=False)
-    return _candidate_lists(seed, [u for u, _ in pairs], items)
+    return CandidateLists(users=np.array([u for u, _ in pairs], dtype=np.intp),
+                          items=items, positions=np.zeros(len(pairs), dtype=np.intp),
+                          tiebreak_seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -940,7 +925,8 @@ def synth_generate(config: SynthConfig) -> tuple[CrossDomainDataset, GroundTruth
 
 def save_split(split: SplitResult, directory, extra_meta: str = "") -> None:
     """One file per part with lines domain,user,item,label plus candidate
-    files for validation and test."""
+    files for validation and test, one line user,positive,negatives... per
+    list, the negatives in row order."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     header = f"# seed={split.seed} tiebreak_seed={split.tiebreak_seed}"
@@ -1062,13 +1048,16 @@ def load_split(directory) -> SplitResult:
         numbered = [(line_no, line) for line_no, line
                     in enumerate(lines[name][1:], start=2) if line]
         users, items = _candidate_rows(path, numbered)
-        candidates[name] = _candidate_lists(tiebreak_seed, users, items)
         # sorted rows hold a repeated item in adjacent columns
-        repeats = np.flatnonzero(np.any(items[:, 1:] == items[:, :-1], axis=1))
+        ordered = np.sort(items, axis=1)
+        repeats = np.flatnonzero(np.any(ordered[:, 1:] == ordered[:, :-1], axis=1))
         if len(repeats):
-            row = items[repeats[0]]
+            row = ordered[repeats[0]]
             raise DataError(f"{path}: line {numbered[repeats[0]][0]}: item "
                             f"{row[np.argmax(row[1:] == row[:-1])]} is listed twice")
+        candidates[name] = CandidateLists(users=users, items=items,
+                                          positions=np.zeros(len(users), dtype=np.intp),
+                                          tiebreak_seed=tiebreak_seed)
 
     return SplitResult(train=parts["train"], validation=parts["validation"],
                        test=parts["test"],

@@ -167,6 +167,9 @@ class Tape:
         return nodes
 
     def constant(self, value) -> Node:
+        """A leaf that takes no gradient: the products and the
+        reconstruction skip the gradient work for a constant operand, so
+        its grad stays None."""
         node = Node(self, _as_array(value), "const")
         _check_finite("constant", node.value)
         return node
@@ -250,8 +253,10 @@ def mul(a: Node, b: Node) -> Node:
     tape = _tape_of(a, b)
 
     def backward(g):
-        _accum(a, g * b.value)
-        _accum(b, g * a.value)
+        if a.op != "const":
+            _accum(a, g * b.value)
+        if b.op != "const":
+            _accum(b, g * a.value)
 
     return tape.record("mul", a.value * b.value, backward)
 
@@ -303,8 +308,10 @@ def matmul(a: Node, b: Node) -> Node:
     tape = _tape_of(a, b)
 
     def backward(g):
-        _accum(a, g @ b.value.T)
-        _accum(b, a.value.T @ g)
+        if a.op != "const":
+            _accum(a, g @ b.value.T)
+        if b.op != "const":
+            _accum(b, a.value.T @ g)
 
     return tape.record("matmul", a.value @ b.value, backward)
 
@@ -316,8 +323,10 @@ def matmul_t(a: Node, b: Node) -> Node:
     tape = _tape_of(a, b)
 
     def backward(g):
-        _accum(a, b.value @ g.T)
-        _accum(b, a.value @ g)
+        if a.op != "const":
+            _accum(a, b.value @ g.T)
+        if b.op != "const":
+            _accum(b, a.value @ g)
 
     return tape.record("matmul_t", a.value.T @ b.value, backward)
 
@@ -645,10 +654,13 @@ def reconstruction(a: Node, h: Node) -> Node:
 
     def backward(g):
         g_residual = g * c * 2.0 * residual
-        _accum(h, g_residual)
+        if h.op != "const":
+            _accum(h, g_residual)
         g_fit = -g_residual
-        _accum(a, h.value @ g_fit.T)
-        _accum(h, a.value @ g_fit)
+        if a.op != "const":
+            _accum(a, h.value @ g_fit.T)
+        if h.op != "const":
+            _accum(h, a.value @ g_fit)
 
     value = np.asarray(np.add.reduce(residual * residual, axis=None)) * c
     return tape.record("reconstruction", value, backward)

@@ -1,9 +1,13 @@
 """Leave-one-out ranking evaluation and multi-seed reporting.
 
 Every held-out positive is ranked against its 99 sampled negatives. The
-rank counts candidates that score strictly higher, plus tied candidates
-that precede the positive in the list's fixed randomized order, so a
-constant scorer lands the positive uniformly across all 100 positions.
+rank is one plus the candidates that score strictly higher, plus the
+candidates tied with the positive that come before it in the tie order.
+For candidate lists that order is data.tiebreak_key, a hash of the
+lists' tiebreak seed, the user and the item, so a constant scorer lands
+the positive uniformly across all 100 ranks; keys are computed only for
+the lists that hold a tie. rank_metrics, the reference for one ordered
+list, breaks ties by list position instead.
 """
 
 from __future__ import annotations
@@ -17,30 +21,33 @@ from . import causal, data, diffcore as dc, model
 
 DEFAULT_KS = (5, 10)
 EVAL_BLOCK_LISTS = 16  # candidate lists scored per forward pass
+# NDCG's discount of each rank r of a candidate list, 1 / log2(r + 1)
+_DISCOUNTS = (0.0,) + tuple(1.0 / math.log2(rank + 1)
+                            for rank in range(1, 2 + data.N_EVAL_NEGATIVES))
 
 
 def metric_key(metric: str, k: int) -> str:
     return f"{metric.upper()}@{k}"
 
 
-def _ranks(scores: np.ndarray, positive_positions: np.ndarray) -> np.ndarray:
-    """1-based rank of the positive in each row of an (L, 100) score block:
-    candidates scoring strictly higher, plus tied candidates earlier in
-    the list, plus one."""
-    positive = scores[np.arange(len(scores)), positive_positions][:, None]
-    before = np.arange(scores.shape[1]) < positive_positions[:, None]
-    return (1 + np.sum(scores > positive, axis=1)
-            + np.sum((scores == positive) & before, axis=1))
-
-
-def _hit_ndcg(rank: int, k: int) -> tuple:
-    if rank > k:
-        return 0, 0.0
-    return 1, 1.0 / math.log2(rank + 1)
+def _ranks(scores: np.ndarray, positions: np.ndarray, precedes) -> np.ndarray:
+    """1-based rank of the positive in each row of an (L, n) score block:
+    one plus the candidates scoring strictly higher, plus, for each row r
+    with a candidate tied with its positive, precedes(r, tied), the number
+    of the tied columns `tied` that come before the positive."""
+    rows = np.arange(len(scores))
+    positive = scores[rows, positions][:, None]
+    ranks = 1 + np.count_nonzero(scores > positive, axis=1)
+    tied = scores == positive
+    tied[rows, positions] = False
+    for r in np.flatnonzero(tied.any(axis=1)).tolist():
+        ranks[r] += precedes(r, np.flatnonzero(tied[r]))
+    return ranks
 
 
 def rank_metrics(scores, positive_position: int, k: int) -> tuple:
-    """(hit, ndcg) for one candidate list of exactly 100 scores.
+    """(hit, ndcg) for one candidate list of exactly 100 scores, ties
+    broken by list position.
 
     hit is 1 when the positive ranks in the top k; ndcg discounts the hit
     by 1/log2(rank + 1) and is 0 otherwise.
@@ -49,34 +56,48 @@ def rank_metrics(scores, positive_position: int, k: int) -> tuple:
     if scores.shape != (1 + data.N_EVAL_NEGATIVES,):
         raise ValueError(f"expected {1 + data.N_EVAL_NEGATIVES} scores, "
                          f"got shape {scores.shape}")
-    rank = int(_ranks(scores[None], np.array([positive_position]))[0])
-    return _hit_ndcg(rank, k)
+    rank = int(_ranks(scores[None], np.array([positive_position]),
+                      lambda r, tied: np.count_nonzero(tied < positive_position))[0])
+    return (1, _DISCOUNTS[rank]) if rank <= k else (0, 0.0)
 
 
 def evaluate_candidates(candidates: data.CandidateLists, scorer, ks=DEFAULT_KS) -> dict:
-    """Average hit and ndcg over candidate lists. scorer maps a block of
-    users (L,) and their candidate items (L, 100) to scores (L, 100); it
-    sees EVAL_BLOCK_LISTS lists at a time, in list order."""
+    """Average hit and ndcg over candidate lists, ties broken by
+    data.tiebreak_key. scorer maps a block of users (L,) and their
+    candidate items (L, 100) to scores (L, 100); it sees EVAL_BLOCK_LISTS
+    lists at a time, in list order."""
     if not candidates:
         raise ValueError("no candidate lists to evaluate")
     n_lists, width = len(candidates), 1 + data.N_EVAL_NEGATIVES
     if candidates.items.shape != (n_lists, width):
         raise ValueError(f"{n_lists} candidate lists hold items of shape "
                          f"{candidates.items.shape}, expected ({n_lists}, {width})")
-    totals = {metric_key(m, k): 0.0 for m in ("hr", "ndcg") for k in ks}
+    seed = candidates.tiebreak_seed
+    ranks = []
     for start in range(0, n_lists, EVAL_BLOCK_LISTS):
         stop = start + EVAL_BLOCK_LISTS
-        items = candidates.items[start:stop]
-        scores = np.asarray(scorer(candidates.users[start:stop], items), dtype=np.float64)
+        users, items = candidates.users[start:stop], candidates.items[start:stop]
+        positions = candidates.positions[start:stop]
+        scores = np.asarray(scorer(users, items), dtype=np.float64)
         if scores.shape != items.shape:
             raise ValueError(f"scorer returned shape {scores.shape} for "
                              f"candidates of shape {items.shape}")
-        for rank in _ranks(scores, candidates.positions[start:stop]).tolist():
-            for k in ks:
-                hit, ndcg = _hit_ndcg(rank, k)
-                totals[metric_key("hr", k)] += hit
-                totals[metric_key("ndcg", k)] += ndcg
-    return {key: value / n_lists for key, value in totals.items()}
+
+        def key_precedes(r, tied):
+            user, row = int(users[r]), items[r].tolist()
+            key = data.tiebreak_key(seed, user, row[positions[r]])
+            return sum(data.tiebreak_key(seed, user, row[c]) < key for c in tied.tolist())
+
+        ranks.append(_ranks(scores, positions, key_precedes))
+    ranks = np.concatenate(ranks)
+    hits = {k: ranks[ranks <= k].tolist() for k in ks}
+    metrics = {metric_key("hr", k): len(hits[k]) / n_lists for k in ks}
+    for k in ks:
+        ndcg = 0.0
+        for rank in hits[k]:  # summed left to right, in list order
+            ndcg += _DISCOUNTS[rank]
+        metrics[metric_key("ndcg", k)] = ndcg / n_lists
+    return metrics
 
 
 def evaluate(params: model.ModelParams, adjacency: np.ndarray | None,

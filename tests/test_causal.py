@@ -246,6 +246,33 @@ def test_adjacency_mask_is_built_once_and_read_only(strict):
     assert np.all(np.diag(mask) == 0.0)
 
 
+def test_constants_take_no_gradient(monkeypatch):
+    # the mask of effective_adjacency and the samples of the loss are tape
+    # constants: backward computes no gradient for either
+    made = []
+    constant = dc.Tape.constant
+
+    def spy(tape, value):
+        made.append(constant(tape, value))
+        return made[-1]
+
+    monkeypatch.setattr(dc.Tape, "constant", spy)
+    rng = np.random.default_rng(5)
+    a, h, k = rng.normal(size=(4, 4)), rng.normal(size=(4, 6)), 2
+    value, _, grad = loss_value(a, h, k)
+    assert [node.op for node in made] == ["const", "const"]
+    assert [node.value.shape for node in made] == [(4, 4), (4, 6)]
+    assert [node.grad for node in made] == [None, None]
+    monkeypatch.undo()
+    # the samples as a parameter: the adjacency's gradient keeps its bytes
+    tape = dc.Tape()
+    a_eff = causal.effective_adjacency(tape.param("a", a), k)
+    total, _ = causal.causal_loss(a_eff, tape.param("h", h), k, model.LossConfig().penalty)
+    tape.backward(total)
+    assert float(total.value) == value
+    assert np.array_equal(tape.grad("a"), grad)
+
+
 class TestDivergentAdjacency:
     @pytest.mark.parametrize("a_scale, h_scale, term", [
         (1e100, 1.0, "acyclicity"),      # exp(a * a) overflows; the residual does not

@@ -1,5 +1,6 @@
 import hashlib
 import shutil
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -712,6 +713,70 @@ class TestEvaluateStoredRun:
         assert err.startswith("runtime failure")
         assert "splits/candidates_test.csv: header" in err and "differs" in err
         assert digests(run) == before
+
+
+# ---------------------------------------------------------------------------
+# stored-run fuzzing: one damaged file of a trained run, then evaluate or
+# report; every outcome is a clean exit, never an uncaught exception
+
+FUZZED_FILES = ("splits/train.csv", "splits/validation.csv", "splits/test.csv",
+                "splits/candidates_test.csv", "splits/candidates_validation.csv",
+                "seed_1/checkpoint.nmc", "seed_1/metrics_seed.csv", "config.txt")
+FUZZ_TOKENS = [b"nan", b"1e999", b"-1", b"\x00", b"9" * 20, b"", b"0.5", b"#"]
+RUN_EDITS = st.one_of(
+    st.tuples(st.just("flip"), st.integers(0, 10**6), st.integers(1, 255)),
+    st.tuples(st.just("cut"), st.integers(0, 10**6), st.just(0)),
+    st.tuples(st.just("drop"), st.just(0), st.just(0)),
+    st.tuples(st.just("field"), st.integers(0, 10**6), st.sampled_from(FUZZ_TOKENS)),
+)
+
+
+def damage(blob, edit):
+    """blob after one edit; None deletes the file."""
+    op, at, arg = edit
+    if op == "drop":
+        return None
+    if op == "cut":
+        return blob[:at % (len(blob) + 1)]
+    if op == "flip":
+        damaged = bytearray(blob)
+        damaged[at % len(damaged)] ^= arg
+        return bytes(damaged)
+    lines = blob.split(b"\n")
+    i = at % len(lines)
+    fields = lines[i].split(b",")
+    fields[at % len(fields)] = arg
+    lines[i] = b",".join(fields)
+    return b"\n".join(lines)
+
+
+@pytest.fixture(scope="module")
+def trained_run_files(trained_run):
+    return {path.relative_to(trained_run): path.read_bytes()
+            for path in trained_run.rglob("*") if path.is_file()}
+
+
+class TestStoredRunFuzz:
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(name=st.sampled_from(FUZZED_FILES), edit=RUN_EDITS,
+           command=st.sampled_from(["evaluate", "report"]))
+    def test_damaged_run_exits_0_or_2(self, tmp_path, capsys, trained_run_files, name,
+                                      edit, command):
+        run = Path(tempfile.mkdtemp(dir=tmp_path))
+        for path, blob in trained_run_files.items():
+            if path == Path(name):
+                blob = damage(blob, edit)
+                if blob is None:
+                    continue
+            (run / path).parent.mkdir(parents=True, exist_ok=True)
+            (run / path).write_bytes(blob)
+        config = write_config(run)
+        extra = ["--seed", "1"] if command == "evaluate" else ["--iid-dir", str(run)]
+        code = cli.main([command, "--config", str(config), "--out", str(run), *extra])
+        err = capsys.readouterr().err
+        assert code in (0, 2)
+        assert code == 0 or err.startswith("runtime failure")
 
 
 # ---------------------------------------------------------------------------

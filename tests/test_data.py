@@ -2,13 +2,14 @@ import csv
 import hashlib
 import math
 import re
+import shutil
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from causalcdr import data
+from causalcdr import data, evaluation
 from causalcdr.data import SOURCE, TARGET
 
 
@@ -617,6 +618,19 @@ def assert_same_lists(got, want):
         assert a.dtype == b.dtype == np.intp and np.array_equal(a, b), name
 
 
+# scorers that tie the positive with many of its negatives; "mixed" ties
+# only on even users, so a block holds rows with and without ties
+TIE_SCORERS = {
+    "constant": lambda users, items: np.zeros(items.shape),
+    "mod3": lambda users, items: (items % 3).astype(float),
+    "per_user_mod": lambda users, items: (
+        (items + users[:, None]) % (users[:, None] % 5 + 2)).astype(float),
+    "mixed": lambda users, items: np.where(users[:, None] % 2 == 0, items % 2,
+                                           items).astype(float),
+}
+RANK_KS = (1, 5, 10, 100)
+
+
 SPLIT_FILES = ("train.csv", "validation.csv", "test.csv", "candidates_test.csv",
                "candidates_validation.csv")
 
@@ -633,18 +647,38 @@ class TestSplitSerialization:
         for name in ("eval_candidates", "val_candidates"):
             assert_same_lists(getattr(loaded, name), getattr(split, name))
 
-    def test_load_rebuilds_the_order_from_the_tiebreak_seed(self, tmp_path, synth_dataset):
+    def test_hashed_and_permuted_rows_load_and_score_alike(self, tmp_path, synth_dataset):
+        # files written in the SHA-1 tie-break order that save_split once
+        # used, or with negatives in any order, score like the drawn order
         split = data.generate_split(synth_dataset, data.SplitSpec(seed=13))
-        data.save_split(split, tmp_path / "split")
-        path = tmp_path / "split" / "candidates_test.csv"
-        header, *rows = path.read_text().splitlines()
+        data.save_split(split, tmp_path / "drawn")
         rng = np.random.default_rng(0)
-        for r in (0, 1, len(rows) // 2, len(rows) - 1):
-            fields = rows[r].split(",")
-            rows[r] = ",".join(fields[:2] + rng.permutation(fields[2:]).tolist())
-        path.write_text("\n".join([header, *rows]) + "\n")
-        loaded = data.load_split(tmp_path / "split")
-        assert_same_lists(loaded.eval_candidates, split.eval_candidates)
+        orders = {"hashed": lambda user, row: sha1_order(split.tiebreak_seed, user, row),
+                  "permuted": lambda user, row: rng.permutation(row).tolist()}
+        for kind, order in orders.items():
+            shutil.copytree(tmp_path / "drawn", tmp_path / kind)
+            for name in SPLIT_FILES[3:]:
+                path = tmp_path / kind / name
+                header, *rows = path.read_text().splitlines()
+                for r, row in enumerate(rows):
+                    user, positive, *negatives = map(int, row.split(","))
+                    rows[r] = ",".join(map(str, [user, positive, *order(user, negatives)]))
+                path.write_text("\n".join([header, *rows]) + "\n")
+        drawn = data.load_split(tmp_path / "drawn")
+        for name in ("eval_candidates", "val_candidates"):
+            assert_same_lists(getattr(drawn, name), getattr(split, name))
+        for kind in orders:
+            loaded = data.load_split(tmp_path / kind)
+            for name in ("eval_candidates", "val_candidates"):
+                got, want = getattr(loaded, name), getattr(drawn, name)
+                assert not np.array_equal(got.items, want.items)
+                assert np.array_equal(got.users, want.users)
+                assert not got.positions.any() and got.tiebreak_seed == want.tiebreak_seed
+                assert np.array_equal(np.sort(got.items, axis=1), np.sort(want.items, axis=1))
+                assert np.array_equal(got.items[:, 0], want.items[:, 0])
+                for scorer in TIE_SCORERS.values():
+                    assert (evaluation.evaluate_candidates(got, scorer, RANK_KS)
+                            == evaluation.evaluate_candidates(want, scorer, RANK_KS))
 
     @pytest.mark.parametrize("name, line_no, edit, message", [
         ("train.csv", 3, lambda row: row[:2], "line 3: expected domain,user,item,label"),
@@ -868,9 +902,16 @@ def loop_ensure_test_users_trained(train, val, test, rng, types=None):
     return moves
 
 
+def sha1_order(seed, user, items):
+    """items sorted into tie-break order: by the first 8 bytes, read
+    big-endian, of sha1(f"{seed}:{user}:{item}"), ties by item id."""
+    return sorted(items, key=lambda j: (int.from_bytes(
+        hashlib.sha1(f"{seed}:{user}:{j}".encode()).digest()[:8], "big"), j))
+
+
 def loop_build_eval_candidates(dataset, test_positives, seed):
-    """((user, positive, candidates, position) per list, generator after
-    the last draw)."""
+    """((user, positive, candidates as drawn, candidates in tie-break
+    order) per list, generator after the last draw)."""
     rng = np.random.default_rng(seed)
     user_items = dataset.user_items(TARGET)
     out = []
@@ -879,9 +920,8 @@ def loop_build_eval_candidates(dataset, test_positives, seed):
         eligible = np.array([j for j in range(dataset.n_target_items) if j not in known],
                             dtype=np.intp)
         negatives = rng.choice(eligible, size=data.N_EVAL_NEGATIVES, replace=False)
-        items = sorted([pos, *negatives.tolist()], key=lambda j: (int.from_bytes(
-            hashlib.sha1(f"{seed}:{u}:{j}".encode()).digest()[:8], "big"), j))
-        out.append((u, pos, items, items.index(pos)))
+        drawn = [pos, *negatives.tolist()]
+        out.append((u, pos, drawn, sha1_order(seed, u, drawn)))
     return out, rng
 
 
@@ -1165,9 +1205,49 @@ class TestArrayFormsMatchLoopForms:
         assert made[0].bit_generator.state == want_rng.bit_generator.state
         assert len(got) == len(want)
         assert all(a.dtype == np.intp for a in (got.users, got.items, got.positions))
-        rows = np.arange(len(got))
-        assert list(zip(got.users.tolist(), got.items[rows, got.positions].tolist(),
-                        got.items.tolist(), got.positions.tolist())) == want
+        assert got.tiebreak_seed == seed + 100
+        assert not got.positions.any()
+        assert list(zip(got.users.tolist(), got.items.tolist())) == [
+            (user, drawn) for user, _, drawn, _ in want]
+
+
+class TestTiesRankByKey:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**31 - 2), n_items=st.integers(102, 160),
+           scorer=st.sampled_from(sorted(TIE_SCORERS)))
+    def test_rank_is_the_rank_in_the_sha1_sorted_list(self, seed, n_items, scorer):
+        # each user holds 1-3 positives, so 99 negatives always remain
+        rng = np.random.default_rng(seed)
+        n_users, held, positives = 20, [], set()
+        for u in range(n_users):
+            items = rng.choice(n_items, size=int(rng.integers(1, 4)), replace=False)
+            positives.update((u, int(i)) for i in items)
+            held.append((u, int(items[0])))
+        dataset = data.CrossDomainDataset(n_users=n_users, n_source_items=3,
+                                          n_target_items=n_items,
+                                          source_positives={(0, 0)},
+                                          target_positives=positives)
+        lists = data.build_eval_candidates(dataset, held, seed)
+        want, _ = loop_build_eval_candidates(dataset, held, seed)
+        score = TIE_SCORERS[scorer]
+        total = 0.0
+        for r, (user, positive, _, ordered) in enumerate(want):
+            scores = score(np.array([user]), np.array([ordered]))[0]
+            # NDCG@100 is 1 / log2(rank + 1): it names the rank
+            _, ndcg = evaluation.rank_metrics(scores, ordered.index(positive), 100)
+            alone = data.CandidateLists(users=lists.users[r:r + 1],
+                                        items=lists.items[r:r + 1],
+                                        positions=lists.positions[r:r + 1],
+                                        tiebreak_seed=lists.tiebreak_seed)
+            assert evaluation.evaluate_candidates(alone, score, (100,))["NDCG@100"] == ndcg
+            total += ndcg
+        assert len(lists) > evaluation.EVAL_BLOCK_LISTS
+        got = evaluation.evaluate_candidates(lists, score, (100,))
+        assert got["NDCG@100"] == total / len(want)
+
+    def test_key_is_the_sha1_prefix_then_the_item(self):
+        digest = hashlib.sha1(b"7:3:12").digest()
+        assert data.tiebreak_key(7, 3, 12) == (int.from_bytes(digest[:8], "big"), 12)
 
 
 # ---------------------------------------------------------------------------
@@ -1180,15 +1260,15 @@ GOLDEN_SYNTH = data.SynthConfig(n_users=120, n_source_items=150, n_target_items=
                                 attribute_shift=1.0, seed=3)
 GOLDEN_SPLITS = {
     "iid": (data.SplitSpec(kind="iid", seed=4),
-            "1f3b879410c24831b0a45ea631000116829d4c451a0ec9012e8801aeb3d310b2"),
+            "fae5a8e0b720d2ddd9583b99a2db2d91bf2986e8d4983076aa60292564e82f0b"),
     "ood_degree": (data.SplitSpec(kind="ood_degree", train_mix=(0.7, 0.3),
                                   test_mix=(0.3, 0.7), seed=4),
-                   "d761e903ee2f074b07d1f07049a758f6bb9907115e450c76f0571027d4df5bc1"),
+                   "4f9c3bc2c7d00d7e42eb8b6339d99d4a67d6910897f66c6a8a3bd1b1bd3678e1"),
     "ood_attribute": (data.SplitSpec(kind="ood_attribute", train_mix=(0.8, 0.2),
                                      test_mix=(0.2, 0.8), seed=4),
-                      "ccbc9ca4e8ae064a4d1204596a66ff82499b1ac9009f41acbc883f174150dc58"),
+                      "49cf6b2611c244e235d10390009960ab23db24281a9d691d68e30b0b1f086dee"),
     "csv": (data.SplitSpec(kind="iid", seed=4),
-            "86299c157deb35ff84aabdfdf52b3ef2f85a23aec6935e141ca358faa776fb0e"),
+            "eb14bda652f0a65d8661ced4258621060779c6f66721b3c327849d8859ea9e08"),
 }
 
 

@@ -206,6 +206,31 @@ def test_gather_and_scale_gradients(seed):
     assert fd_check(build, params) < 1e-6
 
 
+def _square_loss(op, a, b):
+    out = op(a, b)
+    return out if out.value.ndim == 0 else dc.sq_l2(out)
+
+
+@pytest.mark.parametrize("op", [dc.mul, dc.matmul, dc.matmul_t, dc.reconstruction],
+                         ids=["mul", "matmul", "matmul_t", "reconstruction"])
+def test_constant_operand_takes_no_gradient(op):
+    rng = np.random.default_rng(12)
+    values = rng.normal(size=(4, 4)), rng.normal(size=(4, 4))
+    tape = dc.Tape()
+    loss = _square_loss(op, *(tape.param(f"p{i}", v) for i, v in enumerate(values)))
+    tape.backward(loss)
+    both = tape.grads()
+    for const in (0, 1):
+        tape = dc.Tape()
+        nodes = [tape.constant(v) if i == const else tape.param(f"p{i}", v)
+                 for i, v in enumerate(values)]
+        loss = _square_loss(op, *nodes)
+        tape.backward(loss)
+        assert nodes[const].grad is None
+        name = f"p{1 - const}"
+        assert np.array_equal(tape.grad(name), both[name]), name
+
+
 class TestBlock:
     def test_value_is_the_block(self):
         x = np.arange(20.0).reshape(4, 5)

@@ -17,13 +17,15 @@ def make_candidates(n_lists, seed):
     rng = np.random.default_rng(seed)
     items = np.stack([rng.permutation(200)[:100] for _ in range(n_lists)]).astype(np.intp)
     return data.CandidateLists(users=np.zeros(n_lists, dtype=np.intp), items=items,
-                               positions=rng.integers(100, size=n_lists).astype(np.intp))
+                               positions=rng.integers(100, size=n_lists).astype(np.intp),
+                               tiebreak_seed=seed)
 
 
 def one_list(lists, r):
     """Row r of a block of candidate lists as a block of its own."""
     return data.CandidateLists(users=lists.users[r:r + 1], items=lists.items[r:r + 1],
-                               positions=lists.positions[r:r + 1])
+                               positions=lists.positions[r:r + 1],
+                               tiebreak_seed=lists.tiebreak_seed)
 
 
 def score_alone(params, adjacency, user, items):
@@ -138,7 +140,7 @@ class TestEvaluate:
         candidates = data.CandidateLists(
             users=np.arange(5, dtype=np.intp),
             items=np.tile(np.arange(100, dtype=np.intp), (5, 1)),
-            positions=np.full(5, 50, dtype=np.intp))
+            positions=np.full(5, 50, dtype=np.intp), tiebreak_seed=0)
         scores_by_user = {}
         for u in range(5):
             scores = np.zeros(100)
