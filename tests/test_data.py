@@ -1245,10 +1245,6 @@ class TestTiesRankByKey:
         got = evaluation.evaluate_candidates(lists, score, (100,))
         assert got["NDCG@100"] == total / len(want)
 
-    def test_key_is_the_sha1_prefix_then_the_item(self):
-        digest = hashlib.sha1(b"7:3:12").digest()
-        assert data.tiebreak_key(7, 3, 12) == (int.from_bytes(digest[:8], "big"), 12)
-
 
 # ---------------------------------------------------------------------------
 # The bytes save_split writes for one small request per split kind, and for
