@@ -82,6 +82,8 @@ class ExperimentConfig:
             raise ConfigError(f"seeds must be >= 0, got {min(self.seeds)}")
         if min(self.eval_ks, default=0) < 1:
             raise ConfigError("eval.ks must be a nonempty list of cutoffs >= 1")
+        if len(set(self.eval_ks)) != len(self.eval_ks):
+            raise ConfigError(f"eval.ks lists a cutoff twice: {self.eval_ks}")
         if not (0.0 < self.sparsity_fraction <= 1.0):
             raise ConfigError("sparsity_fraction must lie in (0, 1]")
         if not (self.graph_threshold > 0.0):

@@ -91,17 +91,14 @@ class CandidateLists:
     """Test (or validation) positives, one list per row, each with its 99
     sampled negatives.
 
-    Row r of `items` holds list r's 1 + N_EVAL_NEGATIVES candidates; its
-    positive is `items[r, positions[r]]`, held out for user `users[r]`.
-    Built and loaded lists hold the positive in column 0 and the negatives
-    in the order they were drawn. The column order carries no meaning:
-    candidates that score alike are ordered by
+    Row r of `items` is the positive held out for `users[r]`, then its 99
+    negatives in drawn order. Beyond column 0 the order carries no
+    meaning: candidates that score alike are ordered by
     tiebreak_key(tiebreak_seed, user, item).
     """
 
     users: np.ndarray       # (L,) intp
     items: np.ndarray       # (L, 1 + N_EVAL_NEGATIVES) intp
-    positions: np.ndarray   # (L,) intp
     tiebreak_seed: int
 
     def __len__(self):
@@ -572,7 +569,6 @@ class PositiveGroups:
     The example arrays are read-only, so the epochs can share them."""
 
     domain: str
-    n_neg_per_positive: int
     quotas: list        # (items the user knows, negative slots) per unsaturated user
     skipped: int        # positives of users who know every item
     users: np.ndarray   # per example
@@ -608,15 +604,14 @@ def group_train_positives(dataset: CrossDomainDataset, split: SplitResult,
                               dtype=np.intp)
     for array in (users, labels):
         array.flags.writeable = False
-    return PositiveGroups(domain, n_neg_per_positive, quotas, skipped, users, labels,
-                          starts, positive_items)
+    return PositiveGroups(domain, quotas, skipped, users, labels, starts, positive_items)
 
 
-def sample_train_negatives(dataset: CrossDomainDataset, split: SplitResult,
-                           domain: str, n_neg_per_positive: int, seed: int,
-                           groups: PositiveGroups | None = None) -> TrainingExamples:
-    """Pair every training positive with n uniform negatives the user has
-    never interacted with in that domain.
+def sample_train_negatives(dataset: CrossDomainDataset, groups: PositiveGroups,
+                           seed: int) -> TrainingExamples:
+    """Pair every training positive of groups.domain with the
+    n_neg_per_positive uniform negatives its grouping was built for, each
+    an item the user has never interacted with in that domain.
 
     Positives are taken in (user, item) order and every negative slot is
     filled by rejection from one uniform stream: a draw the user knows is
@@ -625,18 +620,11 @@ def sample_train_negatives(dataset: CrossDomainDataset, split: SplitResult,
     one more draw, so a block never runs past the draws that one call per
     draw would consume, and the examples equal that loop's.
 
-    groups, when given, is group_train_positives of the same arguments,
-    built once for many seeds; the examples' users and labels are its
-    read-only arrays.
+    groups is group_train_positives of the split, built once for many
+    seeds; the examples' users and labels are its read-only arrays.
     """
-    if groups is None:
-        groups = group_train_positives(dataset, split, domain, n_neg_per_positive)
-    elif (groups.domain, groups.n_neg_per_positive) != (domain, n_neg_per_positive):
-        raise ValueError(f"positives grouped for ({groups.domain!r}, "
-                         f"{groups.n_neg_per_positive}), sampling ({domain!r}, "
-                         f"{n_neg_per_positive})")
     rng = np.random.default_rng(seed)
-    n_items = dataset.n_items(domain)
+    n_items = dataset.n_items(groups.domain)
     unfilled = sum(need for _, need in groups.quotas)
     negatives: list = []
     block: list = []
@@ -702,8 +690,7 @@ def build_eval_candidates(dataset: CrossDomainDataset, test_positives,
         items[r, 0] = pos
         items[r, 1:] = rng.choice(eligible, size=N_EVAL_NEGATIVES, replace=False)
     return CandidateLists(users=np.array([u for u, _ in pairs], dtype=np.intp),
-                          items=items, positions=np.zeros(len(pairs), dtype=np.intp),
-                          tiebreak_seed=seed)
+                          items=items, tiebreak_seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -926,7 +913,7 @@ def synth_generate(config: SynthConfig) -> tuple[CrossDomainDataset, GroundTruth
 def save_split(split: SplitResult, directory, extra_meta: str = "") -> None:
     """One file per part with lines domain,user,item,label plus candidate
     files for validation and test, one line user,positive,negatives... per
-    list, the negatives in row order."""
+    list: the user, then the list's row."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     header = f"# seed={split.seed} tiebreak_seed={split.tiebreak_seed}"
@@ -950,11 +937,8 @@ def save_split(split: SplitResult, directory, extra_meta: str = "") -> None:
                 stop = start + CANDIDATE_BLOCK_LISTS
                 rows = lists.items[start:stop].tolist()
                 _add_id_text(text, rows, "%d")
-                for user, row, position in zip(lists.users[start:stop].tolist(), rows,
-                                               lists.positions[start:stop].tolist()):
-                    negatives = list(map(text.__getitem__, row))
-                    positive = negatives.pop(position)
-                    fh.write(f"{user},{positive}," + ",".join(negatives) + "\n")
+                for user, row in zip(lists.users[start:stop].tolist(), rows):
+                    fh.write(f"{user}," + ",".join(map(text.__getitem__, row)) + "\n")
 
 
 _MAX_ID = np.iinfo(np.intp).max
@@ -1056,7 +1040,6 @@ def load_split(directory) -> SplitResult:
             raise DataError(f"{path}: line {numbered[repeats[0]][0]}: item "
                             f"{row[np.argmax(row[1:] == row[:-1])]} is listed twice")
         candidates[name] = CandidateLists(users=users, items=items,
-                                          positions=np.zeros(len(users), dtype=np.intp),
                                           tiebreak_seed=tiebreak_seed)
 
     return SplitResult(train=parts["train"], validation=parts["validation"],

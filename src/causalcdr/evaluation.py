@@ -1,13 +1,14 @@
 """Leave-one-out ranking evaluation and multi-seed reporting.
 
-Every held-out positive is ranked against its 99 sampled negatives. The
-rank is one plus the candidates that score strictly higher, plus the
-candidates tied with the positive that come before it in the tie order.
-For candidate lists that order is data.tiebreak_key, a hash of the
-lists' tiebreak seed, the user and the item, so a constant scorer lands
-the positive uniformly across all 100 ranks; keys are computed only for
-the lists that hold a tie. rank_metrics, the reference for one ordered
-list, breaks ties by list position instead.
+Every held-out positive, column 0 of its candidate list, is ranked
+against its 99 sampled negatives. The rank is one plus the candidates
+that score strictly higher, plus the negatives tied with the positive
+that come before it in the tie order. For candidate lists that order is
+data.tiebreak_key, a hash of the lists' tiebreak seed, the user and the
+item, so a constant scorer lands the positive uniformly across all 100
+ranks; keys are computed only for the lists that hold a tie.
+rank_metrics, the reference for one ordered list with the positive at
+any position, keeps its own count, which breaks ties by list position.
 """
 
 from __future__ import annotations
@@ -30,21 +31,6 @@ def metric_key(metric: str, k: int) -> str:
     return f"{metric.upper()}@{k}"
 
 
-def _ranks(scores: np.ndarray, positions: np.ndarray, precedes) -> np.ndarray:
-    """1-based rank of the positive in each row of an (L, n) score block:
-    one plus the candidates scoring strictly higher, plus, for each row r
-    with a candidate tied with its positive, precedes(r, tied), the number
-    of the tied columns `tied` that come before the positive."""
-    rows = np.arange(len(scores))
-    positive = scores[rows, positions][:, None]
-    ranks = 1 + np.count_nonzero(scores > positive, axis=1)
-    tied = scores == positive
-    tied[rows, positions] = False
-    for r in np.flatnonzero(tied.any(axis=1)).tolist():
-        ranks[r] += precedes(r, np.flatnonzero(tied[r]))
-    return ranks
-
-
 def rank_metrics(scores, positive_position: int, k: int) -> tuple:
     """(hit, ndcg) for one candidate list of exactly 100 scores, ties
     broken by list position.
@@ -56,14 +42,17 @@ def rank_metrics(scores, positive_position: int, k: int) -> tuple:
     if scores.shape != (1 + data.N_EVAL_NEGATIVES,):
         raise ValueError(f"expected {1 + data.N_EVAL_NEGATIVES} scores, "
                          f"got shape {scores.shape}")
-    rank = int(_ranks(scores[None], np.array([positive_position]),
-                      lambda r, tied: np.count_nonzero(tied < positive_position))[0])
+    if not 0 <= positive_position < len(scores):
+        raise ValueError(f"positive position {positive_position} outside [0, {len(scores)})")
+    positive = scores[positive_position]
+    rank = (1 + np.count_nonzero(scores > positive)
+            + np.count_nonzero(scores[:positive_position] == positive))
     return (1, _DISCOUNTS[rank]) if rank <= k else (0, 0.0)
 
 
 def evaluate_candidates(candidates: data.CandidateLists, scorer, ks=DEFAULT_KS) -> dict:
-    """Average hit and ndcg over candidate lists, ties broken by
-    data.tiebreak_key. scorer maps a block of users (L,) and their
+    """Average hit and ndcg of each list's positive, column 0, ties broken
+    by data.tiebreak_key. scorer maps a block of users (L,) and their
     candidate items (L, 100) to scores (L, 100); it sees EVAL_BLOCK_LISTS
     lists at a time, in list order."""
     if not candidates:
@@ -77,18 +66,18 @@ def evaluate_candidates(candidates: data.CandidateLists, scorer, ks=DEFAULT_KS) 
     for start in range(0, n_lists, EVAL_BLOCK_LISTS):
         stop = start + EVAL_BLOCK_LISTS
         users, items = candidates.users[start:stop], candidates.items[start:stop]
-        positions = candidates.positions[start:stop]
         scores = np.asarray(scorer(users, items), dtype=np.float64)
         if scores.shape != items.shape:
             raise ValueError(f"scorer returned shape {scores.shape} for "
                              f"candidates of shape {items.shape}")
-
-        def key_precedes(r, tied):
-            user, row = int(users[r]), items[r].tolist()
-            key = data.tiebreak_key(seed, user, row[positions[r]])
-            return sum(data.tiebreak_key(seed, user, row[c]) < key for c in tied.tolist())
-
-        ranks.append(_ranks(scores, positions, key_precedes))
+        block = 1 + np.count_nonzero(scores > scores[:, :1], axis=1)
+        tied = scores[:, 1:] == scores[:, :1]
+        for r in np.flatnonzero(tied.any(axis=1)).tolist():
+            user = int(users[r])
+            key = data.tiebreak_key(seed, user, int(items[r, 0]))
+            block[r] += sum(data.tiebreak_key(seed, user, item) < key
+                            for item in items[r, 1:][tied[r]].tolist())
+        ranks.append(block)
     ranks = np.concatenate(ranks)
     hits = {k: ranks[ranks <= k].tolist() for k in ks}
     metrics = {metric_key("hr", k): len(hits[k]) / n_lists for k in ks}

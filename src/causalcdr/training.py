@@ -252,9 +252,7 @@ def train(dataset: data.CrossDomainDataset, split: data.SplitResult,
 
     for epoch in range(1, config.epochs + 1):
         examples = {domain: data.sample_train_negatives(
-                        dataset, split, domain, config.n_neg_per_positive,
-                        seed=_epoch_seed(config.seed, epoch, stream),
-                        groups=groups[domain])
+                        dataset, groups[domain], _epoch_seed(config.seed, epoch, stream))
                     for domain, stream in streams.items()}
         skipped.append({domain: examples[domain].skipped_saturated_users
                         for domain in streams})

@@ -126,8 +126,7 @@ def test_criterion_4_protocol_fidelity(protocol_dataset):
     # every list holds 100 distinct items, and the lists' (user, positive)
     # pairs are exactly the held-out target positives
     lists = split.eval_candidates
-    held = list(zip(lists.users.tolist(),
-                    lists.items[np.arange(len(lists)), lists.positions].tolist()))
+    held = list(zip(lists.users.tolist(), lists.items[:, 0].tolist()))
     candidates_ok = (lists.items.shape == (len(lists), 100)
                      and all(len(set(row)) == 100 for row in lists.items.tolist())
                      and sorted(held) == sorted(split.test[TARGET]))

@@ -143,6 +143,8 @@ class TestConfigParsing:
     @pytest.mark.parametrize("line", [
         "graph_threshold=abc", "graph_threshold=0", "seeds=", "seeds=a",
         "sparsity=x", "eval.ks=x", "eval.ks=0", "synth.weight_matrix=foo",
+        # a repeated cutoff, which would name one metric twice in every report
+        "eval.ks=5,5,10", "eval.ks=10,5,10",
         "train.epochs=0", "train.learning_rate=-1", "train.ablation=bogus",
         "train.optimizer=adamw", "split.ratios=1,2",
         # synthetic shapes and split requests the generator or splitter cannot honor

@@ -343,7 +343,8 @@ class TestRequestsCheckThemselves:
 class TestSampling:
     def test_negative_count_and_exclusion(self, synth_dataset):
         split = data.generate_split(synth_dataset, data.SplitSpec(seed=9))
-        examples = data.sample_train_negatives(synth_dataset, split, TARGET, 4, seed=10)
+        groups = data.group_train_positives(synth_dataset, split, TARGET, 4)
+        examples = data.sample_train_negatives(synth_dataset, groups, seed=10)
         n_pos = len(split.train[TARGET])
         assert len(examples) == 5 * n_pos
         assert int(examples.labels.sum()) == n_pos
@@ -354,8 +355,9 @@ class TestSampling:
 
     def test_same_seed_identical(self, synth_dataset):
         split = data.generate_split(synth_dataset, data.SplitSpec(seed=9))
-        a = data.sample_train_negatives(synth_dataset, split, TARGET, 4, seed=11)
-        b = data.sample_train_negatives(synth_dataset, split, TARGET, 4, seed=11)
+        groups = data.group_train_positives(synth_dataset, split, TARGET, 4)
+        a = data.sample_train_negatives(synth_dataset, groups, seed=11)
+        b = data.sample_train_negatives(synth_dataset, groups, seed=11)
         assert np.array_equal(a.items, b.items)
 
     def test_candidate_lists_complete(self, synth_dataset):
@@ -364,10 +366,9 @@ class TestSampling:
         lists = split.eval_candidates
         assert lists.items.shape == (len(split.test[TARGET]), 100)
         held = []
-        for user, items, position in zip(lists.users.tolist(), lists.items.tolist(),
-                                         lists.positions.tolist()):
+        for user, items in zip(lists.users.tolist(), lists.items.tolist()):
             assert len(set(items)) == 100
-            positive = items.pop(position)
+            positive = items.pop(0)
             held.append((user, positive))
             assert all(j not in user_items[user] for j in items)
         assert held == sorted(split.test[TARGET])
@@ -384,7 +385,8 @@ class TestSampling:
             validation={data.SOURCE: set(), data.TARGET: set()},
             test={data.SOURCE: set(), data.TARGET: set()},
             eval_candidates=[], val_candidates=[], seed=0, tiebreak_seed=0)
-        examples = data.sample_train_negatives(ds, split, data.TARGET, 4, seed=0)
+        groups = data.group_train_positives(ds, split, data.TARGET, 4)
+        examples = data.sample_train_negatives(ds, groups, seed=0)
         assert examples.skipped_saturated_users == 6  # every positive of user 0
         negatives = [(u, i) for u, i, y in
                      zip(examples.users, examples.items, examples.labels) if y == 0]
@@ -393,7 +395,8 @@ class TestSampling:
     def test_empty_training_part(self, synth_dataset):
         split = data.generate_split(synth_dataset, data.SplitSpec(seed=9))
         split.train[TARGET] = set()
-        examples = data.sample_train_negatives(synth_dataset, split, TARGET, 4, seed=0)
+        groups = data.group_train_positives(synth_dataset, split, TARGET, 4)
+        examples = data.sample_train_negatives(synth_dataset, groups, seed=0)
         assert len(examples) == 0
         assert examples.users.dtype == np.intp and examples.items.dtype == np.intp
         assert examples.labels.dtype == np.float64
@@ -451,24 +454,16 @@ class TestGroupedPositives:
         groups = data.group_train_positives(synth_dataset, split, domain, 3)
         for seed in (0, 5, 11):
             assert_same_examples(
-                data.sample_train_negatives(synth_dataset, split, domain, 3, seed,
-                                            groups=groups),
+                data.sample_train_negatives(synth_dataset, groups, seed),
                 scalar_draw_sampler(synth_dataset, split, domain, 3, seed))
 
     def test_shared_arrays_are_read_only(self, synth_dataset):
         split = data.generate_split(synth_dataset, data.SplitSpec(seed=9))
-        examples = data.sample_train_negatives(synth_dataset, split, TARGET, 2, seed=0)
+        groups = data.group_train_positives(synth_dataset, split, TARGET, 2)
+        examples = data.sample_train_negatives(synth_dataset, groups, seed=0)
         for array in (examples.users, examples.labels):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
-
-    @pytest.mark.parametrize("domain, n_neg", [(SOURCE, 3), (TARGET, 4)])
-    def test_a_grouping_for_other_arguments_is_refused(self, synth_dataset, domain, n_neg):
-        split = data.generate_split(synth_dataset, data.SplitSpec(seed=9))
-        groups = data.group_train_positives(synth_dataset, split, TARGET, 3)
-        with pytest.raises(ValueError, match="positives grouped for"):
-            data.sample_train_negatives(synth_dataset, split, domain, n_neg, seed=0,
-                                        groups=groups)
 
     def test_bad_negative_count_rejected(self, synth_dataset):
         split = data.generate_split(synth_dataset, data.SplitSpec(seed=9))
@@ -486,8 +481,9 @@ class TestBlockSamplerMatchesScalarDraws:
     def test_synthetic_split(self, synth_dataset, seed, domain):
         split = data.generate_split(synth_dataset, data.SplitSpec(seed=9))
         for n_neg in (1, 4):
+            groups = data.group_train_positives(synth_dataset, split, domain, n_neg)
             assert_same_examples(
-                data.sample_train_negatives(synth_dataset, split, domain, n_neg, seed),
+                data.sample_train_negatives(synth_dataset, groups, seed),
                 scalar_draw_sampler(synth_dataset, split, domain, n_neg, seed))
 
     @pytest.mark.parametrize("seed", range(6))
@@ -524,7 +520,8 @@ class TestBlockSamplerMatchesScalarDraws:
 
         monkeypatch.setattr(data.np.random, "default_rng", CountingGenerator)
         want = scalar_draw_sampler(ds, split, TARGET, 3, seed)
-        got = data.sample_train_negatives(ds, split, TARGET, 3, seed)
+        got = data.sample_train_negatives(
+            ds, data.group_train_positives(ds, split, TARGET, 3), seed)
         monkeypatch.undo()
         assert_same_examples(got, want)
         assert got.skipped_saturated_users == n_items
@@ -613,7 +610,7 @@ class TestSynth:
 
 
 def assert_same_lists(got, want):
-    for name in ("users", "items", "positions"):
+    for name in ("users", "items"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype == np.intp and np.array_equal(a, b), name
 
@@ -673,7 +670,7 @@ class TestSplitSerialization:
                 got, want = getattr(loaded, name), getattr(drawn, name)
                 assert not np.array_equal(got.items, want.items)
                 assert np.array_equal(got.users, want.users)
-                assert not got.positions.any() and got.tiebreak_seed == want.tiebreak_seed
+                assert got.tiebreak_seed == want.tiebreak_seed
                 assert np.array_equal(np.sort(got.items, axis=1), np.sort(want.items, axis=1))
                 assert np.array_equal(got.items[:, 0], want.items[:, 0])
                 for scorer in TIE_SCORERS.values():
@@ -1204,9 +1201,8 @@ class TestArrayFormsMatchLoopForms:
         assert len(made) == 1
         assert made[0].bit_generator.state == want_rng.bit_generator.state
         assert len(got) == len(want)
-        assert all(a.dtype == np.intp for a in (got.users, got.items, got.positions))
+        assert all(a.dtype == np.intp for a in (got.users, got.items))
         assert got.tiebreak_seed == seed + 100
-        assert not got.positions.any()
         assert list(zip(got.users.tolist(), got.items.tolist())) == [
             (user, drawn) for user, _, drawn, _ in want]
 
@@ -1237,7 +1233,6 @@ class TestTiesRankByKey:
             _, ndcg = evaluation.rank_metrics(scores, ordered.index(positive), 100)
             alone = data.CandidateLists(users=lists.users[r:r + 1],
                                         items=lists.items[r:r + 1],
-                                        positions=lists.positions[r:r + 1],
                                         tiebreak_seed=lists.tiebreak_seed)
             assert evaluation.evaluate_candidates(alone, score, (100,))["NDCG@100"] == ndcg
             total += ndcg

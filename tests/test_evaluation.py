@@ -14,17 +14,17 @@ def brute_force_rank(scores, positive_position):
 
 
 def make_candidates(n_lists, seed):
+    """Lists of 100 distinct items out of 200: a positive in column 0, then
+    99 negatives in shuffled order."""
     rng = np.random.default_rng(seed)
     items = np.stack([rng.permutation(200)[:100] for _ in range(n_lists)]).astype(np.intp)
     return data.CandidateLists(users=np.zeros(n_lists, dtype=np.intp), items=items,
-                               positions=rng.integers(100, size=n_lists).astype(np.intp),
                                tiebreak_seed=seed)
 
 
 def one_list(lists, r):
     """Row r of a block of candidate lists as a block of its own."""
     return data.CandidateLists(users=lists.users[r:r + 1], items=lists.items[r:r + 1],
-                               positions=lists.positions[r:r + 1],
                                tiebreak_seed=lists.tiebreak_seed)
 
 
@@ -80,6 +80,11 @@ class TestRankMetrics:
         with pytest.raises(ValueError):
             evaluation.rank_metrics(np.zeros(99), 0, 5)
 
+    @pytest.mark.parametrize("position", [-1, 100])
+    def test_position_outside_the_list_rejected(self, position):
+        with pytest.raises(ValueError, match="outside"):
+            evaluation.rank_metrics(np.zeros(100), position, 5)
+
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_brute_force_with_ties(self, seed):
         rng = np.random.default_rng(seed)
@@ -117,8 +122,8 @@ class TestEvaluate:
     def test_oracle_scorer_hits_everything(self):
         candidates = make_candidates(20, seed=1)
         results = []
-        for r, position in enumerate(candidates.positions):
-            def scorer(users, items, pos=candidates.items[r, position]):
+        for r, positive in enumerate(candidates.items[:, 0]):
+            def scorer(users, items, pos=positive):
                 return (items == pos).astype(float)
             results.append(evaluation.evaluate_candidates(one_list(candidates, r), scorer))
         merged = evaluation.aggregate_runs(results)
@@ -137,19 +142,17 @@ class TestEvaluate:
 
     def test_hand_built_instance(self):
         # five users; positive of user u sits at rank u+1 by construction
+        rng = np.random.default_rng(0)
+        negatives = [rng.permutation(np.delete(np.arange(100), 50)) for _ in range(5)]
         candidates = data.CandidateLists(
             users=np.arange(5, dtype=np.intp),
-            items=np.tile(np.arange(100, dtype=np.intp), (5, 1)),
-            positions=np.full(5, 50, dtype=np.intp), tiebreak_seed=0)
-        scores_by_user = {}
-        for u in range(5):
-            scores = np.zeros(100)
-            scores[:u] = 10.0      # u candidates strictly above
-            scores[50] = 5.0
-            scores_by_user[u] = scores
+            items=np.array([[50, *row] for row in negatives], dtype=np.intp),
+            tiebreak_seed=0)
 
         def scorer(users, items):
-            return np.stack([scores_by_user[user] for user in users])
+            # items 0..u-1 strictly above the positive, item 50
+            return np.where(items == 50, 5.0,
+                            np.where(items < users[:, None], 10.0, 0.0))
 
         metrics = evaluation.evaluate_candidates(candidates, scorer)
         ranks = [1, 2, 3, 4, 5]
@@ -184,10 +187,10 @@ class TestEvaluate:
 
         totals = {k: 0.0 for k in got}
         lists = split.eval_candidates
-        for user, items, position in zip(lists.users, lists.items, lists.positions):
+        for user, items in zip(lists.users, lists.items):
             scores = score_alone(params, adjacency, user, items)
             order = sorted(range(100), key=lambda i: (-scores[i], i))
-            rank = order.index(position) + 1
+            rank = order.index(0) + 1
             for k in (5, 10):
                 hit = 1 if rank <= k else 0
                 totals[f"HR@{k}"] += hit
@@ -214,10 +217,10 @@ class TestEvaluate:
         assert [len(b) for b in blocks[:-1]] == [evaluation.EVAL_BLOCK_LISTS] * (
             len(blocks) - 1)
         block_rows = np.concatenate(blocks)
-        for user, items, position, row in zip(candidates.users, candidates.items,
-                                              candidates.positions, block_rows, strict=True):
+        for user, items, row in zip(candidates.users, candidates.items, block_rows,
+                                    strict=True):
             alone = score_alone(params, adjacency, user, items)
-            assert brute_force_rank(row, position) == brute_force_rank(alone, position)
+            assert brute_force_rank(row, 0) == brute_force_rank(alone, 0)
 
     def test_unknown_part_rejected(self):
         split, params = small_split_and_params(seed=32)
