@@ -1,17 +1,18 @@
 """Reverse-mode gradient engine over dense float64 matrices.
 
-Supplies exactly the primitives the joint recommendation loss needs:
-matrix products, elementwise arithmetic, concatenation and
-contiguous blocks, ReLU, sigmoid, two-way softmax, binary cross-entropy,
-norms, a weighted sum, the summed negative log of column L1 masses, a
-gradient-reversal node, and the trace-exponential acyclicity scalar;
-plus four fused nodes, each bit for bit a fixed chain of those: the
-causal reconstruction, the causal penalties' weighted fold, the domain
-discriminator and the gated softmax head. A tape records operations in
-execution order; the backward pass replays them in reverse and
-accumulates exact analytic gradients. Parameters are packed into one
-vector (see pack) and registered in one call; their gradients are views
-of one preallocated flat buffer.
+Supplies the primitives that the joint recommendation loss, candidate
+scoring and the discriminator probe run: matrix products, the elementwise
+product, concatenation and contiguous blocks, column gathers, ReLU, the
+joint L2 norm of a packed parameter vector, a weighted sum and the
+trace-exponential acyclicity scalar. Seven fused nodes each equal a
+fixed chain of primitives bit for bit: the causal reconstruction, the
+causal penalties' weighted fold, the domain discriminator, the gated
+softmax head, and the training step's per-domain encoder, per-domain
+interaction loss and adversarial domain loss. The chains themselves
+live in the tests as references. A tape records operations in execution
+order; the backward pass replays them in reverse and accumulates exact
+analytic gradients. Parameters are packed into one vector (see pack) and
+registered in one call; their gradients are views of one flat buffer.
 
 The engine holds no global state and draws no randomness; a Tape is
 single-use and confined to one thread.
@@ -109,7 +110,9 @@ class Tape:
     Single-use: once backward() has run, recording further operations or
     running backward again raises. Registered parameter values are treated
     as read-only snapshots; their gradients accumulate into views of one
-    flat buffer per registered vector (see params).
+    flat buffer per registered vector (see params). backward() zeroes
+    those buffers before it replays the record, so a forward node may use
+    them as scratch.
 
     Tape(grad=False) is a value-only tape for forward passes that need no
     gradient (scoring, probes): it keeps no record and no parameter node,
@@ -117,11 +120,13 @@ class Tape:
     backward() raises.
     """
 
-    def __init__(self, grad: bool = True, grad_buffer: np.ndarray | None = None):
+    def __init__(self, grad: bool = True,
+                 grad_buffer: np.ndarray | tuple[np.ndarray, dict] | None = None):
         self._records: list[tuple[Node, Callable[[np.ndarray], None]]] | None = (
             [] if grad else None)
         self._params: dict[str, Node | None] = {}
         self._grads: dict[str, np.ndarray] | None = None
+        self._grad_flats: list[np.ndarray] = []
         self._done = False
         self._grad_buffer = grad_buffer
 
@@ -135,8 +140,10 @@ class Tape:
         One finite scan covers the vector; its error names the first
         non-finite matrix. On a gradient tape the parameters' gradients
         accumulate into matching views of one flat buffer: the tape's
-        grad_buffer, zeroed here, or a new one. The first call takes the
-        grad_buffer; a later call gets a new one.
+        grad_buffer or a new one. A grad_buffer is a vector of flat's
+        shape, or a (vector, views) pair as pack returns it for flat's
+        matrices, whose views are then used as they are. The first call
+        takes the grad_buffer; a later call gets a new one.
         """
         if self._done:
             raise TapeStateError("tape already consumed by backward()")
@@ -154,15 +161,20 @@ class Tape:
             self._params.update(dict.fromkeys(nodes))
             return nodes
         grad, self._grad_buffer = self._grad_buffer, None
+        grads = None
         if grad is None:
-            grad = np.zeros_like(flat)
-        elif grad.shape != flat.shape:
+            grad = np.empty_like(flat)
+        elif isinstance(grad, tuple):
+            grad, grads = grad
+            if [g.shape for g in grads.values()] != [v.shape for v in views.values()]:
+                raise ShapeError("grad_buffer views do not match the packed matrices")
+        if grad.shape != flat.shape:
             raise ShapeError(f"grad_buffer shape {grad.shape} != packed shape {flat.shape}")
-        else:
-            grad.fill(0.0)
-        grads = _views(grad, {name: view.shape for name, view in views.items()})
-        for name, node in nodes.items():
-            node.grad = grads[name]
+        if grads is None:
+            grads = _views(grad, {name: view.shape for name, view in views.items()})
+        for node, g in zip(nodes.values(), grads.values()):
+            node.grad = g
+        self._grad_flats.append(grad)
         self._params.update(nodes)
         return nodes
 
@@ -194,6 +206,8 @@ class Tape:
         if loss.value.ndim != 0:
             raise ShapeError(f"backward() needs a scalar loss, got shape {loss.shape}")
         self._done = True
+        for grad in self._grad_flats:
+            grad.fill(0.0)
         loss.grad = np.ones(())
         for node, backward in reversed(self._records):
             if node.grad is not None:
@@ -221,6 +235,14 @@ def _accum(node: Node, g: np.ndarray) -> None:
         node.grad += g
 
 
+def _grad(node: Node) -> np.ndarray:
+    """node's gradient, zeros until the first write, for writes into part
+    of it; zeros + g has the bits _accum's first write gives."""
+    if node.grad is None:
+        node.grad = np.zeros(node.value.shape)
+    return node.grad
+
+
 def _tape_of(*nodes: Node) -> Tape:
     tape = nodes[0].tape
     for n in nodes[1:]:
@@ -237,17 +259,6 @@ def _require_same_shape(op: str, a: Node, b: Node) -> None:
 # ---------------------------------------------------------------------------
 # elementwise arithmetic
 
-def sub(a: Node, b: Node) -> Node:
-    _require_same_shape("sub", a, b)
-    tape = _tape_of(a, b)
-
-    def backward(g):
-        _accum(a, g)
-        _accum(b, -g)
-
-    return tape.record("sub", a.value - b.value, backward)
-
-
 def mul(a: Node, b: Node) -> Node:
     _require_same_shape("mul", a, b)
     tape = _tape_of(a, b)
@@ -259,15 +270,6 @@ def mul(a: Node, b: Node) -> Node:
             _accum(b, g * a.value)
 
     return tape.record("mul", a.value * b.value, backward)
-
-
-def scale(x: Node, c: float) -> Node:
-    c = float(c)
-
-    def backward(g):
-        _accum(x, g * c)
-
-    return x.tape.record("scale", x.value * c, backward)
 
 
 def weighted_sum(nodes: Sequence[Node], weights: Sequence[float]) -> Node:
@@ -336,20 +338,23 @@ def gather_cols(w: Node, indices) -> Node:
 
     Repeated indices are allowed; their gradients accumulate.
     """
-    idx = np.asarray(indices, dtype=np.intp)
-    if w.value.ndim != 2:
-        raise ShapeError(f"gather_cols: expected a matrix, got shape {w.shape}")
-    if idx.ndim != 1:
-        raise ShapeError("gather_cols: indices must be one-dimensional")
-    if idx.size and (idx.min() < 0 or idx.max() >= w.shape[1]):
-        raise ShapeError(f"gather_cols: index out of range for {w.shape[1]} columns")
+    idx = _column_indices("gather_cols", w, indices)
 
     def backward(g):
-        if w.grad is None:
-            w.grad = np.zeros_like(w.value)
-        np.add.at(w.grad, (slice(None), idx), g)
+        np.add.at(_grad(w), (slice(None), idx), g)
 
     return w.tape.record("gather_cols", w.value[:, idx], backward)
+
+
+def _column_indices(op: str, w: Node, indices) -> np.ndarray:
+    idx = np.asarray(indices, dtype=np.intp)
+    if w.value.ndim != 2:
+        raise ShapeError(f"{op}: expected a matrix, got shape {w.shape}")
+    if idx.ndim != 1:
+        raise ShapeError(f"{op}: indices must be one-dimensional")
+    if idx.size and (idx.min() < 0 or idx.max() >= w.shape[1]):
+        raise ShapeError(f"{op}: index out of range for {w.shape[1]} columns")
+    return idx
 
 
 # ---------------------------------------------------------------------------
@@ -371,18 +376,23 @@ def vconcat(a: Node, b: Node) -> Node:
     return tape.record("vconcat", np.concatenate([a.value, b.value], axis=0), backward)
 
 
-def hconcat(a: Node, b: Node) -> Node:
-    """Concatenate matrices along axis 1 (column-stacked batches)."""
+def hconcat(a: Node, b: Node, r0: int = 0, r1: int | None = None) -> Node:
+    """Concatenate rows r0:r1 (default all) of two matrices along axis 1
+    (column-stacked batches)."""
     if a.value.ndim != 2 or b.value.ndim != 2 or a.shape[0] != b.shape[0]:
         raise ShapeError(f"hconcat: shapes {a.shape} and {b.shape} incompatible")
+    r1 = a.shape[0] if r1 is None else r1
+    if not 0 <= r0 <= r1 <= a.shape[0]:
+        raise ShapeError(f"hconcat: rows [{r0}, {r1}) invalid for shape {a.shape}")
     tape = _tape_of(a, b)
     split = a.shape[1]
 
     def backward(g):
-        _accum(a, g[:, :split])
-        _accum(b, g[:, split:])
+        _grad(a)[r0:r1] += g[:, :split]
+        _grad(b)[r0:r1] += g[:, split:]
 
-    return tape.record("hconcat", np.concatenate([a.value, b.value], axis=1), backward)
+    return tape.record("hconcat", np.concatenate([a.value[r0:r1], b.value[r0:r1]], axis=1),
+                       backward)
 
 
 def block(x: Node, r0: int, r1: int, c0: int, c1: int) -> Node:
@@ -394,15 +404,13 @@ def block(x: Node, r0: int, r1: int, c0: int, c1: int) -> Node:
                          f"invalid for shape {x.shape}")
 
     def backward(g):
-        if x.grad is None:
-            x.grad = np.zeros_like(x.value)
-        x.grad[r0:r1, c0:c1] += g
+        _grad(x)[r0:r1, c0:c1] += g
 
     return x.tape.record("block", x.value[r0:r1, c0:c1].copy(), backward)
 
 
 # ---------------------------------------------------------------------------
-# nonlinearities and losses
+# nonlinearities, losses and the parameter norm
 
 def relu(x: Node) -> Node:
     mask = x.value > 0
@@ -413,28 +421,8 @@ def relu(x: Node) -> Node:
     return x.tape.record("relu", np.maximum(x.value, 0.0), backward)
 
 
-def sigmoid(x: Node) -> Node:
-    out = 1.0 / (1.0 + np.exp(-x.value))
-
-    def backward(g):
-        _accum(x, g * out * (1.0 - out))
-
-    return x.tape.record("sigmoid", out, backward)
-
-
-def softmax_pair(z: Node) -> Node:
-    """Softmax over exactly two entries: shape (2,) or (2, batch), axis 0."""
-    if z.shape[0] != 2 or z.value.ndim not in (1, 2):
-        raise ShapeError(f"softmax_pair: expected shape (2,) or (2, n), got {z.shape}")
-    p = _softmax_pair(z.value)
-
-    def backward(g):
-        _accum(z, _softmax_pair_grad(p, g))
-
-    return z.tape.record("softmax_pair", p, backward)
-
-
 def _softmax_pair(z: np.ndarray) -> np.ndarray:
+    """Softmax over exactly two entries: shape (2,) or (2, batch), axis 0."""
     shifted = z - z.max(axis=0, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=0, keepdims=True)
@@ -446,96 +434,31 @@ def _softmax_pair_grad(p: np.ndarray, g: np.ndarray) -> np.ndarray:
     return p * (g - dot)
 
 
-def bce_sum(p: Node, targets) -> Node:
-    """Summed binary cross-entropy of probabilities against 0/1 targets.
+def _bce(p: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(clamped p, summed binary cross-entropy of p against 0/1 targets t).
 
     Probabilities are clamped to [PROB_CLAMP, 1 - PROB_CLAMP] before the
-    logarithm; the gradient is evaluated at the clamped value so saturated
-    predictions keep a finite, correctly signed training signal.
+    logarithm; _bce_grad evaluates the gradient at the clamped value, so
+    saturated predictions keep a finite, correctly signed training signal.
     """
-    t = _as_array(targets)
-    if t.shape != p.shape:
-        raise ShapeError(f"bce_sum: probability shape {p.shape} vs target shape {t.shape}")
-    pc = np.clip(p.value, PROB_CLAMP, 1.0 - PROB_CLAMP)
+    pc = np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
     value = -np.add.reduce(t * np.log(pc) + (1.0 - t) * np.log(1.0 - pc), axis=None)
-
-    def backward(g):
-        _accum(p, g * (pc - t) / (pc * (1.0 - pc)))
-
-    return p.tape.record("bce_sum", np.asarray(value), backward)
+    return pc, np.asarray(value)
 
 
-def sq_l2(x: Node) -> Node:
-    """Squared L2 norm of all entries."""
-
-    def backward(g):
-        _accum(x, g * 2.0 * x.value)
-
-    return x.tape.record("sq_l2", np.asarray(np.add.reduce(x.value * x.value, axis=None)),
-                         backward)
-
-
-def l1(x: Node) -> Node:
-    """L1 norm of all entries; subgradient 0 at exact zeros."""
-
-    def backward(g):
-        _accum(x, g * np.sign(x.value))
-
-    return x.tape.record("l1", np.asarray(_l1(x.value)), backward)
+def _bce_grad(g, pc: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Gradient at the probabilities, given g at the summed loss."""
+    return g * (pc - t) / (pc * (1.0 - pc))
 
 
 def _l1(x: np.ndarray):
     return np.add.reduce(np.abs(x), axis=None)
 
 
-def l2_norm(*xs: Node) -> Node:
-    """sqrt of the total sum of squares across all inputs (joint L2 norm).
-
-    Realises the unsquared parameter-norm penalty of the overall loss; the
-    gradient is guarded at NORM_GUARD so the norm at zero stays finite.
-    """
-    tape = _tape_of(*xs)
-    total = 0.0
-    for x in xs:
-        total += float(np.add.reduce(x.value * x.value, axis=None))
-    value = np.sqrt(total)
-    denom = max(value, NORM_GUARD)
-
-    def backward(g):
-        for x in xs:
-            step = np.multiply(g, x.value)
-            np.divide(step, denom, out=step)
-            _accum(x, step)
-
-    return tape.record("l2_norm", np.asarray(value), backward)
-
-
-def neg_log_col_l1(x: Node, lo: int, eps: float) -> Node:
-    """sum over columns j >= lo of -log(||x[:, j]||_1 + eps).
-
-    Each column mass is summed as a contiguous vector and the column terms
-    are folded left to right, so the value equals the per-column chain
-    block -> l1 -> +eps -> log -> *(-1) summed one add at a time, bit
-    for bit. Subgradient 0 at exact zeros; backward adds into columns lo..
-    only.
-    """
-    if x.value.ndim != 2:
-        raise ShapeError(f"neg_log_col_l1: expected a matrix, got shape {x.shape}")
-    if not (0 <= lo < x.shape[1]):
-        raise ShapeError(f"neg_log_col_l1: start column {lo} invalid for shape {x.shape}")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cols, mass, value = _neg_log_col_l1(x.value, lo, float(eps))
-
-    def backward(g):
-        if x.grad is None:
-            x.grad = np.zeros_like(x.value)
-        x.grad[:, lo:] += _neg_log_col_l1_grad(cols, mass, g)
-
-    return x.tape.record("neg_log_col_l1", value, backward)
-
-
 def _neg_log_col_l1(x: np.ndarray, lo: int, eps: float):
-    """(columns lo.. as rows, their L1 masses + eps, the penalty value)."""
+    """(columns lo.. as rows, their L1 masses + eps, the summed -log of
+    the masses). Each column mass is summed as a contiguous vector and the
+    column terms are folded left to right."""
     cols = np.ascontiguousarray(x[:, lo:].T)   # one row per column
     mass = np.abs(cols).sum(axis=1) + eps
     terms = np.log(mass) * -1.0
@@ -543,23 +466,53 @@ def _neg_log_col_l1(x: np.ndarray, lo: int, eps: float):
 
 
 def _neg_log_col_l1_grad(cols: np.ndarray, mass: np.ndarray, g) -> np.ndarray:
-    """Gradient at columns lo.. given g at the penalty."""
+    """Gradient at columns lo.. given g at the penalty; subgradient 0 at
+    exact zeros."""
     return np.sign(cols.T) * ((g * -1.0) / mass)
 
 
-def grad_reverse(x: Node, scale_factor: float) -> Node:
-    """Identity in the forward pass; backward multiplies the gradient by
-    -scale_factor. scale_factor 0 is allowed and blocks the gradient
-    entirely (the adversarial-off control); negative values are rejected.
+NORM_CHUNK = 32768  # entries per in-place pass of the norm's backward
+
+
+def l2_norm(*xs: Node) -> Node:
+    """sqrt of the total sum of squares across all inputs (joint L2 norm).
+
+    Realises the unsquared parameter-norm penalty of the overall loss; the
+    gradient is guarded at NORM_GUARD so the norm at zero stays finite.
+    xs must be, in order, every matrix of one packed vector as
+    Tape.params registered them. The work runs on the packed vector: one
+    product gives the squares, in the gradient buffer on a gradient tape
+    (backward zeroes it), and one reduction per matrix sums them in xs'
+    order. Backward adds g * x / norm into the gradients in three in-place
+    passes over chunks of NORM_CHUNK entries, so it allocates no
+    table-sized array. Every entry rounds as in a per-matrix chain.
     """
-    lam = float(scale_factor)
-    if lam < 0:
-        raise ValueError(f"grad_reverse: scale must be >= 0, got {lam}")
+    tape = _tape_of(*xs)
+    flat = xs[0].value.base
+    sizes = [x.value.size for x in xs]
+    if (flat is None or flat.ndim != 1 or sum(sizes) != flat.size
+            or any(x.value.base is not flat for x in xs)):
+        raise ShapeError("l2_norm: the inputs must be every matrix of one packed vector")
+    grad = None if xs[0].grad is None else xs[0].grad.base
+    squares = np.multiply(flat, flat, out=grad)
+    total = 0.0
+    start = 0
+    for size in sizes:
+        total += float(np.add.reduce(squares[start:start + size]))
+        start += size
+    value = np.sqrt(total)
+    denom = max(value, NORM_GUARD)
 
     def backward(g):
-        _accum(x, -lam * g)
+        step = np.empty(min(flat.size, NORM_CHUNK))
+        for lo in range(0, flat.size, NORM_CHUNK):
+            part = slice(lo, lo + NORM_CHUNK)
+            s = step[:flat[part].size]
+            np.multiply(flat[part], g, out=s)
+            np.divide(s, denom, out=s)
+            np.add(grad[part], s, out=grad[part])
 
-    return x.tape.record("grad_reverse", x.value.copy(), backward)
+    return tape.record("l2_norm", np.asarray(value), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -641,6 +594,15 @@ def acyclicity_term(a: Node) -> Node:
 # the sums and products here, and every gradient a node holds starts as
 # zeros + g. The finite checks cover every intermediate value that could
 # be the first non-finite one.
+#
+# Operand layout is part of the bits. Every product takes its operands in
+# the memory order the chain gives them: OpenBLAS may round the same
+# product differently for a C-ordered copy of an operand. A column gather
+# w[:, idx] returns a Fortran-ordered array, so every product with the
+# gathered attributes u uses that array (encode returns it), never a row
+# block of E; a block the chain copies (block, vconcat) is copied to C
+# order here too, and row blocks of C-ordered E or of a C-ordered
+# gradient have the strides of the chain's own C-ordered arrays.
 
 def reconstruction(a: Node, h: Node) -> Node:
     """sum((h - a.T @ h) ** 2) / N over the N columns of h: the chain
@@ -708,25 +670,20 @@ def _require_product(op: str, w: Node, x: Node) -> None:
         raise ShapeError(f"{op}: shapes {w.shape} and {x.shape} incompatible")
 
 
-def discriminator(x: Node, w1: Node, w2: Node, w3: Node, grl_scale: float) -> Node:
-    """sigmoid(w3 @ relu(w2 @ relu(w1 @ grad_reverse(x, grl_scale)))): two
-    ReLU layers and sigmoid outputs behind a gradient-reversal node."""
-    lam = float(grl_scale)
-    if lam < 0:
-        raise ValueError(f"discriminator: grl_scale must be >= 0, got {lam}")
-    _require_product("discriminator", w1, x)
-    _require_product("discriminator", w2, w1)
-    _require_product("discriminator", w3, w2)
-    tape = _tape_of(x, w1, w2, w3)
-    x_in = np.ascontiguousarray(x.value)   # C order, like the reversal node's copy
+def _layers(op: str, x_in: np.ndarray, w1: Node, w2: Node, w3: Node):
+    """sigmoid(w3 @ relu(w2 @ relu(w1 @ x_in))) and its backward, which
+    takes g at the outputs, adds into w3, w2 and w1 and returns the
+    gradient at x_in."""
+    _require_product(op, w2, w1)
+    _require_product(op, w3, w2)
     z1 = w1.value @ x_in
-    _check_finite("discriminator", z1)
+    _check_finite(op, z1)
     h1 = np.maximum(z1, 0.0)
     z2 = w2.value @ h1
-    _check_finite("discriminator", z2)
+    _check_finite(op, z2)
     h2 = np.maximum(z2, 0.0)
     z3 = w3.value @ h2
-    _check_finite("discriminator", z3)
+    _check_finite(op, z3)
     out = 1.0 / (1.0 + np.exp(-z3))
 
     def backward(g):
@@ -736,22 +693,72 @@ def discriminator(x: Node, w1: Node, w2: Node, w3: Node, grl_scale: float) -> No
         _accum(w2, g2 @ h1.T)
         g1 = (w2.value.T @ g2) * (z1 > 0)
         _accum(w1, g1 @ x_in.T)
-        _accum(x, -lam * (w1.value.T @ g1))
+        return w1.value.T @ g1
+
+    return out, backward
+
+
+def _grl_scale(op: str, grl_scale: float) -> float:
+    lam = float(grl_scale)
+    if lam < 0:
+        raise ValueError(f"{op}: grl_scale must be >= 0, got {lam}")
+    return lam
+
+
+def discriminator(x: Node, w1: Node, w2: Node, w3: Node, grl_scale: float) -> Node:
+    """sigmoid(w3 @ relu(w2 @ relu(w1 @ grad_reverse(x, grl_scale)))): two
+    ReLU layers and sigmoid outputs behind a gradient-reversal node."""
+    lam = _grl_scale("discriminator", grl_scale)
+    _require_product("discriminator", w1, x)
+    tape = _tape_of(x, w1, w2, w3)
+    x_in = np.ascontiguousarray(x.value)   # C order, like the reversal node's copy
+    out, layers_backward = _layers("discriminator", x_in, w1, w2, w3)
+
+    def backward(g):
+        _accum(x, -lam * layers_backward(g))
 
     return tape.record("discriminator", out, backward)
 
 
-def gate(w: Node, f: Node, e: Node) -> Node:
-    """Row 1 of the two-way softmax of w @ (f * e) for a 2-row w: the
-    chain block(softmax_pair(matmul(w, mul(f, e))), 1, 2, 0, n)."""
-    _require_same_shape("gate", f, e)
-    _require_product("gate", w, f)
-    if w.shape[0] != 2:
-        raise ShapeError(f"gate: expected 2 output rows, got shape {w.shape}")
-    tape = _tape_of(w, f, e)
-    gated = f.value * e.value
+def domain_bce(source: Node, target: Node, w1: Node, w2: Node, w3: Node,
+               grl_scale: float) -> Node:
+    """The adversarial domain loss over two encode outputs: the chain
+    bce_sum(discriminator(hconcat(block(source, k, 2k), block(target, k,
+    2k)), w1, w2, w3, grl_scale), labels), k being w1's column count.
+    The labels are one-hot per column: unit 0 for source's columns,
+    unit 1 for target's (model.DOMAIN_LABEL_UNIT)."""
+    lam = _grl_scale("domain_bce", grl_scale)
+    k = w1.shape[1]
+    if (source.value.ndim != 2 or target.value.ndim != 2 or source.shape[0] < 2 * k
+            or target.shape[0] < 2 * k):
+        raise ShapeError(f"domain_bce: shapes {source.shape} and {target.shape} "
+                         f"lack rows {k}:{2 * k}")
+    tape = _tape_of(source, target, w1, w2, w3)
+    split = source.shape[1]
+    x_in = np.concatenate([source.value[k:2 * k], target.value[k:2 * k]], axis=1)
+    out, layers_backward = _layers("domain_bce", x_in, w1, w2, w3)
+    labels = np.zeros(out.shape)
+    labels[0, :split] = 1.0
+    labels[1, split:] = 1.0
+    pc, value = _bce(out, labels)
+
+    def backward(g):
+        g_x = -lam * layers_backward(_bce_grad(g, pc, labels))
+        _grad(source)[k:2 * k] += g_x[:, :split]
+        _grad(target)[k:2 * k] += g_x[:, split:]
+
+    return tape.record("domain_bce", value, backward)
+
+
+def _gated_softmax(op: str, w: Node, f: np.ndarray, e: np.ndarray):
+    """The two-way softmax of w @ (f * e) for a 2-row w, and the backward
+    that takes g at its row 1, adds into w and returns the gradients at f
+    and e."""
+    if w.value.ndim != 2 or w.shape[0] != 2 or w.shape[1] != f.shape[0]:
+        raise ShapeError(f"{op}: weights of shape {w.shape} for operands of shape {f.shape}")
+    gated = f * e
     logits = w.value @ gated
-    _check_finite("gate", logits)
+    _check_finite(op, logits)
     p = _softmax_pair(logits)
 
     def backward(g):
@@ -760,10 +767,112 @@ def gate(w: Node, f: Node, e: Node) -> Node:
         g_logits = _softmax_pair_grad(p, g_p)
         _accum(w, g_logits @ gated.T)
         g_gated = w.value.T @ g_logits
-        _accum(f, g_gated * e.value)
-        _accum(e, g_gated * f.value)
+        return g_gated * e, g_gated * f
+
+    return p, backward
+
+
+def gate(w: Node, f: Node, e: Node) -> Node:
+    """Row 1 of the two-way softmax of w @ (f * e) for a 2-row w: the
+    chain block(softmax_pair(matmul(w, mul(f, e))), 1, 2, 0, n)."""
+    _require_same_shape("gate", f, e)
+    tape = _tape_of(w, f, e)
+    p, gate_backward = _gated_softmax("gate", w, f.value, e.value)
+
+    def backward(g):
+        g_f, g_e = gate_backward(g)
+        _accum(f, g_f)
+        _accum(e, g_e)
 
     return tape.record("gate", p[1:2].copy(), backward)
+
+
+def encode(table: Node, users, shared: Node, specific: Node) -> tuple[Node, np.ndarray]:
+    """One domain's user encoder: E = [u; relu(shared @ u); specific @ u]
+    (3k x n) for the attribute columns u = table[:, users]. The chain is
+    gather_cols, then relu(matmul(shared, u)) and matmul(specific, u).
+
+    Returns the node and u as the gather made it, for head (see the
+    layout rule above). Backward adds into u's gradient, after what E's
+    rows 0:k hold, the shared then the specific path, and gathers the
+    sum into table's columns.
+    """
+    idx = _column_indices("encode", table, users)
+    k = table.shape[0]
+    if shared.shape != (k, k) or specific.shape != (k, k):
+        raise ShapeError(f"encode: maps of shapes {shared.shape} and {specific.shape} "
+                         f"for {k} attributes")
+    tape = _tape_of(table, shared, specific)
+    att = table.value[:, idx]
+    z = shared.value @ att
+    _check_finite("encode", z)
+    mask = z > 0
+    value = np.concatenate([att, np.maximum(z, 0.0), specific.value @ att], axis=0)
+
+    def backward(g):
+        g_att = g[:k]
+        g_z = g[k:2 * k] * mask
+        _accum(shared, g_z @ att.T)
+        g_att += shared.value.T @ g_z
+        g_specific = g[2 * k:]
+        _accum(specific, g_specific @ att.T)
+        g_att += specific.value.T @ g_specific
+        np.add.at(_grad(table), (slice(None), idx), g_att)
+
+    return tape.record("encode", value, backward), att
+
+
+def head(e: Node, att: np.ndarray, a_pref: Node | None, fusion: Node, table: Node,
+         items, predictor: Node, labels) -> Node:
+    """One domain's interaction loss on an encode output e and its u =
+    att: the chain bce_sum(gate(predictor, matmul(fusion, vconcat(s,
+    matmul_t(a_pref, u))), gather_cols(table, items)), labels), s being
+    e's rows 2k:3k. a_pref None (the no-causal ablation) fuses s alone,
+    through matmul(block(fusion, 0, k, 0, k), s).
+
+    Backward adds into e's rows 2k:3k, then table's columns, then a_pref
+    and e's rows 0:k.
+    """
+    k, n = att.shape
+    idx = _column_indices("head", table, items)
+    if (e.shape != (3 * k, n) or fusion.shape != (k, 2 * k) or table.shape[0] != k
+            or idx.size != n or (a_pref is not None and a_pref.shape != (k, k))):
+        raise ShapeError(f"head: shapes {e.shape}, {fusion.shape} and {table.shape} "
+                         f"incompatible for {idx.size} items")
+    tape = _tape_of(e, fusion, table, predictor, *([] if a_pref is None else [a_pref]))
+    t = _as_array(labels).reshape(1, n)
+    specific = e.value[2 * k:]
+    if a_pref is None:
+        w = fusion.value[:, :k].copy()   # the block node's copy
+        v = specific
+    else:
+        causal = a_pref.value.T @ att
+        _check_finite("head", causal)
+        w = fusion.value
+        v = np.concatenate([specific, causal], axis=0)
+    fused = w @ v
+    _check_finite("head", fused)
+    item = table.value[:, idx]
+    p, gate_backward = _gated_softmax("head", predictor, fused, item)
+    pc, value = _bce(p[1:2], t)
+
+    def backward(g):
+        g_fused, g_item = gate_backward(_bce_grad(g, pc, t))
+        if a_pref is None:
+            _grad(fusion)[:, :k] += g_fused @ v.T
+            g_specific = w.T @ g_fused
+        else:
+            _accum(fusion, g_fused @ v.T)
+            g_v = fusion.value.T @ g_fused
+            g_specific = g_v[:k]
+        _grad(e)[2 * k:] += g_specific
+        np.add.at(_grad(table), (slice(None), idx), g_item)
+        if a_pref is not None:
+            g_causal = g_v[k:]
+            _accum(a_pref, att @ g_causal.T)
+            e.grad[:k] += a_pref.value @ g_causal
+
+    return tape.record("head", value, backward)
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,9 @@ item embedding, and reads an interaction probability off a two-way
 softmax head.
 
 Forward paths run on column batches: a batch of n examples is a k x n
-matrix, one column per example. Training, candidate scoring and the
-discriminator probe all run these same functions; scoring and probes use
-a value-only tape.
+matrix, one column per example. Candidate scoring and the discriminator
+probe run the single-purpose functions below on a value-only tape; a
+training step runs the same math as fused diffcore nodes (total_loss).
 """
 
 from __future__ import annotations
@@ -172,13 +172,6 @@ class Batch:
 
 
 @dataclass
-class ForwardArtifacts:
-    u_att: Node
-    u_shared: Node
-    probs: Node  # 1 x n interaction probabilities
-
-
-@dataclass
 class LossBreakdown:
     total: float
     interaction_target: float
@@ -242,59 +235,19 @@ def gate(nodes: dict, domain: str, fused: Node, item_emb: Node) -> Node:
     return dc.gate(nodes["predictor" + _suffix(domain)], fused, item_emb)
 
 
-def predict(nodes: dict, domain: str, u_specific: Node, u_causal: Node | None,
-            item_emb: Node) -> Node:
-    """Interaction probability of each (user preference, item) column."""
-    return gate(nodes, domain, fuse(nodes, domain, u_specific, u_causal), item_emb)
-
-
 def _causal_preference(a_pref: Node | None, u_att: Node) -> Node | None:
     """Causal-invariant preference from the attribute->preference block
     (causal.preference_block); None in the no-causal ablation."""
     return None if a_pref is None else dc.matmul_t(a_pref, u_att)
 
 
-def domain_loss(lhat: Node, domains) -> Node:
-    """Summed binary cross-entropy of discriminator outputs against one-hot
-    domain labels (one example per column). ShapeError unless domains
-    names exactly one domain per column of the 2-row lhat."""
-    domains = list(domains)
-    if lhat.value.ndim != 2 or lhat.shape != (len(DOMAIN_LABEL_UNIT), len(domains)):
-        raise dc.ShapeError(f"domain_loss: {len(domains)} domains for discriminator "
-                            f"outputs of shape {lhat.shape}")
-    try:
-        units = [DOMAIN_LABEL_UNIT[domain] for domain in domains]
-    except KeyError as exc:
-        raise ValueError(f"unknown domain {exc.args[0]!r}") from None
-    labels = np.zeros(lhat.shape)
-    labels[units, np.arange(len(units))] = 1.0
-    return dc.bce_sum(lhat, labels)
-
-
-def interaction_loss(probs: Node, labels) -> Node:
-    return dc.bce_sum(probs, np.asarray(labels, dtype=np.float64).reshape(probs.shape))
-
-
-def forward_batch(nodes: dict, domain: str, batch: Batch,
-                  a_pref: Node | None) -> ForwardArtifacts:
-    """Full prediction path for one domain; a_pref is the
-    attribute->preference block (causal.preference_block), or None for
-    the no-causal ablation."""
-    u_att = embed_user_attributes(nodes, domain, batch.users)
-    u_specific = encode_domain_specific(nodes, domain, u_att)
-    u_shared = encode_domain_shared(nodes, u_att)
-    u_causal = _causal_preference(a_pref, u_att)
-    item_emb = embed_item(nodes, domain, batch.items)
-    probs = predict(nodes, domain, u_specific, u_causal, item_emb)
-    return ForwardArtifacts(u_att=u_att, u_shared=u_shared, probs=probs)
-
-
 def score_candidates(nodes: dict, users, items, a_pref: Node | None) -> np.ndarray:
     """Target-domain interaction probabilities for a block of candidate
     lists: users (L,) and items (L, n) give scores (L, n). The user side
     runs once per list; gather_cols then repeats each fused preference
-    across the list's n items. Meant for a value-only tape; a_pref is as
-    in forward_batch, None scoring the no-causal variant."""
+    across the list's n items. Meant for a value-only tape; a_pref is the
+    attribute->preference block (causal.preference_block), None scoring
+    the no-causal variant."""
     items = np.asarray(items)
     n_lists, per_list = items.shape
     u_att = embed_user_attributes(nodes, "target", users)
@@ -305,6 +258,18 @@ def score_candidates(nodes: dict, users, items, a_pref: Node | None) -> np.ndarr
     return probs.value.reshape(n_lists, per_list)
 
 
+def _domain_step(nodes: dict, domain: str, batch: Batch,
+                 a_pref: Node | None) -> tuple[Node, Node]:
+    """One domain's encode output E = [u_att; u_shared; u_specific] and
+    its interaction loss; a_pref is as in score_candidates."""
+    suffix = _suffix(domain)
+    e, u_att = dc.encode(nodes["user_att" + suffix], batch.users,
+                         nodes["shared_encoder"], nodes["user_map" + suffix])
+    loss = dc.head(e, u_att, a_pref, nodes["fusion" + suffix], nodes["item_emb" + suffix],
+                   batch.items, nodes["predictor" + suffix], batch.labels)
+    return e, loss
+
+
 def total_loss(tape: dc.Tape, params: ModelParams, target_batch: Batch,
                source_batch: Batch | None, config: LossConfig) -> tuple[Node, LossBreakdown]:
     """Joint objective over one step's batches.
@@ -312,7 +277,9 @@ def total_loss(tape: dc.Tape, params: ModelParams, target_batch: Batch,
     Target interaction loss, weighted source interaction loss, weighted
     adversarial domain loss over both domains' shared preferences, the
     weighted causal loss over attribute||shared samples from both domains,
-    and the unsquared L2 norm of every registered parameter.
+    and the unsquared L2 norm of every registered parameter. Each domain
+    records one dc.encode and one dc.head node, and the domain loss one
+    dc.domain_bce node.
     """
     if len(target_batch) == 0:
         raise ValueError("target batch must be nonempty")
@@ -329,28 +296,24 @@ def total_loss(tape: dc.Tape, params: ModelParams, target_batch: Batch,
              if use_causal else None)
     a_pref = causal.preference_block(a_eff, k) if use_causal else None
 
-    target_art = forward_batch(nodes, "target", target_batch, a_pref)
-    loss_target = interaction_loss(target_art.probs, target_batch.labels)
+    e_target, loss_target = _domain_step(nodes, "target", target_batch, a_pref)
 
     zero = tape.constant(0.0)
     loss_source = zero
     loss_domain = zero
-    source_art = None
     if source_batch is not None:
-        source_art = forward_batch(nodes, "source", source_batch, a_pref)
-        loss_source = interaction_loss(source_art.probs, source_batch.labels)
-        shared_all = dc.hconcat(source_art.u_shared, target_art.u_shared)
-        lhat = discriminate(nodes, shared_all, config.grl_scale)
-        loss_domain = domain_loss(
-            lhat, ["source"] * len(source_batch) + ["target"] * len(target_batch))
+        e_source, loss_source = _domain_step(nodes, "source", source_batch, a_pref)
+        loss_domain = dc.domain_bce(e_source, e_target, nodes["disc_h1"], nodes["disc_h2"],
+                                    nodes["disc_out"], config.grl_scale)
 
     loss_causal = zero
     causal_terms = None
     if use_causal:
-        h = dc.vconcat(target_art.u_att, target_art.u_shared)
-        if source_art is not None:
-            h_source = dc.vconcat(source_art.u_att, source_art.u_shared)
-            h = dc.hconcat(h, h_source)
+        # the samples [u_att; u_shared], target columns first
+        if source_batch is None:
+            h = dc.block(e_target, 0, 2 * k, 0, len(target_batch))
+        else:
+            h = dc.hconcat(e_target, e_source, 0, 2 * k)
         loss_causal, causal_terms = causal.causal_loss(a_eff, h, k, config.penalty)
 
     reg = dc.l2_norm(*nodes.values())

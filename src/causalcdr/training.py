@@ -242,7 +242,8 @@ def train(dataset: data.CrossDomainDataset, split: data.SplitResult,
     groups = {domain: data.group_train_positives(dataset, split, domain,
                                                  config.n_neg_per_positive)
               for domain in streams}
-    grad = np.empty_like(params.flat)  # each step's tape zeroes and fills it
+    # each step's tape zeroes and fills grad through the same views
+    grad, grad_views = dc.pack(params.matrices)
     history: list = []
     skipped: list = []
     best = params.copy()
@@ -272,7 +273,7 @@ def train(dataset: data.CrossDomainDataset, split: data.SplitResult,
                 source_batch = model.Batch(users=source_examples.users[picks],
                                            items=source_examples.items[picks],
                                            labels=source_examples.labels[picks])
-            tape = dc.Tape(grad_buffer=grad)
+            tape = dc.Tape(grad_buffer=(grad, grad_views))
             try:
                 total, breakdown = model.total_loss(tape, params, target_batch,
                                                     source_batch, config)

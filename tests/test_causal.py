@@ -5,6 +5,8 @@ import pytest
 
 from causalcdr import causal, diffcore as dc, model
 
+import reference_ops as ref
+
 
 def loss_value(a, h, k, weights=None):
     weights = weights or model.LossConfig().penalty
@@ -172,23 +174,23 @@ def _add_n(nodes):
 
 
 def reference_causal_loss(a_eff, h, k, weights):
-    rec = dc.scale(dc.sq_l2(dc.sub(h, dc.matmul_t(a_eff, h))), 1.0 / h.shape[1])
+    rec = ref.scale(ref.sq_l2(ref.sub(h, dc.matmul_t(a_eff, h))), 1.0 / h.shape[1])
     dag = dc.acyclicity_term(a_eff)
-    direction = dc.l1(dc.block(a_eff, k, 2 * k, 0, k))
+    direction = ref.l1(dc.block(a_eff, k, 2 * k, 0, k))
     col_terms = []
     for i in range(k, 2 * k):
-        col_mass = dc.l1(dc.block(a_eff, 0, 2 * k, i, i + 1))
-        col_terms.append(dc.scale(_log_scalar(_add_scalar(col_mass, causal.LOG_EPS)), -1.0))
+        col_mass = ref.l1(dc.block(a_eff, 0, 2 * k, i, i + 1))
+        col_terms.append(ref.scale(_log_scalar(_add_scalar(col_mass, causal.LOG_EPS)), -1.0))
     not_root = _add_n(col_terms)
-    sparsity = dc.l1(a_eff)
+    sparsity = ref.l1(a_eff)
     terms = causal.CausalLossTerms(
         reconstruction=float(rec.value), dag=float(dag.value),
         direction=float(direction.value), not_root=float(not_root.value),
         sparsity=float(sparsity.value))
-    total = _add_n([rec, dc.scale(dag, weights.dag),
-                    dc.scale(direction, weights.direction),
-                    dc.scale(not_root, weights.not_root),
-                    dc.scale(sparsity, weights.sparsity)])
+    total = _add_n([rec, ref.scale(dag, weights.dag),
+                    ref.scale(direction, weights.direction),
+                    ref.scale(not_root, weights.not_root),
+                    ref.scale(sparsity, weights.sparsity)])
     return total, terms
 
 
@@ -201,7 +203,7 @@ def run_in_graph(loss_fn, a, h, k, weights):
     upstream = dc.matmul_t(causal.preference_block(a_eff, k),
                            dc.block(h_node, 0, k, 0, h.shape[1]))
     total, terms = loss_fn(a_eff, h_node, k, weights)
-    tape.backward(dc.weighted_sum([dc.scale(total, 0.7), dc.sq_l2(upstream)], [1.0, 1.0]))
+    tape.backward(dc.weighted_sum([ref.scale(total, 0.7), ref.sq_l2(upstream)], [1.0, 1.0]))
     return total.value, terms, tape.grads()
 
 

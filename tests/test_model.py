@@ -6,6 +6,8 @@ import pytest
 
 from causalcdr import causal, diffcore as dc, matrixio, model
 
+import reference_ops as ref
+
 
 DIMS = model.ModelDims(k=4, n_users=6, n_source_items=8, n_target_items=8)
 
@@ -44,7 +46,7 @@ class TestEncoders:
         params = make_params()
         tape = dc.Tape()
         nodes = params.register(tape)
-        loss = dc.sq_l2(model.embed_item(nodes, "target", 2))
+        loss = ref.sq_l2(model.embed_item(nodes, "target", 2))
         tape.backward(loss)
         grad = tape.grad("item_emb_t")
         assert np.any(grad[:, 2] != 0)
@@ -123,7 +125,7 @@ class TestDiscriminator:
             nodes = params.register(tape)
             shared = model.encode_domain_shared(nodes, tape.constant(x))
             lhat = model.discriminate(nodes, shared, grl_scale)
-            tape.backward(model.domain_loss(lhat, domains))
+            tape.backward(ref.domain_loss(lhat, domains))
             return tape.grad("shared_encoder")
 
         with_grl = encoder_grad(1.0)
@@ -132,8 +134,8 @@ class TestDiscriminator:
         shared = model.encode_domain_shared(nodes, tape.constant(x))
         hidden1 = dc.relu(dc.matmul(nodes["disc_h1"], shared))
         hidden2 = dc.relu(dc.matmul(nodes["disc_h2"], hidden1))
-        lhat = dc.sigmoid(dc.matmul(nodes["disc_out"], hidden2))
-        tape.backward(model.domain_loss(lhat, domains))
+        lhat = ref.sigmoid(dc.matmul(nodes["disc_out"], hidden2))
+        tape.backward(ref.domain_loss(lhat, domains))
         without_grl = tape.grad("shared_encoder")
         assert np.allclose(with_grl, -without_grl)
 
@@ -142,13 +144,13 @@ class TestLosses:
     def test_domain_loss_at_half(self):
         tape = dc.Tape()
         lhat = tape.constant(np.full((2, 1), 0.5))
-        loss = model.domain_loss(lhat, ["source"])
+        loss = ref.domain_loss(lhat, ["source"])
         assert float(loss.value) == pytest.approx(-2 * np.log(0.5))
 
     def test_domain_loss_perfect_prediction(self):
         tape = dc.Tape()
         lhat = tape.constant(np.array([[1 - 1e-7], [1e-7]]))
-        loss = model.domain_loss(lhat, ["source"])
+        loss = ref.domain_loss(lhat, ["source"])
         assert float(loss.value) == pytest.approx(0.0, abs=1e-5)
 
     def test_domain_loss_matches_scalar_oracle(self):
@@ -156,7 +158,7 @@ class TestLosses:
         probs = rng.uniform(0.1, 0.9, size=(2, 8))
         domains = ["source" if i % 2 else "target" for i in range(8)]
         tape = dc.Tape()
-        loss = model.domain_loss(tape.constant(probs), domains)
+        loss = ref.domain_loss(tape.constant(probs), domains)
         expected = 0.0
         for col, domain in enumerate(domains):
             label = np.zeros(2)
@@ -170,19 +172,19 @@ class TestLosses:
         tape = dc.Tape()
         lhat = tape.constant(np.full((2, 2), 0.5))
         with pytest.raises(ValueError, match="unknown domain 'Target'"):
-            model.domain_loss(lhat, ["source", "Target"])
+            ref.domain_loss(lhat, ["source", "Target"])
 
     @pytest.mark.parametrize("n_domains", [0, 2, 4], ids=["empty", "short", "long"])
     def test_domain_loss_needs_one_domain_per_column(self, n_domains):
         tape = dc.Tape()
         lhat = tape.constant(np.full((2, 3), 0.5))
         with pytest.raises(dc.ShapeError, match=f"{n_domains} domains"):
-            model.domain_loss(lhat, ["source"] * n_domains)
+            ref.domain_loss(lhat, ["source"] * n_domains)
 
     def test_interaction_loss_at_half(self):
         tape = dc.Tape()
         probs = tape.constant(np.full((1, 4), 0.5))
-        loss = model.interaction_loss(probs, np.array([1.0, 0.0, 1.0, 0.0]))
+        loss = ref.interaction_loss(probs, np.array([1.0, 0.0, 1.0, 0.0]))
         assert float(loss.value) == pytest.approx(4 * np.log(2))
 
     def test_interaction_loss_batch_oracle(self):
@@ -190,7 +192,7 @@ class TestLosses:
         p = rng.uniform(0.05, 0.95, size=16)
         y = rng.integers(0, 2, size=16).astype(float)
         tape = dc.Tape()
-        loss = model.interaction_loss(tape.constant(p.reshape(1, 16)), y)
+        loss = ref.interaction_loss(tape.constant(p.reshape(1, 16)), y)
         expected = -np.sum(y * np.log(p) + (1 - y) * np.log(1 - p))
         assert float(loss.value) == pytest.approx(expected, rel=1e-12)
 
@@ -202,10 +204,10 @@ class TestPredict:
         tape = dc.Tape()
         nodes = params.register(tape)
         rng = np.random.default_rng(10)
-        prob = model.predict(nodes, "target",
-                             tape.constant(rng.normal(size=(4, 1))),
-                             tape.constant(rng.normal(size=(4, 1))),
-                             tape.constant(rng.normal(size=(4, 1))))
+        prob = ref.predict(nodes, "target",
+                           tape.constant(rng.normal(size=(4, 1))),
+                           tape.constant(rng.normal(size=(4, 1))),
+                           tape.constant(rng.normal(size=(4, 1))))
         assert prob.value.item() == pytest.approx(0.5)
 
     def test_zero_item_gives_half(self):
@@ -213,10 +215,10 @@ class TestPredict:
         tape = dc.Tape()
         nodes = params.register(tape)
         rng = np.random.default_rng(12)
-        prob = model.predict(nodes, "target",
-                             tape.constant(rng.normal(size=(4, 1))),
-                             tape.constant(rng.normal(size=(4, 1))),
-                             tape.constant(np.zeros((4, 1))))
+        prob = ref.predict(nodes, "target",
+                           tape.constant(rng.normal(size=(4, 1))),
+                           tape.constant(rng.normal(size=(4, 1))),
+                           tape.constant(np.zeros((4, 1))))
         assert prob.value.item() == pytest.approx(0.5)
 
     def test_matches_step_by_step_oracle(self):
@@ -227,8 +229,8 @@ class TestPredict:
         u = rng.normal(size=(4, 1))
         u_cau = rng.normal(size=(4, 1))
         item = rng.normal(size=(4, 1))
-        prob = model.predict(nodes, "target", tape.constant(u),
-                             tape.constant(u_cau), tape.constant(item))
+        prob = ref.predict(nodes, "target", tape.constant(u),
+                           tape.constant(u_cau), tape.constant(item))
         fused = params.matrices["fusion_t"] @ np.vstack([u, u_cau])
         logits = (params.matrices["predictor_t"] @ (fused * item)).ravel()
         expected = np.exp(logits[1]) / np.exp(logits).sum()
@@ -250,8 +252,8 @@ class TestPredict:
             batch = model.Batch(users=np.full(len(items), user),
                                 items=items,
                                 labels=np.zeros(len(items)))
-            art = model.forward_batch(nodes, "target", batch,
-                                      causal.preference_block(a_eff, DIMS.k))
+            art = ref.forward_batch(nodes, "target", batch,
+                                    causal.preference_block(a_eff, DIMS.k))
             assert np.allclose(fast, art.probs.value.ravel(), atol=1e-12)
 
     def test_permutation_equivariance_in_k(self):
@@ -410,7 +412,7 @@ class TestTotalLoss:
         assert recorded[1] == value_only[1]
 
 
-def recorded_ops(monkeypatch, ablation):
+def recorded_ops(monkeypatch, ablation, total_loss=model.total_loss):
     """How many nodes of each op one total_loss records on a recording tape."""
     ops = []
     record = dc.Tape.record
@@ -422,47 +424,57 @@ def recorded_ops(monkeypatch, ablation):
     monkeypatch.setattr(dc.Tape, "record", spy)
     target, source = make_batches(seed=46)
     params = make_params(seed=47)
-    model.total_loss(dc.Tape(), params, target, source,
-                     model.LossConfig(ablation=ablation))
+    total_loss(dc.Tape(), params, target, source, model.LossConfig(ablation=ablation))
     return collections.Counter(ops)
 
 
 class TestRecordedStep:
-    def test_full_step_records_33_nodes(self, monkeypatch):
+    # Each domain's interaction path is one dc.encode and one dc.head node,
+    # and the domain loss one dc.domain_bce node; reference_ops.total_loss
+    # is the same step as the 33 (no-causal 23) nodes these replace.
+    def test_full_step_records_13_nodes(self, monkeypatch):
         ops = recorded_ops(monkeypatch, "full")
-        assert sum(ops.values()) == 33
-        assert ops["acyclicity"] == 1
-        assert ops["reconstruction"] == 1 and ops["penalty_fold"] == 1
-        assert ops["discriminator"] == 1 and ops["gate"] == 2
-        assert ops["block"] == 1 and ops["vconcat"] == 4
-        assert ops["mul"] == 1   # the adjacency mask
-        for op in ("sub", "sq_l2", "scale", "l1", "neg_log_col_l1", "grad_reverse",
-                   "sigmoid", "softmax_pair", "slice_rows", "slice_cols"):
-            assert ops[op] == 0, op
+        assert ops == {"mul": 1, "block": 1, "encode": 2, "head": 2, "domain_bce": 1,
+                       "hconcat": 1, "reconstruction": 1, "acyclicity": 1,
+                       "penalty_fold": 1, "l2_norm": 1, "weighted_sum": 1}
+        assert sum(ops.values()) == 13
 
-    def test_no_causal_step_records_23_nodes(self, monkeypatch):
+    def test_no_causal_step_records_7_nodes(self, monkeypatch):
         ops = recorded_ops(monkeypatch, "no_causal")
-        assert sum(ops.values()) == 23
-        assert ops["discriminator"] == 1 and ops["gate"] == 2
-        assert ops["block"] == 2 and ops["vconcat"] == 0
-        assert ops["acyclicity"] == 0 and ops["penalty_fold"] == 0
+        assert ops == {"encode": 2, "head": 2, "domain_bce": 1, "l2_norm": 1,
+                       "weighted_sum": 1}
+        assert sum(ops.values()) == 7
+
+    def test_no_source_step_records_10_nodes(self, monkeypatch):
+        ops = recorded_ops(monkeypatch, "no_source")
+        assert ops == {"mul": 1, "block": 2, "encode": 1, "head": 1, "reconstruction": 1,
+                       "acyclicity": 1, "penalty_fold": 1, "l2_norm": 1,
+                       "weighted_sum": 1}
+
+    @pytest.mark.parametrize("ablation, nodes", [("full", 33), ("no_causal", 23)])
+    def test_the_reference_chain_records_the_unfused_count(self, monkeypatch, ablation,
+                                                           nodes):
+        ops = recorded_ops(monkeypatch, ablation, ref.total_loss)
+        assert sum(ops.values()) == nodes
+        assert ops["encode"] == ops["head"] == ops["domain_bce"] == 0
 
 
 # The discriminator and the gated head as the primitive chains that
 # model.discriminate and model.gate each record as one node; the fused
-# nodes must reproduce their values and every gradient bit for bit.
+# nodes, and the fused step, must reproduce their values and every
+# gradient bit for bit.
 
 def reference_discriminate(nodes, u_shared, grl_scale):
-    reversed_in = dc.grad_reverse(u_shared, grl_scale)
+    reversed_in = ref.grad_reverse(u_shared, grl_scale)
     hidden1 = dc.relu(dc.matmul(nodes["disc_h1"], reversed_in))
     hidden2 = dc.relu(dc.matmul(nodes["disc_h2"], hidden1))
-    return dc.sigmoid(dc.matmul(nodes["disc_out"], hidden2))
+    return ref.sigmoid(dc.matmul(nodes["disc_out"], hidden2))
 
 
 def reference_gate(nodes, domain, fused, item_emb):
     predictor = nodes["predictor_s" if domain == "source" else "predictor_t"]
     logits = dc.matmul(predictor, dc.mul(fused, item_emb))
-    return dc.block(dc.softmax_pair(logits), 1, 2, 0, logits.shape[1])
+    return dc.block(ref.softmax_pair(logits), 1, 2, 0, logits.shape[1])
 
 
 def assert_same_bits(got, want, what):
@@ -470,16 +482,24 @@ def assert_same_bits(got, want, what):
     assert got.shape == want.shape and got.tobytes() == want.tobytes(), what
 
 
+def run_step(total_loss, params, target, source, config):
+    """Loss value, breakdown and gradients of one step."""
+    tape = dc.Tape()
+    total, breakdown = total_loss(tape, params, target, source, config)
+    tape.backward(total)
+    return total.value, breakdown, tape.grads()
+
+
 def step_with(monkeypatch, params, target, source, config, **replacements):
-    """Loss value, breakdown and gradients of one total_loss, with the
-    named model functions replaced."""
+    """run_step of model.total_loss; with replacements, of the primitive
+    chain reference_ops.total_loss with the named model functions
+    replaced."""
+    if not replacements:
+        return run_step(model.total_loss, params, target, source, config)
     with monkeypatch.context() as patch:
         for name, fn in replacements.items():
             patch.setattr(model, name, fn)
-        tape = dc.Tape()
-        total, breakdown = model.total_loss(tape, params, target, source, config)
-        tape.backward(total)
-    return total.value, breakdown, tape.grads()
+        return run_step(ref.total_loss, params, target, source, config)
 
 
 def assert_same_step(got, want):
@@ -530,7 +550,7 @@ class TestFusedDiscriminatorIsExact:
             nodes = zero_laden_params(62).register(tape)
             lhat = discriminate(nodes, tape.param("x", x), grl_scale)
             if grad:
-                tape.backward(model.domain_loss(lhat, domains))
+                tape.backward(ref.domain_loss(lhat, domains))
                 return lhat.value, tape.grads()
             return lhat.value, {}
 
@@ -575,7 +595,7 @@ class TestFusedGateIsExact:
             tape = dc.Tape()
             nodes = zero_laden_params(64).register(tape)
             probs = gate(nodes, "target", tape.param("f", f), tape.param("e", e))
-            tape.backward(model.interaction_loss(probs, labels))
+            tape.backward(ref.interaction_loss(probs, labels))
             return probs.value, tape.grads()
 
         value, grads = run(model.gate)
@@ -601,6 +621,177 @@ class TestFusedGateIsExact:
         with pytest.raises(dc.ShapeError, match="gate"):
             model.gate(nodes, "target", tape.constant(np.ones((DIMS.k, 3))),
                        tape.constant(np.ones((DIMS.k, 4))))
+
+
+def repeating_batches(seed, n):
+    """make_batches, plus one batch of n copies of one (user, item) pair."""
+    target, source = make_batches(seed=seed, n=n)
+    rng = np.random.default_rng(seed)
+    same = model.Batch(users=np.full(n, 2), items=np.full(n, 5),
+                       labels=rng.integers(0, 2, n).astype(float))
+    return [(target, source), (same, source), (target, same)]
+
+
+class TestFusedStepIsExact:
+    # model.total_loss against its primitive chain, reference_ops.total_loss:
+    # the loss, the breakdown and every gradient, byte for byte
+    @pytest.mark.parametrize("n", [12, 7], ids=["even", "odd"])
+    @pytest.mark.parametrize("strict", [False, True], ids=["mask", "strict_mask"])
+    @pytest.mark.parametrize("grl_scale", [0.0, 1.0])
+    @pytest.mark.parametrize("ablation", ["full", "no_causal", "no_source"])
+    def test_step_matches_the_primitive_chain_bit_for_bit(self, ablation, grl_scale,
+                                                         strict, n):
+        config = model.LossConfig(grl_scale=grl_scale, ablation=ablation)
+        for seed in (0, 1):
+            for params in (make_params(seed=140 + seed), zero_laden_params(150 + seed)):
+                params.strict_causal_mask = strict
+                for target, source in repeating_batches(160 + seed, n):
+                    assert_same_step(
+                        run_step(model.total_loss, params, target, source, config),
+                        run_step(ref.total_loss, params, target, source, config))
+
+    @pytest.mark.parametrize("n", [64, 33], ids=["full", "odd"])
+    @pytest.mark.parametrize("ablation", ["full", "no_causal", "no_source"])
+    def test_training_shape_matches_the_primitive_chain_bit_for_bit(self, ablation, n):
+        # at k = 8 and 64-column batches OpenBLAS rounds a product differently
+        # when an operand's memory order changes; the toy shape above does not
+        k, n_users, n_items = 8, 50, 60
+        dims = model.ModelDims(k=k, n_users=n_users, n_source_items=n_items,
+                               n_target_items=n_items)
+        params = model.ModelParams.init(dims, seed=174, init_scale=0.5)
+        rng = np.random.default_rng(175)
+        params.matrices["adjacency"][...] = rng.uniform(-0.2, 0.2, (2 * k, 2 * k))
+        target, source = (model.Batch(users=rng.integers(0, n_users, n),
+                                      items=rng.integers(0, n_items, n),
+                                      labels=rng.integers(0, 2, n).astype(float))
+                          for _ in range(2))
+        config = model.LossConfig(ablation=ablation)
+        assert_same_step(run_step(model.total_loss, params, target, source, config),
+                         run_step(ref.total_loss, params, target, source, config))
+
+    def test_value_tape_matches_the_primitive_chain(self):
+        target, source = make_batches(seed=170, n=9)
+        params = zero_laden_params(171)
+        for ablation in ("full", "no_causal", "no_source"):
+            config = model.LossConfig(ablation=ablation)
+            fused = model.total_loss(dc.Tape(grad=False), params, target, source, config)
+            chain = ref.total_loss(dc.Tape(grad=False), params, target, source, config)
+            assert_same_bits(fused[0].value, chain[0].value, ablation)
+            assert fused[1] == chain[1]
+
+    def test_overflowing_encoder_is_named(self):
+        target, source = make_batches(seed=172)
+        params = make_params(seed=173)
+        params.matrices["shared_encoder"][...] = 1e300
+        params.matrices["user_att_t"][...] = -1e300
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(dc.NonFiniteError, match="^encode produced"):
+                model.total_loss(dc.Tape(), params, target, source, model.LossConfig())
+
+
+def fd_error(build, values, reversed_names=(), step=1e-5):
+    """Worst finite-difference error of build(tape, nodes) -> scalar node
+    over values packed as one parameter vector. The gradients of
+    reversed_names are negated first: behind a gradient-reversal scale of
+    1 the tape hands those the negative of the loss's gradient."""
+    def run(vals):
+        tape = dc.Tape()
+        loss = build(tape, tape.params(*dc.pack(vals)))
+        tape.backward(loss)
+        return float(loss.value), tape.grads()
+
+    grads = run(values)[1]
+    for name in reversed_names:
+        grads[name] = -grads[name]
+    return max(dc.finite_diff_details(lambda vals: run(vals)[0], values, grads,
+                                      step=step).values())
+
+
+class TestFusedDomainNodesGradient:
+    K, N = 3, 5
+    USERS = np.array([0, 2, 2, 3, 0])
+    ITEMS = np.array([1, 1, 4, 0, 2])
+    LABELS = np.array([1.0, 0.0, 1.0, 1.0, 0.0])
+
+    @staticmethod
+    def values(seed, **shapes):
+        # small enough that no probability reaches the BCE clamp
+        rng = np.random.default_rng(seed)
+        return {name: rng.normal(size=shape) * 0.5 for name, shape in shapes.items()}
+
+    def test_encode_matches_finite_differences(self):
+        k = self.K
+        values = self.values(180, table=(k, 4), shared=(k, k), specific=(k, k))
+
+        def build(tape, n):
+            e, att = dc.encode(n["table"], self.USERS, n["shared"], n["specific"])
+            assert np.array_equal(e.value[:k], att)
+            weights = tape.constant(np.random.default_rng(181).normal(size=e.shape))
+            return ref.sq_l2(dc.mul(e, weights))
+
+        assert fd_error(build, values) < 1e-4
+
+    @pytest.mark.parametrize("causal_path", [True, False], ids=["causal", "no_causal"])
+    def test_head_matches_finite_differences(self, causal_path):
+        k, n = self.K, self.N
+        values = self.values(182, e=(3 * k, n), a_pref=(k, k), fusion=(k, 2 * k),
+                             table=(k, 6), predictor=(2, k))
+        if not causal_path:
+            values["fusion"][:, k:] = 0.0   # unread: its gradient stays zero
+
+        def build(tape, nodes):
+            e = nodes["e"]
+            a_pref = nodes["a_pref"] if causal_path else None
+            # att is u, the rows 0:k of E, as encode returns them
+            return dc.head(e, e.value[:k], a_pref, nodes["fusion"], nodes["table"],
+                           self.ITEMS, nodes["predictor"], self.LABELS)
+
+        assert fd_error(build, values) < 1e-4
+
+    @pytest.mark.parametrize("grl_scale", [0.0, 1.0])
+    def test_domain_bce_matches_finite_differences(self, grl_scale):
+        k = self.K
+        values = self.values(183, source=(3 * k, 4), target=(3 * k, 3), w1=(k, k),
+                             w2=(k, k), w3=(2, k))
+
+        def build(tape, n):
+            return dc.domain_bce(n["source"], n["target"], n["w1"], n["w2"], n["w3"],
+                                 grl_scale)
+
+        if grl_scale:
+            # behind the reversal the encodings take the negated gradient
+            assert fd_error(build, values, reversed_names=("source", "target")) < 1e-4
+            return
+        tape = dc.Tape()
+        tape.backward(build(tape, tape.params(*dc.pack(values))))
+        for name in ("source", "target"):
+            assert not np.any(tape.grad(name)), name   # blocked by scale 0
+        encodings = {name: values.pop(name) for name in ("source", "target")}
+
+        def build_on_constants(tape, n):
+            return build(tape, {**n, **{name: tape.constant(v)
+                                        for name, v in encodings.items()}})
+
+        assert fd_error(build_on_constants, values) < 1e-4
+
+    def test_mismatched_operands_rejected(self):
+        k = self.K
+        tape = dc.Tape()
+        n = tape.params(*dc.pack(self.values(184, table=(k, 4), sq=(k, k), wide=(k, k + 1),
+                                                 e=(3 * k, 5), fusion=(k, 2 * k),
+                                                 predictor=(2, k))))
+        with pytest.raises(dc.ShapeError, match="encode"):
+            dc.encode(n["table"], self.USERS, n["sq"], n["wide"])
+        with pytest.raises(dc.ShapeError, match="encode: index out of range"):
+            dc.encode(n["table"], [0, 4], n["sq"], n["sq"])
+        att = n["e"].value[:k]
+        with pytest.raises(dc.ShapeError, match="head"):
+            dc.head(n["e"], att, None, n["fusion"], n["table"], [0, 1], n["predictor"],
+                    [1.0, 0.0])
+        with pytest.raises(dc.ShapeError, match="domain_bce"):
+            dc.domain_bce(n["sq"], n["e"], n["sq"], n["sq"], n["predictor"], 1.0)
+        with pytest.raises(ValueError, match="grl_scale must be >= 0"):
+            dc.domain_bce(n["e"], n["e"], n["sq"], n["sq"], n["predictor"], -1.0)
 
 
 class TestNoCausalFusion:
