@@ -121,12 +121,14 @@ class Tape:
     """
 
     def __init__(self, grad: bool = True,
-                 grad_buffer: np.ndarray | tuple[np.ndarray, dict] | None = None):
+                 grad_buffer: tuple[np.ndarray, dict[str, np.ndarray]] | None = None):
         self._records: list[tuple[Node, Callable[[np.ndarray], None]]] | None = (
             [] if grad else None)
         self._params: dict[str, Node | None] = {}
         self._grads: dict[str, np.ndarray] | None = None
         self._grad_flats: list[np.ndarray] = []
+        # id of each registered vector -> its views in order (see l2_norm)
+        self._vectors: dict[int, tuple[np.ndarray, ...]] = {}
         self._done = False
         self._grad_buffer = grad_buffer
 
@@ -140,10 +142,10 @@ class Tape:
         One finite scan covers the vector; its error names the first
         non-finite matrix. On a gradient tape the parameters' gradients
         accumulate into matching views of one flat buffer: the tape's
-        grad_buffer or a new one. A grad_buffer is a vector of flat's
-        shape, or a (vector, views) pair as pack returns it for flat's
-        matrices, whose views are then used as they are. The first call
-        takes the grad_buffer; a later call gets a new one.
+        grad_buffer or a new one. A grad_buffer is a (vector, views) pair
+        as pack returns it for flat's matrices; its views are used as they
+        are. The first call takes the grad_buffer; a later call gets a new
+        one.
         """
         if self._done:
             raise TapeStateError("tape already consumed by backward()")
@@ -157,21 +159,22 @@ class Tape:
                        if not np.isfinite(view).all())
             raise NonFiniteError(f"param {bad!r} produced a non-finite value")
         nodes = {name: Node(self, view, "param") for name, view in views.items()}
+        self._vectors[id(flat)] = tuple(views.values())
         if self._records is None:
             self._params.update(dict.fromkeys(nodes))
             return nodes
-        grad, self._grad_buffer = self._grad_buffer, None
-        grads = None
-        if grad is None:
+        buffer, self._grad_buffer = self._grad_buffer, None
+        if buffer is None:
             grad = np.empty_like(flat)
-        elif isinstance(grad, tuple):
-            grad, grads = grad
-            if [g.shape for g in grads.values()] != [v.shape for v in views.values()]:
-                raise ShapeError("grad_buffer views do not match the packed matrices")
-        if grad.shape != flat.shape:
-            raise ShapeError(f"grad_buffer shape {grad.shape} != packed shape {flat.shape}")
-        if grads is None:
             grads = _views(grad, {name: view.shape for name, view in views.items()})
+        else:
+            grad, grads = buffer
+            if grad.shape != flat.shape:
+                raise ShapeError(f"grad_buffer shape {grad.shape} != packed shape {flat.shape}")
+            if len(grads) != len(views) or any(
+                    g.base is not grad or g.shape != v.shape
+                    for g, v in zip(grads.values(), views.values())):
+                raise ShapeError("grad_buffer views do not match the packed matrices")
         for node, g in zip(nodes.values(), grads.values()):
             node.grad = g
         self._grad_flats.append(grad)
@@ -376,22 +379,22 @@ def vconcat(a: Node, b: Node) -> Node:
     return tape.record("vconcat", np.concatenate([a.value, b.value], axis=0), backward)
 
 
-def hconcat(a: Node, b: Node, r0: int = 0, r1: int | None = None) -> Node:
-    """Concatenate rows r0:r1 (default all) of two matrices along axis 1
+def hconcat(a: Node, b: Node, rows: int | None = None) -> Node:
+    """Concatenate rows 0:rows (default all) of two matrices along axis 1
     (column-stacked batches)."""
     if a.value.ndim != 2 or b.value.ndim != 2 or a.shape[0] != b.shape[0]:
         raise ShapeError(f"hconcat: shapes {a.shape} and {b.shape} incompatible")
-    r1 = a.shape[0] if r1 is None else r1
-    if not 0 <= r0 <= r1 <= a.shape[0]:
-        raise ShapeError(f"hconcat: rows [{r0}, {r1}) invalid for shape {a.shape}")
+    rows = a.shape[0] if rows is None else rows
+    if not 0 <= rows <= a.shape[0]:
+        raise ShapeError(f"hconcat: rows [0, {rows}) invalid for shape {a.shape}")
     tape = _tape_of(a, b)
     split = a.shape[1]
 
     def backward(g):
-        _grad(a)[r0:r1] += g[:, :split]
-        _grad(b)[r0:r1] += g[:, split:]
+        _grad(a)[:rows] += g[:, :split]
+        _grad(b)[:rows] += g[:, split:]
 
-    return tape.record("hconcat", np.concatenate([a.value[r0:r1], b.value[r0:r1]], axis=1),
+    return tape.record("hconcat", np.concatenate([a.value[:rows], b.value[:rows]], axis=1),
                        backward)
 
 
@@ -479,20 +482,23 @@ def l2_norm(*xs: Node) -> Node:
 
     Realises the unsquared parameter-norm penalty of the overall loss; the
     gradient is guarded at NORM_GUARD so the norm at zero stays finite.
-    xs must be, in order, every matrix of one packed vector as
-    Tape.params registered them. The work runs on the packed vector: one
-    product gives the squares, in the gradient buffer on a gradient tape
-    (backward zeroes it), and one reduction per matrix sums them in xs'
-    order. Backward adds g * x / norm into the gradients in three in-place
-    passes over chunks of NORM_CHUNK entries, so it allocates no
-    table-sized array. Every entry rounds as in a per-matrix chain.
+    xs must be the nodes of every matrix of one packed vector, in the
+    order Tape.params registered them; the views the tape keeps for that
+    vector are checked against them. The work runs on the packed vector:
+    one product gives the squares, in the gradient buffer on a gradient
+    tape (backward zeroes it), and one reduction per matrix sums them in
+    xs' order. Backward adds g * x / norm into the gradients in three
+    in-place passes over chunks of NORM_CHUNK entries, so it allocates
+    no table-sized array. Every entry rounds as in a per-matrix chain.
     """
     tape = _tape_of(*xs)
     flat = xs[0].value.base
+    views = tape._vectors.get(id(flat), ())
     sizes = [x.value.size for x in xs]
-    if (flat is None or flat.ndim != 1 or sum(sizes) != flat.size
-            or any(x.value.base is not flat for x in xs)):
-        raise ShapeError("l2_norm: the inputs must be every matrix of one packed vector")
+    if (len(views) != len(xs) or any(x.value is not v for x, v in zip(xs, views))
+            or sum(sizes) != flat.size):
+        raise ShapeError("l2_norm: the inputs must be every matrix of one packed vector, "
+                         "in order")
     grad = None if xs[0].grad is None else xs[0].grad.base
     squares = np.multiply(flat, flat, out=grad)
     total = 0.0

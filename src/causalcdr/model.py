@@ -313,7 +313,7 @@ def total_loss(tape: dc.Tape, params: ModelParams, target_batch: Batch,
         if source_batch is None:
             h = dc.block(e_target, 0, 2 * k, 0, len(target_batch))
         else:
-            h = dc.hconcat(e_target, e_source, 0, 2 * k)
+            h = dc.hconcat(e_target, e_source, 2 * k)
         loss_causal, causal_terms = causal.causal_loss(a_eff, h, k, config.penalty)
 
     reg = dc.l2_norm(*nodes.values())

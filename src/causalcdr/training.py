@@ -368,11 +368,11 @@ def fit_adjacency(samples: np.ndarray, k: int,
     if samples.ndim != 2 or samples.shape[0] != 2 * k:
         raise ValueError(f"samples must be {2 * k} x N, got {samples.shape}")
     flat, adjacency = dc.pack({"adjacency": np.zeros((2 * k, 2 * k))})
-    grad = np.empty_like(flat)  # each step's tape zeroes and fills it
+    grad, grad_views = dc.pack(adjacency)  # each step's tape zeroes and fills it
     optimizer = OPTIMIZERS[config.optimizer](config.learning_rate)
     history = []
     for step in range(config.steps):
-        tape = dc.Tape(grad_buffer=grad)
+        tape = dc.Tape(grad_buffer=(grad, grad_views))
         try:
             a = tape.params(flat, adjacency)["adjacency"]
             a_eff = causal.effective_adjacency(a, k, config.strict_mask)

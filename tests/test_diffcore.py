@@ -326,6 +326,20 @@ class TestPackedNorm:
             with pytest.raises(dc.ShapeError, match="one packed vector"):
                 dc.l2_norm(*xs)
 
+    @pytest.mark.parametrize("grad", [True, False], ids=["recording", "value_only"])
+    def test_permuted_or_repeated_inputs_are_rejected(self, grad):
+        # equal sizes, so each list below covers the vector's length
+        rng = np.random.default_rng(61)
+        tape = dc.Tape(grad=grad)
+        nodes = tape.params(*dc.pack({"p": rng.normal(size=(2, 3)),
+                                      "q": rng.normal(size=(3, 2))}))
+        p, q = nodes["p"], nodes["q"]
+        for xs in ([q, p], [p, p], [q, q]):
+            with pytest.raises(dc.ShapeError, match="in order"):
+                dc.l2_norm(*xs)
+        assert dc.l2_norm(p, q).value == pytest.approx(
+            np.sqrt(np.sum(p.value ** 2) + np.sum(q.value ** 2)))
+
 
 class TestHconcatRows:
     def test_concatenates_the_rows_and_routes_their_gradient(self):
@@ -333,19 +347,19 @@ class TestHconcatRows:
         a, b = rng.normal(size=(5, 3)), rng.normal(size=(5, 2))
         tape = dc.Tape()
         an, bn = tape.param("a", a), tape.param("b", b)
-        out = dc.hconcat(an, bn, 1, 4)
-        assert np.array_equal(out.value, np.hstack([a[1:4], b[1:4]]))
+        out = dc.hconcat(an, bn, 3)
+        assert np.array_equal(out.value, np.hstack([a[:3], b[:3]]))
         tape.backward(ref.sq_l2(out))
         for name, x in (("a", a), ("b", b)):
             expected = np.zeros_like(x)
-            expected[1:4] = 2.0 * x[1:4]
+            expected[:3] = 2.0 * x[:3]
             assert np.array_equal(tape.grad(name), expected), name
 
-    @pytest.mark.parametrize("rows", [(-1, 2), (3, 2), (0, 6)])
+    @pytest.mark.parametrize("rows", [-1, 6])
     def test_invalid_rows_rejected(self, rows):
         tape = dc.Tape()
         with pytest.raises(dc.ShapeError, match="invalid for shape"):
-            dc.hconcat(tape.constant(np.ones((5, 2))), tape.constant(np.ones((5, 1))), *rows)
+            dc.hconcat(tape.constant(np.ones((5, 2))), tape.constant(np.ones((5, 1))), rows)
 
 
 class TestWeightedSum:
@@ -515,8 +529,10 @@ class TestPackedParams:
 
     def test_grads_are_views_of_the_flat_buffer(self):
         flat, views = self.packed()
-        buffer = np.full_like(flat, np.nan)   # the tape zeroes it
-        tape = dc.Tape(grad_buffer=buffer)
+        # the tape zeroes the buffer
+        buffer, buffer_views = dc.pack({name: np.full(v.shape, np.nan)
+                                        for name, v in views.items()})
+        tape = dc.Tape(grad_buffer=(buffer, buffer_views))
         nodes = tape.params(flat, views)
         loss = dc.weighted_sum([ref.sq_l2(dc.matmul(nodes["w"], nodes["a"])),
                                 ref.l1(nodes["b"])], [1.0, 0.5])
@@ -566,7 +582,7 @@ class TestPackedParams:
     def test_buffer_of_another_shape_is_rejected(self):
         flat, views = self.packed()
         with pytest.raises(dc.ShapeError, match="grad_buffer"):
-            dc.Tape(grad_buffer=np.zeros(flat.size + 1)).params(flat, views)
+            dc.Tape(grad_buffer=dc.pack({**views, "c": np.zeros(1)})).params(flat, views)
 
     def test_a_views_pair_is_used_as_given(self):
         flat, views = self.packed()
@@ -584,11 +600,15 @@ class TestPackedParams:
         other["b"] = other["b"].reshape(1, 2)
         with pytest.raises(dc.ShapeError, match="grad_buffer views"):
             dc.Tape(grad_buffer=dc.pack(other)).params(flat, views)
+        buffer, buffer_views = dc.pack(views)
+        buffer_views["a"] = buffer_views["a"].copy()   # not a view of the buffer
+        with pytest.raises(dc.ShapeError, match="grad_buffer views"):
+            dc.Tape(grad_buffer=(buffer, buffer_views)).params(flat, views)
 
     def test_backward_zeroes_the_buffer_a_forward_node_used(self):
         flat, views = self.packed()
-        buffer = np.empty_like(flat)
-        tape = dc.Tape(grad_buffer=buffer)
+        buffer, buffer_views = dc.pack(views)
+        tape = dc.Tape(grad_buffer=(buffer, buffer_views))
         nodes = tape.params(flat, views)
         norm = dc.l2_norm(*nodes.values())
         assert np.array_equal(buffer, flat * flat)   # the norm's squares
