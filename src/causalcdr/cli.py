@@ -26,7 +26,7 @@ from typing import get_args, get_type_hints
 
 import numpy as np
 
-from . import causal, data, evaluation, gradcheck, matrixio, model, training
+from . import causal, data, diffcore as dc, evaluation, gradcheck, matrixio, model, training
 from .data import TARGET
 
 
@@ -312,7 +312,7 @@ def evaluate_seed(config: ExperimentConfig, dataset, split, seed: int,
         raise StageFailure("evaluate", FileNotFoundError(
             f"no checkpoint {checkpoint}; train seed {seed} first"))
     params = model.ModelParams.load(checkpoint)
-    # an id beyond the checkpoint's tables would reach gather_cols as a ShapeError
+    # an id beyond the checkpoint's tables would reach scoring as a ShapeError
     lists, dims = split.eval_candidates, params.dims
     for what, ids, size in (("user", lists.users, dims.n_users),
                             ("target item", lists.items, dims.n_target_items)):
@@ -323,8 +323,14 @@ def evaluate_seed(config: ExperimentConfig, dataset, split, seed: int,
                 f"hold {what} id {largest}"))
     adjacency = (None if config.train.ablation == "no_causal"
                  else params.effective_adjacency_matrix())
-    return _score_seed(config, params, adjacency, split, seed_dir,
-                       _meta(config_hash(config), seed))
+    try:
+        # the finite checks name an overflow; numpy need not warn of it too
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _score_seed(config, params, adjacency, split, seed_dir,
+                               _meta(config_hash(config), seed))
+    except dc.NonFiniteError as exc:
+        raise StageFailure("evaluate", ValueError(
+            f"{checkpoint} cannot score the split's test lists: {exc}")) from None
 
 
 def write_report(config: ExperimentConfig, runs: list, out: Path,

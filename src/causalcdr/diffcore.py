@@ -1,18 +1,19 @@
 """Reverse-mode gradient engine over dense float64 matrices.
 
-Supplies the primitives that the joint recommendation loss, candidate
-scoring and the discriminator probe run: matrix products, the elementwise
-product, concatenation and contiguous blocks, column gathers, ReLU, the
-joint L2 norm of a packed parameter vector, a weighted sum and the
-trace-exponential acyclicity scalar. Seven fused nodes each equal a
-fixed chain of primitives bit for bit: the causal reconstruction, the
-causal penalties' weighted fold, the domain discriminator, the gated
-softmax head, and the training step's per-domain encoder, per-domain
-interaction loss and adversarial domain loss. The chains themselves
-live in the tests as references. A tape records operations in execution
-order; the backward pass replays them in reverse and accumulates exact
-analytic gradients. Parameters are packed into one vector (see pack) and
-registered in one call; their gradients are views of one flat buffer.
+Supplies the primitives that the joint recommendation loss runs: the
+elementwise product, a weighted sum, concatenation and contiguous blocks,
+the joint L2 norm of a packed parameter vector and the trace-exponential
+acyclicity scalar. Five fused nodes each equal a fixed chain of primitives
+bit for bit: the causal reconstruction, the causal penalties' weighted
+fold, and the training step's per-domain encoder, per-domain interaction
+loss and adversarial domain loss. The chains themselves live in the tests
+as references. Candidate scoring and the discriminator probe run the
+forward arithmetic of the encoder, interaction and domain-loss nodes
+through the same private helpers, without recording a node. A tape
+records operations in execution order; the backward pass replays them in
+reverse and accumulates exact analytic gradients. Parameters are packed
+into one vector (see pack) and registered in one call; their gradients
+are views of one flat buffer.
 
 The engine holds no global state and draws no randomness; a Tape is
 single-use and confined to one thread.
@@ -115,9 +116,10 @@ class Tape:
     them as scratch.
 
     Tape(grad=False) is a value-only tape for forward passes that need no
-    gradient (scoring, probes): it keeps no record and no parameter node,
-    so its nodes are freed as soon as the caller drops them, and its
-    backward() raises.
+    gradient (scoring and the probe register their parameters on one,
+    and the gradient check evaluates losses on one): it keeps no record
+    and no parameter node, so its nodes are freed as soon as the caller
+    drops them, and its backward() raises.
     """
 
     def __init__(self, grad: bool = True,
@@ -305,49 +307,7 @@ def _fold(values: Sequence, weights: Sequence[float]):
 
 
 # ---------------------------------------------------------------------------
-# products
-
-def matmul(a: Node, b: Node) -> Node:
-    if a.value.ndim != 2 or b.value.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: shapes {a.shape} and {b.shape} incompatible")
-    tape = _tape_of(a, b)
-
-    def backward(g):
-        if a.op != "const":
-            _accum(a, g @ b.value.T)
-        if b.op != "const":
-            _accum(b, a.value.T @ g)
-
-    return tape.record("matmul", a.value @ b.value, backward)
-
-
-def matmul_t(a: Node, b: Node) -> Node:
-    """a.T @ b without materialising a transpose node."""
-    if a.value.ndim != 2 or b.value.ndim != 2 or a.shape[0] != b.shape[0]:
-        raise ShapeError(f"matmul_t: shapes {a.shape} and {b.shape} incompatible")
-    tape = _tape_of(a, b)
-
-    def backward(g):
-        if a.op != "const":
-            _accum(a, b.value @ g.T)
-        if b.op != "const":
-            _accum(b, a.value @ g)
-
-    return tape.record("matmul_t", a.value.T @ b.value, backward)
-
-
-def gather_cols(w: Node, indices) -> Node:
-    """Select columns of w; the one-hot product of an embedding lookup.
-
-    Repeated indices are allowed; their gradients accumulate.
-    """
-    idx = _column_indices("gather_cols", w, indices)
-
-    def backward(g):
-        np.add.at(_grad(w), (slice(None), idx), g)
-
-    return w.tape.record("gather_cols", w.value[:, idx], backward)
-
+# structure: column indices, concatenation and contiguous blocks
 
 def _column_indices(op: str, w: Node, indices) -> np.ndarray:
     idx = np.asarray(indices, dtype=np.intp)
@@ -358,25 +318,6 @@ def _column_indices(op: str, w: Node, indices) -> np.ndarray:
     if idx.size and (idx.min() < 0 or idx.max() >= w.shape[1]):
         raise ShapeError(f"{op}: index out of range for {w.shape[1]} columns")
     return idx
-
-
-# ---------------------------------------------------------------------------
-# structure: concatenation and contiguous blocks
-
-def vconcat(a: Node, b: Node) -> Node:
-    """Concatenate along axis 0: vectors end to end, matrices row-stacked."""
-    if a.value.ndim != b.value.ndim:
-        raise ShapeError(f"vconcat: ranks {a.value.ndim} and {b.value.ndim} differ")
-    if a.value.ndim == 2 and a.shape[1] != b.shape[1]:
-        raise ShapeError(f"vconcat: column counts {a.shape} vs {b.shape} differ")
-    tape = _tape_of(a, b)
-    split = a.shape[0]
-
-    def backward(g):
-        _accum(a, g[:split])
-        _accum(b, g[split:])
-
-    return tape.record("vconcat", np.concatenate([a.value, b.value], axis=0), backward)
 
 
 def hconcat(a: Node, b: Node, rows: int | None = None) -> Node:
@@ -413,16 +354,7 @@ def block(x: Node, r0: int, r1: int, c0: int, c1: int) -> Node:
 
 
 # ---------------------------------------------------------------------------
-# nonlinearities, losses and the parameter norm
-
-def relu(x: Node) -> Node:
-    mask = x.value > 0
-
-    def backward(g):
-        _accum(x, g * mask)
-
-    return x.tape.record("relu", np.maximum(x.value, 0.0), backward)
-
+# the two-way softmax, losses and the parameter norm
 
 def _softmax_pair(z: np.ndarray) -> np.ndarray:
     """Softmax over exactly two entries: shape (2,) or (2, batch), axis 0."""
@@ -609,6 +541,12 @@ def acyclicity_term(a: Node) -> Node:
 # block of E; a block the chain copies (block, vconcat) is copied to C
 # order here too, and row blocks of C-ordered E or of a C-ordered
 # gradient have the strides of the chain's own C-ordered arrays.
+#
+# The forward arithmetic of encode, head and domain_bce lives in private
+# helpers that return arrays (_encode_forward, _fuse, _gated_softmax and
+# _layers). Candidate scoring and the discriminator probe run the same
+# helpers on the parameters of a value-only tape, so they round exactly as
+# a training step does and record no node.
 
 def reconstruction(a: Node, h: Node) -> Node:
     """sum((h - a.T @ h) ** 2) / N over the N columns of h: the chain
@@ -676,12 +614,19 @@ def _require_product(op: str, w: Node, x: Node) -> None:
         raise ShapeError(f"{op}: shapes {w.shape} and {x.shape} incompatible")
 
 
-def _layers(op: str, x_in: np.ndarray, w1: Node, w2: Node, w3: Node):
-    """sigmoid(w3 @ relu(w2 @ relu(w1 @ x_in))) and its backward, which
-    takes g at the outputs, adds into w3, w2 and w1 and returns the
-    gradient at x_in."""
+def _layers(op: str, source: np.ndarray, target: np.ndarray, w1: Node, w2: Node,
+            w3: Node):
+    """The discriminator sigmoid(w3 @ relu(z2)), z2 = w2 @ relu(z1) and
+    z1 = w1 @ x, on x = the rows k:2k of two encode outputs side by side,
+    source's columns first, k being w1's column count.
+
+    Returns the outputs, (z1, z2) and the backward, which takes g at the
+    outputs, adds into w3, w2 and w1 and returns the gradient at x.
+    """
     _require_product(op, w2, w1)
     _require_product(op, w3, w2)
+    k = w1.shape[1]
+    x_in = np.concatenate([source[k:2 * k], target[k:2 * k]], axis=1)
     z1 = w1.value @ x_in
     _check_finite(op, z1)
     h1 = np.maximum(z1, 0.0)
@@ -701,39 +646,20 @@ def _layers(op: str, x_in: np.ndarray, w1: Node, w2: Node, w3: Node):
         _accum(w1, g1 @ x_in.T)
         return w1.value.T @ g1
 
-    return out, backward
-
-
-def _grl_scale(op: str, grl_scale: float) -> float:
-    lam = float(grl_scale)
-    if lam < 0:
-        raise ValueError(f"{op}: grl_scale must be >= 0, got {lam}")
-    return lam
-
-
-def discriminator(x: Node, w1: Node, w2: Node, w3: Node, grl_scale: float) -> Node:
-    """sigmoid(w3 @ relu(w2 @ relu(w1 @ grad_reverse(x, grl_scale)))): two
-    ReLU layers and sigmoid outputs behind a gradient-reversal node."""
-    lam = _grl_scale("discriminator", grl_scale)
-    _require_product("discriminator", w1, x)
-    tape = _tape_of(x, w1, w2, w3)
-    x_in = np.ascontiguousarray(x.value)   # C order, like the reversal node's copy
-    out, layers_backward = _layers("discriminator", x_in, w1, w2, w3)
-
-    def backward(g):
-        _accum(x, -lam * layers_backward(g))
-
-    return tape.record("discriminator", out, backward)
+    return out, (z1, z2), backward
 
 
 def domain_bce(source: Node, target: Node, w1: Node, w2: Node, w3: Node,
                grl_scale: float) -> Node:
     """The adversarial domain loss over two encode outputs: the chain
-    bce_sum(discriminator(hconcat(block(source, k, 2k), block(target, k,
-    2k)), w1, w2, w3, grl_scale), labels), k being w1's column count.
-    The labels are one-hot per column: unit 0 for source's columns,
-    unit 1 for target's (model.DOMAIN_LABEL_UNIT)."""
-    lam = _grl_scale("domain_bce", grl_scale)
+    bce_sum(sigmoid(matmul(w3, relu(matmul(w2, relu(matmul(w1,
+    grad_reverse(x, grl_scale))))))), labels) on x = hconcat(block(source,
+    k, 2k), block(target, k, 2k)), k being w1's column count. The labels
+    are one-hot per column: unit 0 for source's columns, unit 1 for
+    target's (model.DOMAIN_LABEL_UNIT)."""
+    lam = float(grl_scale)
+    if lam < 0:
+        raise ValueError(f"domain_bce: grl_scale must be >= 0, got {lam}")
     k = w1.shape[1]
     if (source.value.ndim != 2 or target.value.ndim != 2 or source.shape[0] < 2 * k
             or target.shape[0] < 2 * k):
@@ -741,8 +667,7 @@ def domain_bce(source: Node, target: Node, w1: Node, w2: Node, w3: Node,
                          f"lack rows {k}:{2 * k}")
     tape = _tape_of(source, target, w1, w2, w3)
     split = source.shape[1]
-    x_in = np.concatenate([source.value[k:2 * k], target.value[k:2 * k]], axis=1)
-    out, layers_backward = _layers("domain_bce", x_in, w1, w2, w3)
+    out, _, layers_backward = _layers("domain_bce", source.value, target.value, w1, w2, w3)
     labels = np.zeros(out.shape)
     labels[0, :split] = 1.0
     labels[1, split:] = 1.0
@@ -778,19 +703,21 @@ def _gated_softmax(op: str, w: Node, f: np.ndarray, e: np.ndarray):
     return p, backward
 
 
-def gate(w: Node, f: Node, e: Node) -> Node:
-    """Row 1 of the two-way softmax of w @ (f * e) for a 2-row w: the
-    chain block(softmax_pair(matmul(w, mul(f, e))), 1, 2, 0, n)."""
-    _require_same_shape("gate", f, e)
-    tape = _tape_of(w, f, e)
-    p, gate_backward = _gated_softmax("gate", w, f.value, e.value)
-
-    def backward(g):
-        g_f, g_e = gate_backward(g)
-        _accum(f, g_f)
-        _accum(e, g_e)
-
-    return tape.record("gate", p[1:2].copy(), backward)
+def _encode_forward(table: Node, users, shared: Node, specific: Node):
+    """encode's forward: (idx, u, z, E) for the column indices idx of
+    users, u = table[:, idx] as the gather makes it, z = shared @ u and
+    E = [u; relu(z); specific @ u]. z and E are checked finite."""
+    idx = _column_indices("encode", table, users)
+    k = table.shape[0]
+    if shared.shape != (k, k) or specific.shape != (k, k):
+        raise ShapeError(f"encode: maps of shapes {shared.shape} and {specific.shape} "
+                         f"for {k} attributes")
+    att = table.value[:, idx]
+    z = shared.value @ att
+    _check_finite("encode", z)
+    value = np.concatenate([att, np.maximum(z, 0.0), specific.value @ att], axis=0)
+    _check_finite("encode", value)
+    return idx, att, z, value
 
 
 def encode(table: Node, users, shared: Node, specific: Node) -> tuple[Node, np.ndarray]:
@@ -803,17 +730,10 @@ def encode(table: Node, users, shared: Node, specific: Node) -> tuple[Node, np.n
     rows 0:k hold, the shared then the specific path, and gathers the
     sum into table's columns.
     """
-    idx = _column_indices("encode", table, users)
-    k = table.shape[0]
-    if shared.shape != (k, k) or specific.shape != (k, k):
-        raise ShapeError(f"encode: maps of shapes {shared.shape} and {specific.shape} "
-                         f"for {k} attributes")
     tape = _tape_of(table, shared, specific)
-    att = table.value[:, idx]
-    z = shared.value @ att
-    _check_finite("encode", z)
+    idx, att, z, value = _encode_forward(table, users, shared, specific)
+    k = table.shape[0]
     mask = z > 0
-    value = np.concatenate([att, np.maximum(z, 0.0), specific.value @ att], axis=0)
 
     def backward(g):
         g_att = g[:k]
@@ -828,13 +748,36 @@ def encode(table: Node, users, shared: Node, specific: Node) -> tuple[Node, np.n
     return tape.record("encode", value, backward), att
 
 
+def _fuse(att: np.ndarray, specific: np.ndarray, a_pref: np.ndarray | None,
+          fusion: np.ndarray):
+    """head's user side: (w, v, w @ v), the fused preference of the
+    domain-specific preference specific and the causal-invariant one
+    a_pref.T @ att, for v = [specific; a_pref.T @ att] and w = fusion.
+    a_pref None (the no-causal ablation) fuses specific alone: v =
+    specific and w a copy of fusion's left k columns, the block node's
+    copy. The causal preference and the product are checked finite."""
+    k = att.shape[0]
+    if a_pref is None:
+        w = fusion[:, :k].copy()
+        v = specific
+    else:
+        causal = a_pref.T @ att
+        _check_finite("head", causal)
+        w = fusion
+        v = np.concatenate([specific, causal], axis=0)
+    fused = w @ v
+    _check_finite("head", fused)
+    return w, v, fused
+
+
 def head(e: Node, att: np.ndarray, a_pref: Node | None, fusion: Node, table: Node,
          items, predictor: Node, labels) -> Node:
     """One domain's interaction loss on an encode output e and its u =
-    att: the chain bce_sum(gate(predictor, matmul(fusion, vconcat(s,
-    matmul_t(a_pref, u))), gather_cols(table, items)), labels), s being
-    e's rows 2k:3k. a_pref None (the no-causal ablation) fuses s alone,
-    through matmul(block(fusion, 0, k, 0, k), s).
+    att: the chain bce_sum(block(softmax_pair(matmul(predictor, mul(f,
+    gather_cols(table, items)))), 1, 2, 0, n), labels) for the fused
+    preference f = matmul(fusion, vconcat(s, matmul_t(a_pref, u))), s
+    being e's rows 2k:3k. a_pref None (the no-causal ablation) fuses s
+    alone, through matmul(block(fusion, 0, k, 0, k), s).
 
     Backward adds into e's rows 2k:3k, then table's columns, then a_pref
     and e's rows 0:k.
@@ -847,17 +790,8 @@ def head(e: Node, att: np.ndarray, a_pref: Node | None, fusion: Node, table: Nod
                          f"incompatible for {idx.size} items")
     tape = _tape_of(e, fusion, table, predictor, *([] if a_pref is None else [a_pref]))
     t = _as_array(labels).reshape(1, n)
-    specific = e.value[2 * k:]
-    if a_pref is None:
-        w = fusion.value[:, :k].copy()   # the block node's copy
-        v = specific
-    else:
-        causal = a_pref.value.T @ att
-        _check_finite("head", causal)
-        w = fusion.value
-        v = np.concatenate([specific, causal], axis=0)
-    fused = w @ v
-    _check_finite("head", fused)
+    w, v, fused = _fuse(att, e.value[2 * k:], None if a_pref is None else a_pref.value,
+                        fusion.value)
     item = table.value[:, idx]
     p, gate_backward = _gated_softmax("head", predictor, fused, item)
     pc, value = _bce(p[1:2], t)

@@ -52,27 +52,21 @@ KINK_MARGIN = 1e-3  # ReLU pre-activations must clear this distance from 0
 CHECK_LAMBDA_REG = 1e-3
 
 
-def _min_relu_preactivation(params: model.ModelParams, batches) -> float:
-    """Smallest |pre-activation| over every ReLU site the toy loss hits;
-    a central difference that crosses a kink would corrupt the check."""
-    m = params.matrices
-    closest = np.inf
-    shared = []
-    for domain, batch in batches:
-        suffix = "_s" if domain == "source" else "_t"
-        u_att = m["user_att" + suffix][:, batch.users]
-        pre = m["shared_encoder"] @ u_att
-        closest = min(closest, np.abs(pre).min())
-        shared.append(np.maximum(pre, 0.0))
-    both = np.concatenate(shared, axis=1)
-    h1_pre = m["disc_h1"] @ both
-    nonzero = np.abs(h1_pre[h1_pre != 0])
-    if nonzero.size:
-        closest = min(closest, nonzero.min())
-    h2_pre = m["disc_h2"] @ np.maximum(h1_pre, 0.0)
-    nonzero = np.abs(h2_pre[h2_pre != 0])
-    if nonzero.size:
-        closest = min(closest, nonzero.min())
+def _min_relu_preactivation(params: model.ModelParams, target: model.Batch,
+                            source: model.Batch) -> float:
+    """Smallest |pre-activation| over every ReLU site the toy loss hits,
+    read from the forward helpers of dc.encode and dc.domain_bce; a
+    central difference that crosses a kink would corrupt the check."""
+    nodes = params.register(dc.Tape(grad=False))
+    encoded = [model.encode_users(nodes, domain, batch.users)
+               for domain, batch in (("source", source), ("target", target))]
+    closest = min(np.abs(z).min() for _, z, _ in encoded)
+    _, hidden, _ = dc._layers("domain_bce", encoded[0][2], encoded[1][2], nodes["disc_h1"],
+                              nodes["disc_h2"], nodes["disc_out"])
+    for pre in hidden:
+        nonzero = np.abs(pre[pre != 0])
+        if nonzero.size:
+            closest = min(closest, nonzero.min())
     return float(closest)
 
 
@@ -101,8 +95,7 @@ def toy_instance(seed: int):
         params.matrices["adjacency"][...] = (
             rng.uniform(0.05, 0.2, size=(2 * k, 2 * k))
             * rng.choice([-1.0, 1.0], size=(2 * k, 2 * k)))
-        margin = _min_relu_preactivation(params, [("target", target),
-                                                  ("source", source)])
+        margin = _min_relu_preactivation(params, target, source)
         if margin > KINK_MARGIN:
             return params, target, source
     raise RuntimeError("could not find a kink-free toy initialization")

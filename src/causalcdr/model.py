@@ -10,9 +10,10 @@ item embedding, and reads an interaction probability off a two-way
 softmax head.
 
 Forward paths run on column batches: a batch of n examples is a k x n
-matrix, one column per example. Candidate scoring and the discriminator
-probe run the single-purpose functions below on a value-only tape; a
-training step runs the same math as fused diffcore nodes (total_loss).
+matrix, one column per example. A training step runs the model as fused
+diffcore nodes (total_loss); candidate scoring and the discriminator
+probe run those nodes' forward helpers on the parameters of a value-only
+tape, so the model's math is written once.
 """
 
 from __future__ import annotations
@@ -188,74 +189,36 @@ def _suffix(domain: str) -> str:
     return "_s" if domain == "source" else "_t"
 
 
-# ---------------------------------------------------------------------------
-# single-purpose encoders (column-batch nodes throughout)
-
-def embed_item(nodes: dict, domain: str, items) -> Node:
-    return dc.gather_cols(nodes["item_emb" + _suffix(domain)],
-                          np.atleast_1d(items))
-
-
-def embed_user_attributes(nodes: dict, domain: str, users) -> Node:
-    return dc.gather_cols(nodes["user_att" + _suffix(domain)],
-                          np.atleast_1d(users))
-
-
-def encode_domain_specific(nodes: dict, domain: str, u_att: Node) -> Node:
-    return dc.matmul(nodes["user_map" + _suffix(domain)], u_att)
-
-
-def encode_domain_shared(nodes: dict, u_att: Node) -> Node:
-    return dc.relu(dc.matmul(nodes["shared_encoder"], u_att))
-
-
-def discriminate(nodes: dict, u_shared: Node, grl_scale: float) -> Node:
-    """Domain probabilities from the shared preference, behind the
-    gradient-reversal node; unit 0 is source, unit 1 is target. One
-    dc.discriminator node."""
-    return dc.discriminator(u_shared, nodes["disc_h1"], nodes["disc_h2"],
-                            nodes["disc_out"], grl_scale)
-
-
-def fuse(nodes: dict, domain: str, u_specific: Node, u_causal: Node | None) -> Node:
-    """Fused user preference from the domain-specific and causal-invariant
-    preferences. u_causal None (the no-causal ablation) fuses u_specific
-    with the left k columns of fusion_* alone, the ones that read it."""
-    fusion = nodes["fusion" + _suffix(domain)]
-    if u_causal is None:
-        k = u_specific.shape[0]
-        return dc.matmul(dc.block(fusion, 0, fusion.shape[0], 0, k), u_specific)
-    return dc.matmul(fusion, dc.vconcat(u_specific, u_causal))
-
-
-def gate(nodes: dict, domain: str, fused: Node, item_emb: Node) -> Node:
-    """Interaction probability: gate the fused preference by the item
-    embedding, softmax the two logits, keep the interacted unit. One
-    dc.gate node."""
-    return dc.gate(nodes["predictor" + _suffix(domain)], fused, item_emb)
-
-
-def _causal_preference(a_pref: Node | None, u_att: Node) -> Node | None:
-    """Causal-invariant preference from the attribute->preference block
-    (causal.preference_block); None in the no-causal ablation."""
-    return None if a_pref is None else dc.matmul_t(a_pref, u_att)
+def encode_users(nodes: dict, domain: str, users) -> tuple:
+    """dc.encode's forward for one domain's users, recording no node:
+    (u, shared @ u, E) for their attribute columns u."""
+    suffix = _suffix(domain)
+    _, att, z, e = dc._encode_forward(nodes["user_att" + suffix], users,
+                                      nodes["shared_encoder"], nodes["user_map" + suffix])
+    return att, z, e
 
 
 def score_candidates(nodes: dict, users, items, a_pref: Node | None) -> np.ndarray:
     """Target-domain interaction probabilities for a block of candidate
-    lists: users (L,) and items (L, n) give scores (L, n). The user side
-    runs once per list; gather_cols then repeats each fused preference
-    across the list's n items. Meant for a value-only tape; a_pref is the
-    attribute->preference block (causal.preference_block), None scoring
-    the no-causal variant."""
+    lists: users (L,) and items (L, n) give scores (L, n). The forward of
+    dc.encode and dc.head's user side runs once per list; each fused
+    preference is then repeated across the list's n items and gated by
+    the item embeddings as in dc.head. Meant for a value-only tape; a_pref
+    is the attribute->preference block (causal.preference_block), None
+    scoring the no-causal variant."""
     items = np.asarray(items)
     n_lists, per_list = items.shape
-    u_att = embed_user_attributes(nodes, "target", users)
-    u_specific = encode_domain_specific(nodes, "target", u_att)
-    fused = fuse(nodes, "target", u_specific, _causal_preference(a_pref, u_att))
-    fused = dc.gather_cols(fused, np.repeat(np.arange(n_lists), per_list))
-    probs = gate(nodes, "target", fused, embed_item(nodes, "target", items.ravel()))
-    return probs.value.reshape(n_lists, per_list)
+    att, _, e = encode_users(nodes, "target", users)
+    k, n_users = att.shape
+    if n_users != n_lists:
+        raise dc.ShapeError(f"score_candidates: {n_users} users for {n_lists} lists")
+    _, _, fused = dc._fuse(att, e[2 * k:], None if a_pref is None else a_pref.value,
+                           nodes["fusion_t"].value)
+    fused = fused[:, np.repeat(np.arange(n_lists), per_list)]
+    table = nodes["item_emb_t"]
+    item = table.value[:, dc._column_indices("head", table, items.ravel())]
+    p, _ = dc._gated_softmax("head", nodes["predictor_t"], fused, item)
+    return p[1].reshape(n_lists, per_list)
 
 
 def _domain_step(nodes: dict, domain: str, batch: Batch,

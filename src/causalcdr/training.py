@@ -184,15 +184,15 @@ class ProbeResult:
 def discriminator_probe(params: model.ModelParams) -> ProbeResult:
     """Classify the shared preference of every user from each domain by
     discriminator argmax (ties to the source unit) and score against the
-    true domain labels; the set is balanced by construction."""
+    true domain labels; the set is balanced by construction. Runs the
+    forward of dc.domain_bce on both domains' encode outputs, source
+    first, recording no node."""
     users = np.arange(params.dims.n_users)
     nodes = params.register(dc.Tape(grad=False))
-    shared = dc.hconcat(
-        model.encode_domain_shared(
-            nodes, model.embed_user_attributes(nodes, SOURCE, users)),
-        model.encode_domain_shared(
-            nodes, model.embed_user_attributes(nodes, TARGET, users)))
-    lhat = model.discriminate(nodes, shared, grl_scale=0.0).value
+    source, target = (model.encode_users(nodes, domain, users)[2]
+                      for domain in (SOURCE, TARGET))
+    lhat, _, _ = dc._layers("discriminator", source, target, nodes["disc_h1"],
+                            nodes["disc_h2"], nodes["disc_out"])
     predicted = (lhat[1] > lhat[0]).astype(int)
     truth = np.concatenate([np.zeros(len(users), dtype=int),
                             np.ones(len(users), dtype=int)])

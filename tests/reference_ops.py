@@ -1,11 +1,13 @@
 """Primitive chains that the fused tape nodes of causalcdr replace.
 
 Only the tests use this module. Each fused node in causalcdr.diffcore
-must equal its chain here bit for bit, in value and in every gradient,
-and total_loss below is the training step as primitive nodes: the
-reference that model.total_loss is compared against. Under pytest's
-default import mode the tests directory is on sys.path, so test modules
-import this one as reference_ops.
+must equal its chain here bit for bit, in value and in every gradient.
+total_loss below is the training step as primitive nodes: the reference
+that model.total_loss is compared against. score_candidates and
+probe_outputs are the chains that candidate scoring and the
+discriminator probe must equal byte for byte. Under pytest's default
+import mode the tests directory is on sys.path, so test modules import
+this one as reference_ops.
 """
 
 from __future__ import annotations
@@ -20,6 +22,73 @@ from causalcdr.diffcore import Node, _accum, _require_same_shape, _tape_of
 
 # ---------------------------------------------------------------------------
 # primitives
+
+def matmul(a: Node, b: Node) -> Node:
+    if a.value.ndim != 2 or b.value.ndim != 2 or a.shape[1] != b.shape[0]:
+        raise dc.ShapeError(f"matmul: shapes {a.shape} and {b.shape} incompatible")
+    tape = _tape_of(a, b)
+
+    def backward(g):
+        if a.op != "const":
+            _accum(a, g @ b.value.T)
+        if b.op != "const":
+            _accum(b, a.value.T @ g)
+
+    return tape.record("matmul", a.value @ b.value, backward)
+
+
+def matmul_t(a: Node, b: Node) -> Node:
+    """a.T @ b without materialising a transpose node."""
+    if a.value.ndim != 2 or b.value.ndim != 2 or a.shape[0] != b.shape[0]:
+        raise dc.ShapeError(f"matmul_t: shapes {a.shape} and {b.shape} incompatible")
+    tape = _tape_of(a, b)
+
+    def backward(g):
+        if a.op != "const":
+            _accum(a, b.value @ g.T)
+        if b.op != "const":
+            _accum(b, a.value @ g)
+
+    return tape.record("matmul_t", a.value.T @ b.value, backward)
+
+
+def gather_cols(w: Node, indices) -> Node:
+    """Select columns of w; the one-hot product of an embedding lookup.
+
+    Repeated indices are allowed; their gradients accumulate.
+    """
+    idx = dc._column_indices("gather_cols", w, indices)
+
+    def backward(g):
+        np.add.at(dc._grad(w), (slice(None), idx), g)
+
+    return w.tape.record("gather_cols", w.value[:, idx], backward)
+
+
+def vconcat(a: Node, b: Node) -> Node:
+    """Concatenate along axis 0: vectors end to end, matrices row-stacked."""
+    if a.value.ndim != b.value.ndim:
+        raise dc.ShapeError(f"vconcat: ranks {a.value.ndim} and {b.value.ndim} differ")
+    if a.value.ndim == 2 and a.shape[1] != b.shape[1]:
+        raise dc.ShapeError(f"vconcat: column counts {a.shape} vs {b.shape} differ")
+    tape = _tape_of(a, b)
+    split = a.shape[0]
+
+    def backward(g):
+        _accum(a, g[:split])
+        _accum(b, g[split:])
+
+    return tape.record("vconcat", np.concatenate([a.value, b.value], axis=0), backward)
+
+
+def relu(x: Node) -> Node:
+    mask = x.value > 0
+
+    def backward(g):
+        _accum(x, g * mask)
+
+    return x.tape.record("relu", np.maximum(x.value, 0.0), backward)
+
 
 def sub(a: Node, b: Node) -> Node:
     _require_same_shape("sub", a, b)
@@ -180,6 +249,40 @@ def interaction_loss(probs: Node, labels) -> Node:
     return bce_sum(probs, np.asarray(labels, dtype=np.float64).reshape(probs.shape))
 
 
+def _suffix(domain: str) -> str:
+    return "_s" if domain == "source" else "_t"
+
+
+def discriminate(nodes: dict, u_shared: Node, grl_scale: float) -> Node:
+    """Domain probabilities from the shared preference behind the
+    gradient-reversal node; unit 0 is source, unit 1 is target."""
+    reversed_in = grad_reverse(u_shared, grl_scale)
+    hidden1 = relu(matmul(nodes["disc_h1"], reversed_in))
+    hidden2 = relu(matmul(nodes["disc_h2"], hidden1))
+    return sigmoid(matmul(nodes["disc_out"], hidden2))
+
+
+def gate(nodes: dict, domain: str, fused: Node, item_emb: Node) -> Node:
+    """Interaction probability: gate the fused preference by the item
+    embedding, softmax the two logits, keep the interacted unit."""
+    logits = matmul(nodes["predictor" + _suffix(domain)], dc.mul(fused, item_emb))
+    return dc.block(softmax_pair(logits), 1, 2, 0, logits.shape[1])
+
+
+def fuse(nodes: dict, domain: str, u_specific: Node, u_causal: Node | None) -> Node:
+    """Fused user preference; u_causal None (the no-causal ablation) fuses
+    u_specific with the left k columns of fusion_* alone."""
+    fusion = nodes["fusion" + _suffix(domain)]
+    if u_causal is None:
+        k = u_specific.shape[0]
+        return matmul(dc.block(fusion, 0, fusion.shape[0], 0, k), u_specific)
+    return matmul(fusion, vconcat(u_specific, u_causal))
+
+
+def causal_preference(a_pref: Node | None, u_att: Node) -> Node | None:
+    return None if a_pref is None else matmul_t(a_pref, u_att)
+
+
 @dataclass
 class ForwardArtifacts:
     u_att: Node
@@ -190,8 +293,7 @@ class ForwardArtifacts:
 def predict(nodes: dict, domain: str, u_specific: Node, u_causal: Node | None,
             item_emb: Node) -> Node:
     """Interaction probability of each (user preference, item) column."""
-    return model.gate(nodes, domain, model.fuse(nodes, domain, u_specific, u_causal),
-                      item_emb)
+    return gate(nodes, domain, fuse(nodes, domain, u_specific, u_causal), item_emb)
 
 
 def forward_batch(nodes: dict, domain: str, batch: model.Batch,
@@ -199,22 +301,44 @@ def forward_batch(nodes: dict, domain: str, batch: model.Batch,
     """Full prediction path for one domain; a_pref is the
     attribute->preference block (causal.preference_block), or None for
     the no-causal ablation."""
-    u_att = model.embed_user_attributes(nodes, domain, batch.users)
-    u_specific = model.encode_domain_specific(nodes, domain, u_att)
-    u_shared = model.encode_domain_shared(nodes, u_att)
-    u_causal = model._causal_preference(a_pref, u_att)
-    item_emb = model.embed_item(nodes, domain, batch.items)
+    suffix = _suffix(domain)
+    u_att = gather_cols(nodes["user_att" + suffix], batch.users)
+    u_specific = matmul(nodes["user_map" + suffix], u_att)
+    u_shared = relu(matmul(nodes["shared_encoder"], u_att))
+    u_causal = causal_preference(a_pref, u_att)
+    item_emb = gather_cols(nodes["item_emb" + suffix], batch.items)
     probs = predict(nodes, domain, u_specific, u_causal, item_emb)
     return ForwardArtifacts(u_att=u_att, u_shared=u_shared, probs=probs)
+
+
+def score_candidates(nodes: dict, users, items, a_pref: Node | None) -> np.ndarray:
+    """model.score_candidates as primitive nodes: the user side once per
+    list, then gather_cols repeats each fused preference across the list."""
+    items = np.asarray(items)
+    n_lists, per_list = items.shape
+    u_att = gather_cols(nodes["user_att_t"], users)
+    u_specific = matmul(nodes["user_map_t"], u_att)
+    fused = fuse(nodes, "target", u_specific, causal_preference(a_pref, u_att))
+    fused = gather_cols(fused, np.repeat(np.arange(n_lists), per_list))
+    probs = gate(nodes, "target", fused, gather_cols(nodes["item_emb_t"], items.ravel()))
+    return probs.value.reshape(n_lists, per_list)
+
+
+def probe_outputs(nodes: dict, n_users: int) -> np.ndarray:
+    """The discriminator outputs that training.discriminator_probe reads:
+    every user's shared preference, source domain first."""
+    users = np.arange(n_users)
+    shared = dc.hconcat(*(relu(matmul(nodes["shared_encoder"],
+                                      gather_cols(nodes["user_att" + suffix], users)))
+                          for suffix in ("_s", "_t")))
+    return discriminate(nodes, shared, 0.0).value
 
 
 def total_loss(tape: dc.Tape, params: model.ModelParams, target_batch: model.Batch,
                source_batch: model.Batch | None,
                config: model.LossConfig) -> tuple[Node, model.LossBreakdown]:
-    """model.total_loss as the chain it fuses: 33 nodes in a full step and
-    23 in a no-causal one. The discriminator and the gated head run
-    through model.discriminate and model.gate, so a test can replace
-    those in turn with their own primitive chains."""
+    """model.total_loss as the chain it fuses: 45 nodes in a full step and
+    35 in a no-causal one."""
     if len(target_batch) == 0:
         raise ValueError("target batch must be nonempty")
     if config.ablation != "no_source" and (source_batch is None or len(source_batch) == 0):
@@ -241,16 +365,16 @@ def total_loss(tape: dc.Tape, params: model.ModelParams, target_batch: model.Bat
         source_art = forward_batch(nodes, "source", source_batch, a_pref)
         loss_source = interaction_loss(source_art.probs, source_batch.labels)
         shared_all = dc.hconcat(source_art.u_shared, target_art.u_shared)
-        lhat = model.discriminate(nodes, shared_all, config.grl_scale)
+        lhat = discriminate(nodes, shared_all, config.grl_scale)
         loss_domain = domain_loss(
             lhat, ["source"] * len(source_batch) + ["target"] * len(target_batch))
 
     loss_causal = zero
     causal_terms = None
     if use_causal:
-        h = dc.vconcat(target_art.u_att, target_art.u_shared)
+        h = vconcat(target_art.u_att, target_art.u_shared)
         if source_art is not None:
-            h_source = dc.vconcat(source_art.u_att, source_art.u_shared)
+            h_source = vconcat(source_art.u_att, source_art.u_shared)
             h = dc.hconcat(h, h_source)
         loss_causal, causal_terms = causal.causal_loss(a_eff, h, k, config.penalty)
 

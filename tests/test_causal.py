@@ -21,7 +21,7 @@ def loss_value(a, h, k, weights=None):
 def reconstruct(a, h):
     """A^T H as the causal loss computes it: every node from its parents."""
     tape = dc.Tape(grad=False)
-    return dc.matmul_t(tape.constant(a), tape.constant(h)).value
+    return ref.matmul_t(tape.constant(a), tape.constant(h)).value
 
 
 class TestScmReconstruct:
@@ -174,7 +174,7 @@ def _add_n(nodes):
 
 
 def reference_causal_loss(a_eff, h, k, weights):
-    rec = ref.scale(ref.sq_l2(ref.sub(h, dc.matmul_t(a_eff, h))), 1.0 / h.shape[1])
+    rec = ref.scale(ref.sq_l2(ref.sub(h, ref.matmul_t(a_eff, h))), 1.0 / h.shape[1])
     dag = dc.acyclicity_term(a_eff)
     direction = ref.l1(dc.block(a_eff, k, 2 * k, 0, k))
     col_terms = []
@@ -200,7 +200,7 @@ def run_in_graph(loss_fn, a, h, k, weights):
     tape = dc.Tape()
     a_eff = causal.effective_adjacency(tape.param("a", a), k)
     h_node = tape.param("h", h)
-    upstream = dc.matmul_t(causal.preference_block(a_eff, k),
+    upstream = ref.matmul_t(causal.preference_block(a_eff, k),
                            dc.block(h_node, 0, k, 0, h.shape[1]))
     total, terms = loss_fn(a_eff, h_node, k, weights)
     tape.backward(dc.weighted_sum([ref.scale(total, 0.7), ref.sq_l2(upstream)], [1.0, 1.0]))
@@ -299,7 +299,7 @@ def infer(a, u, k):
     tape, as the model takes it: the attribute->preference block applied
     to u."""
     tape = dc.Tape(grad=False)
-    return dc.matmul_t(causal.preference_block(tape.constant(a), k),
+    return ref.matmul_t(causal.preference_block(tape.constant(a), k),
                        tape.constant(u)).value
 
 
@@ -344,11 +344,11 @@ class TestInferCausalPreference:
         a_eff = causal.effective_adjacency(tape.param("a", a), k)
         block = causal.preference_block(a_eff, k)
         assert np.array_equal(block.value, a[:k, k:])
-        out = dc.matmul_t(block, tape.constant(u))
+        out = ref.matmul_t(block, tape.constant(u))
         assert np.allclose(out.value, a[:k, k:].T @ u)
         assert np.array_equal(out.value, infer(a_eff.value, u, k))
         with pytest.raises(dc.ShapeError):
-            dc.matmul_t(block, tape.constant(u[:, 0]))
+            ref.matmul_t(block, tape.constant(u[:, 0]))
         with pytest.raises(dc.ShapeError, match="adjacency must be 6x6"):
             causal.preference_block(tape.constant(a[:, :k]), k)
 

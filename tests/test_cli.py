@@ -1,6 +1,7 @@
 import hashlib
 import shutil
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -705,6 +706,29 @@ class TestEvaluateStoredRun:
         assert "non-finite values in matrices disc_h1" in err
         assert digests(run) == before
 
+    @pytest.mark.parametrize("edits", [
+        # the domain-specific preference overflows
+        {"user_att_t": 1e308, "user_map_t": 10.0},
+        # logit 0 is -inf and logit 1 finite, so every score is a finite 1.0
+        {"user_att_t": 1.0, "user_map_t": np.eye(4), "fusion_t": np.eye(4, 8),
+         "adjacency": 0.0, "item_emb_t": 1.0,
+         "predictor_t": np.array([[-1e308] * 4, [1.0] * 4])},
+    ], ids=["preference", "logit"])
+    def test_overflowing_checkpoint_exits_2(self, tmp_path, run, capsys, edits):
+        checkpoint = run / "seed_1" / "checkpoint.nmc"
+        matrices, meta = matrixio.read_container(checkpoint)
+        for name, value in edits.items():
+            matrices[name][...] = value
+        matrixio.write_container(checkpoint, matrices, meta)
+        before = digests(run)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)   # the one line is the report
+            assert self.evaluate(tmp_path, run) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runtime failure") and str(checkpoint) in err
+        assert err.endswith("produced a non-finite value\n")
+        assert digests(run) == before
+
     def test_split_file_from_another_seed_exits_2(self, tmp_path, run, capsys):
         other = cli.parse_config_text(BASE_CONFIG.replace("split.seed=11", "split.seed=12"))
         cli.prepare(other, tmp_path / "other")
@@ -779,6 +803,76 @@ class TestStoredRunFuzz:
         err = capsys.readouterr().err
         assert code in (0, 2)
         assert code == 0 or err.startswith("runtime failure")
+
+
+# ---------------------------------------------------------------------------
+# CSV ingest fuzzing: a damaged source/target pair through `prepare` on each
+# split kind; every outcome is a clean exit, never an uncaught exception
+
+def csv_pair():
+    """Source and target CSVs of 16 shared users that `prepare` splits on
+    every kind: a third of the rows rate below the positive threshold, and
+    the attribute alternates between two labels."""
+    files = {}
+    for name, stride in (("source", 3), ("target", 13)):
+        rows = ["user,item,rating,attribute"]
+        for user in range(16):
+            for j in range(10 + user % 5):
+                rows.append(f"{user},{user * stride + 5 * j},{3 + (user + j) % 3},"
+                            f"{'ab'[user % 2]}")
+        files[name] = ("\n".join(rows) + "\n").encode()
+    return files
+
+
+INGEST_SPLITS = {
+    "iid": "split.kind=iid",
+    "ood_degree": "split.kind=ood_degree\nsplit.train_mix=0.7,0.3\nsplit.test_mix=0.3,0.7",
+    "ood_attribute": "split.kind=ood_attribute\nsplit.train_mix=0.7,0.3\n"
+                     "split.test_mix=0.3,0.7\ndataset.attribute_column=attribute",
+}
+CSV_TOKENS = [b"nan", b"1e999", b"\x00", b"9" * 20, b"\xef\xbb\xbf", b'"']
+CSV_EDITS = st.one_of(
+    st.tuples(st.just("flip"), st.integers(0, 10**6), st.integers(1, 255)),
+    st.tuples(st.just("cut"), st.integers(0, 10**6), st.just(0)),
+    st.tuples(st.just("delete"), st.integers(0, 10**6), st.integers(1, 40)),
+    st.tuples(st.just("field"), st.integers(0, 10**6), st.sampled_from(CSV_TOKENS)),
+)
+
+
+def damage_csv(blob, edit):
+    """blob after one edit; a deletion removes up to arg bytes at a spot."""
+    op, at, arg = edit
+    if op == "delete":
+        at %= len(blob) + 1
+        return blob[:at] + blob[at + arg:]
+    return damage(blob, edit)
+
+
+class TestCsvIngestFuzz:
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(kind=st.sampled_from(sorted(INGEST_SPLITS)),
+           edits=st.lists(st.tuples(st.sampled_from(["source", "target"]), CSV_EDITS),
+                          min_size=1, max_size=2))
+    @example(kind="ood_attribute", edits=[])
+    def test_damaged_csv_pair_exits_0_or_2(self, tmp_path, capsys, kind, edits):
+        run = Path(tempfile.mkdtemp(dir=tmp_path))
+        files = csv_pair()
+        for name, edit in edits:
+            files[name] = damage_csv(files[name], edit)
+        for name, blob in files.items():
+            (run / f"{name}.csv").write_bytes(blob)
+        config = write_config(run, "dataset.kind=csv\n" + INGEST_SPLITS[kind],
+                              out_dir=str(run / "out"),
+                              **{"dataset.source_path": str(run / "source.csv"),
+                                 "dataset.target_path": str(run / "target.csv"),
+                                 "split.ratios": "0.6,0.2,0.2"})
+        code = cli.main(["prepare", "--config", str(config)])
+        err = capsys.readouterr().err
+        assert code in (0, 2)
+        assert code == 0 or err.startswith("runtime failure")
+        if not edits:
+            assert code == 0
 
 
 # ---------------------------------------------------------------------------

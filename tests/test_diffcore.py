@@ -1,6 +1,8 @@
+import ast
 import gc
 import math
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -60,7 +62,7 @@ class TestPrimitives:
     def test_relu_gradient_zero_on_negatives(self):
         tape = dc.Tape()
         x = tape.param("x", np.array([-0.5, 0.7]))
-        loss = ref.sq_l2(dc.relu(x))
+        loss = ref.sq_l2(ref.relu(x))
         tape.backward(loss)
         assert tape.grad("x")[0] == 0.0
         assert tape.grad("x")[1] == pytest.approx(2 * 0.7)
@@ -76,7 +78,7 @@ class TestPrimitives:
         tape = dc.Tape()
         a = tape.param("a", np.arange(k, dtype=float))
         b = tape.param("b", np.ones(k))
-        joined = dc.vconcat(a, b)
+        joined = ref.vconcat(a, b)
         assert joined.shape == (2 * k,)
         loss = ref.sq_l2(joined)
         tape.backward(loss)
@@ -126,12 +128,12 @@ class TestPrimitives:
         with pytest.raises(dc.TapeStateError):
             tape.backward(loss)
         with pytest.raises(dc.TapeStateError):
-            dc.relu(x)
+            ref.relu(x)
 
     def test_gather_cols_accumulates_repeats(self):
         tape = dc.Tape()
         w = tape.param("w", np.arange(6, dtype=float).reshape(2, 3))
-        picked = dc.gather_cols(w, [1, 1, 2])
+        picked = ref.gather_cols(w, [1, 1, 2])
         loss = ref.sq_l2(picked)
         tape.backward(loss)
         expected = np.zeros((2, 3))
@@ -174,22 +176,22 @@ def test_primitive_gradients_match_finite_differences(seed):
     }
 
     def build(tape, n):
-        h = dc.relu(dc.matmul(n["w"], n["v"]))                    # k x b
-        s = ref.sigmoid(dc.matmul_t(n["w"], h))                    # k x b
-        top = ref.softmax_pair(dc.matmul(n["m"], s))               # 2 x b
+        h = ref.relu(ref.matmul(n["w"], n["v"]))                   # k x b
+        s = ref.sigmoid(ref.matmul_t(n["w"], h))                   # k x b
+        top = ref.softmax_pair(ref.matmul(n["m"], s))              # 2 x b
         probs = dc.block(top, 1, 2, 0, b)                         # 1 x b
         labels = (np.arange(b) % 2).astype(float).reshape(1, b)
         terms = [
             ref.bce_sum(probs, labels),
             ref.scale(ref.sq_l2(ref.sub(h, s)), 0.5),
             ref.scale(ref.l1(dc.block(n["a"], 0, k, 1, 3)), 0.3),
-            ref.neg_log_col_l1(dc.matmul(n["a"], n["v"]), 1, 1e-8),
+            ref.neg_log_col_l1(ref.matmul(n["a"], n["v"]), 1, 1e-8),
             dc.acyclicity_term(n["a"]),
             ref.scale(ref.l2_norm(n["w"], n["m"]), 0.01),
-            ref.sq_l2(dc.mul(n["x"], dc.matmul_t(n["w"], n["x"]))),
-            ref.sq_l2(dc.vconcat(n["x"], dc.block(n["x"], 0, k, 0, 1))),
-            ref.sq_l2(dc.hconcat(dc.gather_cols(n["v"], [0, 2, 0]), h)),
-            ref.sq_l2(dc.matmul(n["a"], n["x"])),
+            ref.sq_l2(dc.mul(n["x"], ref.matmul_t(n["w"], n["x"]))),
+            ref.sq_l2(ref.vconcat(n["x"], dc.block(n["x"], 0, k, 0, 1))),
+            ref.sq_l2(dc.hconcat(ref.gather_cols(n["v"], [0, 2, 0]), h)),
+            ref.sq_l2(ref.matmul(n["a"], n["x"])),
         ]
         return dc.weighted_sum(terms, [1.0, 1.0, 1.0, 0.1, 1.0, 1.0, 1.0, 1.0, 1.0, 0.2])
 
@@ -202,7 +204,7 @@ def test_gather_and_scale_gradients(seed):
     params = {"w": rng.normal(size=(3, 6))}
 
     def build(tape, n):
-        picked = dc.gather_cols(n["w"], [5, 0, 5])
+        picked = ref.gather_cols(n["w"], [5, 0, 5])
         return ref.scale(ref.sq_l2(picked), 0.7)
 
     assert fd_check(build, params) < 1e-6
@@ -213,7 +215,7 @@ def _square_loss(op, a, b):
     return out if out.value.ndim == 0 else ref.sq_l2(out)
 
 
-@pytest.mark.parametrize("op", [dc.mul, dc.matmul, dc.matmul_t, dc.reconstruction],
+@pytest.mark.parametrize("op", [dc.mul, ref.matmul, ref.matmul_t, dc.reconstruction],
                          ids=["mul", "matmul", "matmul_t", "reconstruction"])
 def test_constant_operand_takes_no_gradient(op):
     rng = np.random.default_rng(12)
@@ -322,7 +324,7 @@ class TestPackedNorm:
         nodes = tape.params(*dc.pack(self.values(60)))
         other = tape.param("d", np.ones(3))
         for xs in ([nodes["a"], nodes["b"]], [*nodes.values(), other],
-                   [dc.relu(nodes["a"])]):
+                   [ref.relu(nodes["a"])]):
             with pytest.raises(dc.ShapeError, match="one packed vector"):
                 dc.l2_norm(*xs)
 
@@ -470,7 +472,7 @@ class TestTapeLifetime:
         try:
             tape = dc.Tape()
             x = tape.param("x", np.array([[1.0, -2.0], [0.5, 3.0]]))
-            hidden = dc.relu(dc.matmul(x, x))
+            hidden = ref.relu(ref.matmul(x, x))
             # Node has __slots__ and no weakref slot; its value array lives
             # exactly as long as the node does
             probe = weakref.ref(hidden.value)
@@ -491,7 +493,7 @@ class TestTapeLifetime:
     def test_spent_tape_frees_gradients_without_gc(self, no_cyclic_gc):
         tape = dc.Tape()
         x = tape.param("x", np.array([[1.0, -2.0], [0.5, 3.0]]))
-        loss = ref.sq_l2(dc.matmul(x, x))
+        loss = ref.sq_l2(ref.matmul(x, x))
         tape.backward(loss)
         probe = weakref.ref(tape.grads()["x"])
         del tape, x, loss
@@ -500,7 +502,7 @@ class TestTapeLifetime:
     def test_value_tape_frees_its_nodes_without_gc(self, no_cyclic_gc):
         tape = dc.Tape(grad=False)
         x = tape.param("x", np.array([[1.0, -2.0], [0.5, 3.0]]))
-        hidden = dc.relu(dc.matmul(x, x))
+        hidden = ref.relu(ref.matmul(x, x))
         param_probe = weakref.ref(x.value)
         hidden_probe = weakref.ref(hidden.value)
         loss = ref.sq_l2(hidden)
@@ -534,7 +536,7 @@ class TestPackedParams:
                                         for name, v in views.items()})
         tape = dc.Tape(grad_buffer=(buffer, buffer_views))
         nodes = tape.params(flat, views)
-        loss = dc.weighted_sum([ref.sq_l2(dc.matmul(nodes["w"], nodes["a"])),
+        loss = dc.weighted_sum([ref.sq_l2(ref.matmul(nodes["w"], nodes["a"])),
                                 ref.l1(nodes["b"])], [1.0, 0.5])
         tape.backward(loss)
         grads = tape.grads()
@@ -552,7 +554,7 @@ class TestPackedParams:
         def run(register, l2_norm):
             tape = dc.Tape()
             nodes = register(tape)
-            loss = dc.weighted_sum([ref.sq_l2(dc.matmul(nodes["w"], nodes["a"])),
+            loss = dc.weighted_sum([ref.sq_l2(ref.matmul(nodes["w"], nodes["a"])),
                                     l2_norm(*nodes.values())], [1.0, 0.1])
             tape.backward(loss)
             return tape.grads()
@@ -655,7 +657,7 @@ class TestNonFiniteChecks:
         tape = dc.Tape()
         p = tape.param("p", np.array([[-1.0, 2.0]]))
         h = ref.scale(p, 1.0)
-        loss = ref.scale(ref.sq_l2(dc.relu(h)), -1.0)
+        loss = ref.scale(ref.sq_l2(ref.relu(h)), -1.0)
         tape.backward(loss)
         assert h.grad[0, 0] == 0.0 and not np.signbit(h.grad[0, 0])
         assert h.grad[0, 1] == -4.0
@@ -669,10 +671,10 @@ class TestValueTape:
         w = tape.param("w", rng.normal(size=(4, 4)))
         v = tape.param("v", rng.normal(size=(4, 6)))
         a = tape.param("a", rng.normal(size=(4, 4)) * 0.3)
-        h = dc.relu(dc.matmul(w, dc.gather_cols(v, [0, 5, 5, 2])))
-        s = ref.sigmoid(dc.matmul_t(a, ref.grad_reverse(h, 1.0)))
+        h = ref.relu(ref.matmul(w, ref.gather_cols(v, [0, 5, 5, 2])))
+        s = ref.sigmoid(ref.matmul_t(a, ref.grad_reverse(h, 1.0)))
         p = dc.block(ref.softmax_pair(dc.block(s, 0, 2, 0, 4)), 1, 2, 0, 4)
-        both = dc.hconcat(dc.vconcat(h, s), dc.vconcat(dc.mul(ref.sub(h, s), h), h))
+        both = dc.hconcat(ref.vconcat(h, s), ref.vconcat(dc.mul(ref.sub(h, s), h), h))
         terms = [ref.bce_sum(p, np.ones(p.shape)), ref.sq_l2(both), ref.l1(both),
                  ref.l2_norm(w, v), dc.acyclicity_term(a),
                  ref.neg_log_col_l1(both, 2, 1e-8), ref.scale(ref.l1(s), 0.5)]
@@ -755,8 +757,8 @@ class TestGradReverse:
             tape = dc.Tape()
             e = tape.param("e", p["e"])
             w = tape.param("w", p["w"])
-            hidden = ref.grad_reverse(dc.matmul(e, tape.constant(x)), 1.0)
-            out = ref.sigmoid(dc.matmul(w, hidden))
+            hidden = ref.grad_reverse(ref.matmul(e, tape.constant(x)), 1.0)
+            out = ref.sigmoid(ref.matmul(w, hidden))
             loss = ref.bce_sum(out, np.array([[1.0]]))
             tape.backward(loss)
             return float(loss.value), tape.grads()
@@ -765,8 +767,8 @@ class TestGradReverse:
             tape = dc.Tape()
             e = tape.param("e", p["e"])
             w = tape.param("w", p["w"])
-            hidden = dc.matmul(e, tape.constant(x))
-            out = ref.sigmoid(dc.matmul(w, hidden))
+            hidden = ref.matmul(e, tape.constant(x))
+            out = ref.sigmoid(ref.matmul(w, hidden))
             loss = ref.bce_sum(out, np.array([[1.0]]))
             tape.backward(loss)
             return float(loss.value), tape.grads()
@@ -903,3 +905,39 @@ class TestFiniteDiffCheck:
 
         with pytest.raises(ValueError):
             dc.finite_diff_details(loss_fn, {"x": np.zeros(1)}, {"x": np.zeros(1)}, step=0.5)
+
+
+def _package_references(trees, name, skip):
+    """Nodes of the package's syntax trees that reference diffcore's name,
+    outside the nodes in skip."""
+    found = []
+    for module, tree in trees.items():
+        aliases = {alias.asname or alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.level == 1 and not node.module
+                   for alias in node.names if alias.name == "diffcore"}
+        for node in ast.walk(tree):
+            if id(node) in skip:
+                continue
+            if isinstance(node, ast.Name) and node.id == name and module == "diffcore":
+                found.append(node)
+            elif (isinstance(node, ast.Attribute) and node.attr == name
+                  and isinstance(node.value, ast.Name) and node.value.id in aliases):
+                found.append(node)
+            elif (isinstance(node, ast.ImportFrom) and node.module == "diffcore"
+                  and any(alias.name == name for alias in node.names)):
+                found.append(node)
+    return found
+
+
+def test_every_public_function_has_a_caller_in_the_package():
+    # an engine primitive that only tests call belongs in tests/reference_ops.py
+    package = Path(dc.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(package.glob("*.py"))}
+    public = [node for node in trees["diffcore"].body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+    assert {"encode", "matrix_exp"} <= {node.name for node in public}
+    unused = [node.name for node in public
+              if not _package_references(trees, node.name,
+                                         {id(n) for n in ast.walk(node)})]
+    assert unused == []
